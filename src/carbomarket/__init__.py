@@ -36,6 +36,7 @@ from carbomarket.network_model import (
 from carbomarket.simulator import (
     ScenarioConfig,
     SimulationReport,
+    plant_bids,
     recorded_combined_prices,
     replay_storage,
     run_horizon,
@@ -86,6 +87,7 @@ __all__ = [
     "load_scenario",
     "offline_optimal",
     "optimal_power",
+    "plant_bids",
     "power_bounds",
     "recorded_combined_prices",
     "replay_storage",

@@ -25,6 +25,8 @@ PIVOT_TOL = 1e-10
 RISKY_PIVOT_TOL = 1e-7
 REFACTOR_PERIOD = 64
 TRACE_ENV = "CARBOMARKET_LP_TRACE"
+# LpSolution.outcome values of a solve that finished from the given basis
+WARM_OUTCOMES = ("warm", "repaired")
 
 
 class LpStatus(Enum):
@@ -90,7 +92,15 @@ class LpSolution:
     row_violations: np.ndarray | None = None
     # Rows kept after redundant-equality elimination; None when all kept.
     kept_rows: np.ndarray | None = None
-    warm_started: bool = False
+    # How the solve started: "cold", "warm" (the given basis was primal or
+    # dual feasible), "repaired" (neither; costs were shifted to make it dual
+    # feasible), or why a warm start fell back to a cold solve: "size",
+    # "singular" or "infeasible".
+    outcome: str = "cold"
+
+    @property
+    def warm_started(self) -> bool:
+        return self.outcome in WARM_OUTCOMES
 
 
 def _trace_stream():
@@ -350,7 +360,7 @@ def _solve_attempt(problem: LpProblem, trace, paranoid: bool) -> LpSolution:
     status = engine.run_primal(c, budget + engine.pivots, "phase2")
     if status is LpStatus.UNBOUNDED:
         return LpSolution(status=status, iterations=engine.pivots)
-    return _finish(problem, engine, flipped, kept_rows, warm=False)
+    return _finish(problem, engine, flipped, kept_rows)
 
 
 def _finish(
@@ -358,7 +368,7 @@ def _finish(
     engine: _Engine,
     flipped: np.ndarray,
     kept_rows: np.ndarray | None,
-    warm: bool,
+    outcome: str = "cold",
 ) -> LpSolution:
     c = problem.cost
     xb = engine.basic_solution()
@@ -380,7 +390,7 @@ def _finish(
         iterations=engine.pivots,
         degenerate=bool((np.abs(xb) <= FEASIBILITY_TOL).any()),
         kept_rows=kept_rows,
-        warm_started=warm,
+        outcome=outcome,
     )
 
 
@@ -390,46 +400,67 @@ def solve_with_basis(problem: LpProblem, start_basis) -> LpSolution:
     A basis that is primal feasible resumes the primal iteration directly.
     A basis that is only dual feasible (the common case after a right-hand
     side change, since reduced costs do not depend on the rhs) is repaired
-    by dual simplex. Anything else is handed to the cold path.
+    by dual simplex. A basis that is neither gets its costs shifted: each
+    dual-infeasible column's cost rises by its deficit, which makes the
+    basis dual feasible; dual simplex then restores primal feasibility, and
+    primal simplex finishes on the true costs (Koberstein 2005, "The dual
+    simplex method, techniques for a fast and stable implementation").
+
+    Only a basis of the wrong size, a singular basis or a numerical failure
+    falls back to the cold path, and so does a problem the dual simplex
+    proves infeasible, so that its row violations come from phase 1.
+    ``outcome`` on the result says which of these happened.
     """
     basis = np.asarray(start_basis, dtype=int).ravel()
-    if basis.size != problem.constraint_count or np.unique(basis).size != basis.size:
-        return solve(problem)
-    if basis.min(initial=0) < 0 or basis.max(initial=-1) >= problem.variable_count:
-        return solve(problem)
+    if (basis.size != problem.constraint_count or np.unique(basis).size != basis.size
+            or basis.min(initial=0) < 0 or basis.max(initial=-1) >= problem.variable_count):
+        return _fallback(solve(problem), "size")
     trace = _trace_stream()
     try:
         try:
-            engine = _Engine(problem.constraint_matrix, problem.rhs, basis, trace)
-            engine.refactor()
-            flipped = np.zeros(problem.constraint_count, dtype=bool)
-            budget = _pivot_budget(engine.m, engine.n)
-            xb = engine.basic_solution()
-            if xb.min(initial=0.0) >= -FEASIBILITY_TOL:
-                status = engine.run_primal(problem.cost, budget, "warm")
-                if status is LpStatus.UNBOUNDED:
-                    return LpSolution(status=status, iterations=engine.pivots)
-                return _finish(problem, engine, flipped, None, warm=True)
-            reduced = problem.cost - problem.constraint_matrix.T @ engine.duals_for(problem.cost)
-            reduced[engine.basis] = 0.0
-            if reduced.min(initial=0.0) >= -1e-7:
-                status = engine.run_dual(problem.cost, budget)
-                if status is LpStatus.OPTIMAL:
-                    status = engine.run_primal(problem.cost, budget + engine.pivots, "polish")
-                    if status is LpStatus.OPTIMAL:
-                        return _finish(problem, engine, flipped, None, warm=True)
-                    return LpSolution(status=status, iterations=engine.pivots)
-                if status is LpStatus.INFEASIBLE:
-                    cold = _solve_impl(problem, trace)
-                    return cold
+            sol = _warm_attempt(problem, basis, trace)
+            reason = "infeasible"
         except SimplexNumericalError:
             # warm start gone numerically bad; the cold path below retries
             # from scratch and has its own paranoid second attempt
-            pass
-        return _solve_impl(problem, trace)
+            sol = None
+            reason = "singular"
+        return sol if sol is not None else _fallback(_solve_impl(problem, trace), reason)
     finally:
         if trace is not None and trace is not sys.stderr:
             trace.close()
+
+
+def _fallback(sol: LpSolution, reason: str) -> LpSolution:
+    sol.outcome = reason
+    return sol
+
+
+def _warm_attempt(problem: LpProblem, basis: np.ndarray, trace) -> LpSolution | None:
+    """Finish from ``basis``; None when the dual simplex proves infeasibility."""
+    cost = problem.cost
+    engine = _Engine(problem.constraint_matrix, problem.rhs, basis, trace)
+    engine.refactor()
+    flipped = np.zeros(problem.constraint_count, dtype=bool)
+    budget = _pivot_budget(engine.m, engine.n)
+    outcome = "warm"
+    if engine.basic_solution().min(initial=0.0) >= -FEASIBILITY_TOL:
+        status = engine.run_primal(cost, budget, "warm")
+    else:
+        reduced = cost - problem.constraint_matrix.T @ engine.duals_for(cost)
+        reduced[engine.basis] = 0.0
+        dual_cost = cost
+        if reduced.min(initial=0.0) < -1e-7:
+            outcome = "repaired"
+            dual_cost = cost + np.maximum(-reduced, 0.0)
+        status = engine.run_dual(dual_cost, budget)
+        if status is LpStatus.INFEASIBLE:
+            # primal infeasibility does not depend on the costs, shifted or not
+            return None
+        status = engine.run_primal(cost, budget + engine.pivots, "polish")
+    if status is LpStatus.UNBOUNDED:
+        return LpSolution(status=status, iterations=engine.pivots, outcome=outcome)
+    return _finish(problem, engine, flipped, None, outcome)
 
 
 def feasibility_interval(basis, a, g, h, ray) -> tuple[float, float]:

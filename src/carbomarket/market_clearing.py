@@ -16,6 +16,13 @@ Row order: balance; branch upper; branch lower; power upper bounds; cost
 epigraph segments; emission epigraph segments.  The right-hand side is affine
 in the per-bus demand vector, rhs = G @ demand + H, which later lets the
 emission-allocation sweep reuse the same assembly with demand as a parameter.
+
+Every column also has a key that names it independently of the layout:
+(agent, role) for the structural and upper-bound columns, ("branch", l, side)
+for the branch slacks, and (agent, curve, segment index) for the segment
+surpluses.  A clearing reports its optimal basis as these keys, so the next
+period's LP, whose storage curves may have more or fewer segments, can start
+from it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import qr
 
 from .lp_core import LpProblem, LpSolution, LpStatus, solve, solve_with_basis
 from .network_model import NetworkCase, PiecewiseLinearCurve
@@ -94,6 +102,10 @@ class AssembledMarket:
     sigma_agents: tuple[int, ...]
     row_labels: tuple[str, ...]
     loss: np.ndarray
+    # layout-independent name of each column, and each row's own slack or
+    # surplus column (-1 for the balance row, which has none)
+    column_keys: tuple[tuple, ...]
+    row_slack: np.ndarray
 
     @property
     def f_offset(self) -> int:
@@ -128,12 +140,16 @@ class ClearingResult:
     bids: BidSet
     period: int = 0
     degenerate: bool = False
-    basis: np.ndarray | None = None
+    # optimal basis as column keys (see the module docstring)
+    basis: tuple[tuple, ...] | None = None
     loss_converged: bool = True
     loss_iterations: int = 1
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sigma_agents: tuple[int, ...] = ()
     loss: np.ndarray | None = None
+    # LpSolution.outcome of the final solve: cold, warm, repaired, or the
+    # reason a warm start fell back to cold (size, singular, infeasible)
+    outcome: str = "cold"
 
     def power(self, name: str) -> float:
         return float(self.dispatch[self.agent_names.index(name)])
@@ -183,6 +199,10 @@ def assemble_market_lp(
     g = np.zeros((n_rows, n_buses))
     h = np.zeros(n_rows)
     labels: list[str] = []
+    names = [a.name for a in agents]
+    keys: list[tuple] = [(name, "power") for name in names]
+    keys += [(name, "cost") for name in names]
+    keys += [(names[k], "emission") for k in sigma_agents]
 
     # balance: sum (1-L_i) p_i = sum (1-L_b) D_b + L_0
     if n_agents:
@@ -201,6 +221,7 @@ def assemble_market_lp(
         g[r, :] = ptdf[l]
         h[r] = caps[l] - shift_flow[l]
         labels.append(f"branch {case.branches[l].name or l} upper")
+        keys.append(("branch", l, "upper"))
     for l in range(n_br):
         r = 1 + n_br + l
         a_mat[r, :n_agents] = -t_agent[l]
@@ -208,6 +229,7 @@ def assemble_market_lp(
         g[r, :] = -ptdf[l]
         h[r] = caps[l] + shift_flow[l]
         labels.append(f"branch {case.branches[l].name or l} lower")
+        keys.append(("branch", l, "lower"))
     slack += 2 * n_br
 
     for k, a in enumerate(agents):
@@ -216,25 +238,28 @@ def assemble_market_lp(
         a_mat[r, slack + k] = 1.0
         h[r] = a.p_max - a.p_min
         labels.append(f"{a.name} upper bound")
+        keys.append((a.name, "upper bound"))
     slack += n_agents
 
     row = 1 + 2 * n_br + n_agents
     for k, a in enumerate(agents):
-        for alpha, beta in cost_segs[k]:
+        for i, (alpha, beta) in enumerate(cost_segs[k]):
             a_mat[row, k] = -alpha
             a_mat[row, n_agents + k] = 1.0
             a_mat[row, slack] = -1.0
             h[row] = alpha * p_shift[k] + beta - f_shift[k]
             labels.append(f"{a.name} cost segment")
+            keys.append((a.name, "cost", i))
             slack += 1
             row += 1
     for j, k in enumerate(sigma_agents):
-        for alpha, beta in sigma_segs[j]:
+        for i, (alpha, beta) in enumerate(sigma_segs[j]):
             a_mat[row, k] = -alpha
             a_mat[row, 2 * n_agents + j] = 1.0
             a_mat[row, slack] = -1.0
             h[row] = alpha * p_shift[k] + beta
             labels.append(f"{agents[k].name} emission segment")
+            keys.append((agents[k].name, "emission", i))
             slack += 1
             row += 1
 
@@ -250,6 +275,7 @@ def assemble_market_lp(
         n_agents=n_agents, n_buses=n_buses, n_branches=n_br,
         p_shift=p_shift, f_shift=f_shift, sigma_agents=sigma_agents,
         row_labels=tuple(labels), loss=loss,
+        column_keys=tuple(keys), row_slack=np.concatenate([[-1], np.arange(n_struct, n_cols)]),
     )
 
 
@@ -300,19 +326,78 @@ def extract_result(
         total_cost=float(form.cost_values(x).sum()),
         total_emission=float(sigma.sum()),
         status=sol.status, bids=bids, period=period,
-        degenerate=sol.degenerate, basis=sol.basis,
+        degenerate=sol.degenerate,
+        basis=tuple(form.column_keys[j] for j in sol.basis),
         sigma=sigma, sigma_agents=form.sigma_agents, loss=form.loss,
+        outcome=sol.outcome,
     )
+
+
+def _independent(mat: np.ndarray) -> np.ndarray:
+    """Positions of a maximal set of linearly independent columns of ``mat``,
+    most independent first (QR with column pivoting)."""
+    if 0 in mat.shape:
+        return np.zeros(0, dtype=int)
+    r, perm = qr(mat, mode="r", pivoting=True, check_finite=False)
+    diag = np.abs(np.diag(r))
+    return perm[: int((diag > 1e-10 * diag[0]).sum())]
+
+
+def _map_basis(form: AssembledMarket, keys) -> np.ndarray:
+    """Column indices of a square, nonsingular basis of ``form`` from ``keys``.
+
+    Keys this layout has become its columns, in their given order; keys it
+    lacks are dropped. Each row that the mapped slack and surplus columns do
+    not cover (the balance row, the rows binding at the old vertex, and rows
+    new to this layout) must be covered by a mapped structural column or get
+    its own slack or surplus. So the basis is block triangular, and it is
+    nonsingular when the structural columns restricted to the uncovered rows
+    are: the largest independent set of those columns is kept, and the
+    uncovered rows they leave over, never the balance row, get their own
+    columns. Returns fewer columns than rows only when no structural column
+    covers the balance row.
+    """
+    index = {key: j for j, key in enumerate(form.column_keys)}
+    cols = np.array(list(dict.fromkeys(index[k] for k in keys if k in index)), dtype=int)
+    n_rows = form.problem.constraint_count
+    slack_row = np.full(form.problem.variable_count, -1)
+    slack_row[form.row_slack[1:]] = np.arange(1, n_rows)
+    is_slack = slack_row[cols] >= 0
+    covered = np.zeros(n_rows, dtype=bool)
+    covered[slack_row[cols[is_slack]]] = True
+    open_rows = np.flatnonzero(~covered)  # starts with the balance row
+    struct = cols[~is_slack]
+    block = form.problem.constraint_matrix[np.ix_(open_rows, struct)]
+    struct_pos = _independent(block)
+    block = block[:, struct_pos]
+    if struct_pos.size == open_rows.size:
+        extra_rows = np.zeros(0, dtype=int)
+    else:
+        # rows to leave to the structural columns: the balance row, then the
+        # most independent of the rest once the balance row is projected out
+        balance = block[0]
+        norm2 = float(balance @ balance)
+        if norm2 == 0.0:
+            return cols
+        rest = block[1:] - np.outer(block[1:] @ balance / norm2, balance)
+        chosen = _independent(rest.T)[: struct_pos.size - 1] + 1
+        left = np.ones(open_rows.size, dtype=bool)
+        left[0] = False
+        left[chosen] = False
+        extra_rows = open_rows[left]
+    keep = is_slack | np.isin(cols, struct[struct_pos])
+    return np.concatenate([cols[keep], form.row_slack[extra_rows]])
 
 
 def clear_market(
     case: NetworkCase, bids: BidSet, period: int = 0,
     loss: np.ndarray | None = None,
-    warm_basis: np.ndarray | None = None,
+    warm_basis=None,
 ) -> ClearingResult:
+    """Clear one period; ``warm_basis`` is a previous ``ClearingResult.basis``."""
     problem, form = assemble_clearing_lp(case, bids, period, loss=loss)
     if warm_basis is not None:
-        sol = solve_with_basis(problem, warm_basis)
+        sol = solve_with_basis(problem, _map_basis(form, warm_basis))
     else:
         sol = solve(problem)
     if sol.status is LpStatus.INFEASIBLE:
@@ -330,11 +415,14 @@ def clear_market(
 
 def loss_direction_iterate(
     case: NetworkCase, bids: BidSet, period: int = 0, max_iters: int = 10,
+    warm_basis=None,
 ) -> ClearingResult:
     """Re-clear until assumed per-bus flow directions match the dispatch.
 
     The per-bus loss sensitivity takes the sign of the bus's net injection;
-    a lossless or fixed-coefficient case converges on the first pass.
+    a lossless or fixed-coefficient case converges on the first pass. The
+    first clear starts from ``warm_basis``, each re-clear from the basis of
+    the clear before it.
     """
     base = np.abs(case.loss_vector())
     signs = np.ones(case.n_buses)
@@ -342,7 +430,8 @@ def loss_direction_iterate(
     demand = case.demand(period) if bids.demand is None else bids.demand
     result = None
     for it in range(1, max_iters + 1):
-        result = clear_market(case, bids, period, loss=loss)
+        result = clear_market(case, bids, period, loss=loss, warm_basis=warm_basis)
+        warm_basis = result.basis
         if not case.loss_direction_dependent:
             result.loss_converged = True
             result.loss_iterations = it

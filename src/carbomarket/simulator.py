@@ -304,7 +304,7 @@ def run_period(
     t: int,
     states: dict[str, StorageState],
     params: dict[str, PolicyParams],
-    warm_basis: np.ndarray | None = None,
+    warm_basis: tuple[tuple, ...] | None = None,
 ) -> tuple[PeriodRecord, ClearingResult, AllocationResult | None]:
     """One market round; mutates nothing, returns the pieces."""
     agents = plant_bids(case, t, include_emission_cost=scenario.enable_allocation)
@@ -321,7 +321,7 @@ def run_period(
             ))
     bids = BidSet(agents=agents, demand=case.demand(t))
     if case.loss_direction_dependent:
-        clearing = loss_direction_iterate(case, bids, t)
+        clearing = loss_direction_iterate(case, bids, t, warm_basis=warm_basis)
     else:
         clearing = clear_market(case, bids, t, warm_basis=warm_basis)
     allocation = None
@@ -398,7 +398,7 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
             params[unit.name] = choose_parameters(unit)
             states[unit.name] = initial_state(unit, params[unit.name])
     records: list[PeriodRecord] = []
-    warm: np.ndarray | None = None
+    warm: tuple[tuple, ...] | None = None
     for t in range(t_end):
         try:
             record, clearing, allocation = run_period(

@@ -162,7 +162,8 @@ def test_warm_start_is_fixed_point():
     prob = random_equality_lp(rng)
     cold = solve(prob)
     warm = solve_with_basis(prob, cold.basis)
-    assert warm.warm_started
+    assert warm.warm_started and warm.outcome == "warm"
+    assert cold.outcome == "cold"
     assert warm.iterations == 0
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
@@ -197,6 +198,67 @@ def test_warm_start_singular_fallback():
     # use duplicated column indices rejected upfront plus a truly singular pair.
     singular = solve_with_basis(prob, [0, 1])  # rows make this singular: col1 == col0
     assert singular.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert singular.outcome == "singular" and not singular.warm_started
+    short = solve_with_basis(prob, [3])
+    assert short.outcome == "size" and not short.warm_started
+    assert short.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def basic_solution_and_reduced_costs(prob, basis):
+    a_b = prob.constraint_matrix[:, basis]
+    xb = np.linalg.solve(a_b, prob.rhs)
+    y = np.linalg.solve(a_b.T, prob.cost[basis])
+    reduced = prob.cost - prob.constraint_matrix.T @ y
+    reduced[basis] = 0.0
+    return xb, reduced
+
+
+def test_warm_start_repairs_a_basis_neither_primal_nor_dual_feasible():
+    rng = np.random.default_rng(4242)
+    repaired = 0
+    for _ in range(200):
+        prob = random_equality_lp(rng, m=8, n=16)
+        old = solve(prob)
+        assert old.status is LpStatus.OPTIMAL
+        moved = LpProblem(
+            cost=prob.cost * rng.uniform(0.3, 1.7, size=prob.variable_count),
+            constraint_matrix=prob.constraint_matrix,
+            rhs=prob.constraint_matrix @ rng.uniform(0.5, 1.5, size=prob.variable_count),
+        )
+        xb, reduced = basic_solution_and_reduced_costs(moved, old.basis)
+        if xb.min() >= -1e-6 or reduced.min() >= -1e-6:
+            continue  # still primal or dual feasible: not the case under test
+        warm = solve_with_basis(moved, old.basis)
+        cold = solve(moved)
+        assert warm.outcome == "repaired" and warm.warm_started
+        assert warm.status is LpStatus.OPTIMAL and cold.status is LpStatus.OPTIMAL
+        assert abs(warm.objective - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
+        repaired += 1
+    assert repaired >= 20
+
+
+@pytest.mark.parametrize("move_cost", [False, True])
+def test_infeasible_problem_on_the_warm_path_reports_row_violations(move_cost):
+    rng = np.random.default_rng(77)
+    prob, _, _ = random_inequality_lp(rng)
+    old = solve(prob)
+    assert old.status is LpStatus.OPTIMAL
+    rhs = prob.rhs.copy()
+    rhs[2] = -1.0  # nonnegative row coefficients and slack cannot sum below zero
+    cost = prob.cost.copy()
+    if move_cost:
+        # make the old basis dual infeasible too, so the repair path runs
+        nonbasic = np.setdiff1d(np.arange(prob.variable_count), old.basis)
+        cost[nonbasic] -= 5.0
+    moved = LpProblem(cost=cost, constraint_matrix=prob.constraint_matrix, rhs=rhs)
+    xb, reduced = basic_solution_and_reduced_costs(moved, old.basis)
+    assert xb.min() < 0.0 and (reduced.min() < -1e-9) == move_cost
+    warm = solve_with_basis(moved, old.basis)
+    assert warm.status is LpStatus.INFEASIBLE
+    assert warm.outcome == "infeasible" and not warm.warm_started
+    assert warm.row_violations is not None
+    assert int(np.argmax(warm.row_violations)) == 2
+    assert warm.row_violations[2] > 0.0
 
 
 def test_feasibility_interval_parameter_free():

@@ -207,6 +207,18 @@ def test_loss_direction_iteration():
     assert res2.loss_iterations == 2
     # final pass used L = (+0.05, -0.03): 0.95 p = 1.03 * 10
     assert res2.dispatch[0] == pytest.approx(10.3 / 0.95, abs=1e-8)
+    # the re-clear started from the first pass's basis and lands where a
+    # cold clear with the final loss vector does
+    assert res2.outcome in ("warm", "repaired")
+    cold = clear_market(flip, bids2, loss=np.array([0.05, -0.03]))
+    assert cold.outcome == "cold"
+    np.testing.assert_allclose(res2.dispatch, cold.dispatch, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res2.lmp, cold.lmp, rtol=0, atol=1e-9)
+    # a later period starts from the previous period's basis
+    nxt = loss_direction_iterate(flip, bids2, warm_basis=res2.basis)
+    assert nxt.outcome in ("warm", "repaired") and nxt.loss_iterations == 2
+    np.testing.assert_allclose(nxt.dispatch, cold.dispatch, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(nxt.lmp, cold.lmp, rtol=0, atol=1e-9)
 
 
 def renewable_case():
@@ -250,3 +262,25 @@ def test_warm_basis_reclear_is_cheap_and_identical():
     warm = clear_market(case, nudged, warm_basis=first.basis)
     np.testing.assert_allclose(warm.dispatch, cold.dispatch, atol=1e-8)
     assert warm.lambda_bar == pytest.approx(cold.lambda_bar, abs=1e-8)
+
+
+def storage_bid(n_segments, shift=0.0):
+    """Convex storage curve with marginal cost 30 + p $/MWh, in n_segments pieces."""
+    xs = np.linspace(-20.0, 20.0, n_segments + 1) + shift * np.r_[0.0, np.ones(n_segments - 1), 0.0]
+    curve = curve_from_points([(x, 30.0 * x + 0.5 * x * x) for x in xs])
+    return AgentBid(name="es", bus=2, cost_curve=curve, p_min=-20.0, p_max=20.0, is_storage=True)
+
+
+def test_warm_start_survives_a_storage_curve_gaining_and_losing_a_segment():
+    case, agents, demand = congested_triangle()
+    previous = clear_market(case, BidSet(agents=agents + [storage_bid(4)], demand=demand))
+    assert previous.outcome == "cold"
+    for n_segments, shift in ((5, 0.7), (4, -0.4)):
+        bids = BidSet(agents=agents + [storage_bid(n_segments, shift)], demand=demand)
+        warm = clear_market(case, bids, warm_basis=previous.basis)
+        cold = clear_market(case, bids)
+        assert len(warm.basis) == len(previous.basis) + (1 if n_segments == 5 else -1)
+        assert warm.outcome in ("warm", "repaired")
+        for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        previous = warm

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from carbomarket import simulator
 from carbomarket.market_clearing import BidSet, clear_market
 from carbomarket.network_model import (
     Branch,
@@ -30,12 +31,14 @@ from carbomarket.simulator import (
     settle,
 )
 from carbomarket.storage_policy import (
+    StorageState,
     choose_parameters,
     initial_state,
     offline_optimal,
     optimal_power,
     update_state,
 )
+from carbomarket.synthetic import replica30_case
 
 
 def linear_gen(name, bus, slope, cap, rate, p_min=0.0, renewable=False):
@@ -469,3 +472,34 @@ def test_proposed_replay_mirrors_the_market_run_on_one_bus():
                 for r in report.records)
     np.testing.assert_allclose(res.power, market_p,
                                atol=3.0 * width / (unit.n_segments - 1) + 1e-6)
+
+
+def test_replica30_horizon_warm_starts_every_period_and_matches_cold(monkeypatch):
+    # the first two days of the bundled series under a1: storage curves gain
+    # and lose segments, and some starts are neither primal nor dual feasible
+    case = replica30_case(seed=7)
+    scenario = ScenarioConfig.a1(horizon=48)
+    clearings = []
+
+    def recording(*args, **kwargs):
+        clearings.append(clear_market(*args, **kwargs))
+        return clearings[-1]
+
+    monkeypatch.setattr(simulator, "clear_market", recording)
+    report = run_horizon(case, scenario)
+    monkeypatch.undo()
+    assert clearings[0].outcome == "cold"
+    assert all(c.outcome in ("warm", "repaired") for c in clearings[1:])
+    sizes = [len(c.basis) for c in clearings]
+    assert sum(a != b for a, b in zip(sizes, sizes[1:])) >= 1
+    assert sum(c.outcome == "repaired" for c in clearings) >= 1
+
+    params = {u.name: choose_parameters(u) for u in case.storages}
+    for t, (record, warm) in enumerate(zip(report.records, clearings)):
+        assert warm.degenerate
+        # allocation is off under a1, so the previous emission price stays 0
+        states = {name: StorageState(e=row.e, q=row.q) for name, row in record.storage.items()}
+        _, cold, _ = run_period(case, scenario, t, states, params)
+        assert cold.outcome == "cold"
+        for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
