@@ -23,6 +23,7 @@ from scipy.linalg import LinAlgError, lu_factor, lu_solve
 from .lp_core import (
     EmptyIntervalError,
     LpProblem,
+    LpSolution,
     LpStatus,
     SimplexNumericalError,
     feasibility_interval,
@@ -48,6 +49,9 @@ class CompactAllocationForm:
     g: np.ndarray
     h: np.ndarray
     k: np.ndarray
+    upper: np.ndarray
+    # emission cost E(y) = k.x + k_offset
+    k_offset: float
     net_demand_star: np.ndarray
     market: AssembledMarket
     tau: float
@@ -103,6 +107,7 @@ def build_compact_form(
     return CompactAllocationForm(
         a=market.problem.constraint_matrix, c=market.problem.cost,
         g=market.g, h=market.h, k=market.k,
+        upper=market.problem.upper, k_offset=market.k_offset,
         net_demand_star=net_demand, market=market, tau=case.tau,
         demand_star=demand, storage_power=storage_power, storage_bus=storage_bus,
     )
@@ -110,7 +115,7 @@ def build_compact_form(
 
 def _problem_at(form: CompactAllocationForm, y: float) -> LpProblem:
     rhs = form.g @ (y * form.net_demand_star) + form.h
-    return LpProblem(cost=form.c, constraint_matrix=form.a, rhs=rhs)
+    return LpProblem(cost=form.c, constraint_matrix=form.a, rhs=rhs, upper=form.upper)
 
 
 def partial_derivative(form: CompactAllocationForm, basis: np.ndarray) -> np.ndarray:
@@ -126,13 +131,13 @@ def partial_derivative(form: CompactAllocationForm, basis: np.ndarray) -> np.nda
     return z @ form.g
 
 
-def _emission_cost(form: CompactAllocationForm, y: float) -> tuple[float, np.ndarray]:
+def _emission_cost(form: CompactAllocationForm, y: float) -> tuple[float, LpSolution]:
     sol = solve(_problem_at(form, y))
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleAtOriginError(
             f"dispatch infeasible at ray point y={y:g}; use feasible_start"
         )
-    return float(form.k @ sol.primal), sol.basis
+    return float(form.k @ sol.primal) + form.k_offset, sol
 
 
 def aumann_shapley_prices(
@@ -145,31 +150,34 @@ def aumann_shapley_prices(
     tau = form.tau
     y0 = start.zeta if start is not None else 0.0
     try:
-        e_start, basis = _emission_cost(form, y0)
+        e_start, sol = _emission_cost(form, y0)
     except InfeasibleAtOriginError:
         if start is None:
             raise
         raise NonProgressError("start point infeasible despite feasible_start")
 
+    ray = form.net_demand_star
     grad_accum = np.zeros(form.g.shape[1])
     breakpoints: list[tuple[float, tuple[int, ...]]] = []
     y_prev = y0
     iterations = 0
     max_iter = 16 * int(np.ceil(1.0 / delta)) + 400
-    last_basis = basis
+    last_basis, last_upper = sol.basis, sol.at_upper
+    # E at the last region's probe, and its slope along the ray there
+    e_probe, y_probe, slope = e_start, y0, 0.0
     step = delta
     while y_prev < 1.0 - 1e-12:
         iterations += 1
         if iterations > max_iter:
             raise NonProgressError(f"sweep exceeded {max_iter} iterations")
         probe = min(y_prev + step, 1.0)
-        sol = solve_with_basis(_problem_at(form, probe), last_basis)
+        sol = solve_with_basis(_problem_at(form, probe), last_basis, last_upper)
         if sol.status is not LpStatus.OPTIMAL:
             raise NonProgressError(f"dispatch infeasible at ray point y={probe:g}")
-        last_basis = sol.basis
+        last_basis, last_upper = sol.basis, sol.at_upper
         try:
             lo, hi = feasibility_interval(
-                last_basis, form.a, form.g, form.h, form.net_demand_star
+                last_basis, form.a, form.g, form.h, ray, form.upper, last_upper
             )
         except EmptyIntervalError:
             lo = hi = probe  # basis optimal only at the probe point itself
@@ -186,14 +194,14 @@ def aumann_shapley_prices(
         grad = partial_derivative(form, last_basis)
         grad_accum += (y_next - y_prev) * grad
         breakpoints.append((float(y_next), tuple(int(i) for i in last_basis)))
+        e_probe = float(form.k @ sol.primal) + form.k_offset
+        y_probe, slope = probe, float(grad @ ray)
         y_prev = y_next
         step = delta
 
-    e_star = float(
-        form.k[last_basis]
-        @ np.linalg.solve(form.a[:, last_basis], form.g @ form.net_demand_star + form.h)
-    )
-    allocated = float(grad_accum @ form.net_demand_star)
+    # E is affine on the last region, which reaches y = 1
+    e_star = e_probe + (1.0 - y_probe) * slope
+    allocated = float(grad_accum @ ray)
     sharing_err = abs(allocated - (e_star - e_start)) / max(abs(e_star), 1e-12)
 
     psi = grad_accum / (tau * 1000.0)
@@ -215,19 +223,13 @@ def aumann_shapley_prices(
 
 def feasible_start(case: NetworkCase, form: CompactAllocationForm) -> FeasibleStart:
     """Closest feasible point to the origin on the ray, with its proportional split."""
-    a, g, h = form.a, form.g, form.h
-    m, n = a.shape
-    ray = g @ form.net_demand_star
-    # min zeta s.t. A x - zeta * ray = H, zeta + slack = 1, all vars >= 0
-    a_ext = np.zeros((m + 1, n + 2))
-    a_ext[:m, :n] = a
-    a_ext[:m, n] = -ray
-    a_ext[m, n] = 1.0
-    a_ext[m, n + 1] = 1.0
-    rhs = np.concatenate([h, [1.0]])
-    cost = np.zeros(n + 2)
+    n = form.a.shape[1]
+    ray = form.g @ form.net_demand_star
+    # min zeta s.t. A x - zeta * ray = H, 0 <= x <= upper, 0 <= zeta <= 1
+    cost = np.zeros(n + 1)
     cost[n] = 1.0
-    sol = solve(LpProblem(cost=cost, constraint_matrix=a_ext, rhs=rhs))
+    sol = solve(LpProblem(cost=cost, constraint_matrix=np.column_stack([form.a, -ray]),
+                          rhs=form.h, upper=np.append(form.upper, 1.0)))
     if sol.status is not LpStatus.OPTIMAL:
         raise NonProgressError("no feasible point on the demand ray")
     zeta = float(sol.primal[n])

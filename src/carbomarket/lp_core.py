@@ -1,10 +1,15 @@
-"""Dense two-phase revised simplex with basis, duals, and parametric intervals.
+"""Dense two-phase bounded-variable revised simplex with basis, duals, and
+parametric intervals.
 
-Solves standard-form problems ``min c.x  s.t.  A x = b, x >= 0`` while
-exposing the optimal basis index set, the dual vector, and the interval of a
-scalar right-hand-side parameter over which a basis stays primal feasible.
-Basis and duals are first-class outputs because the emission-price sweep and
-the locational-price extraction are built directly on them.
+Solves ``min c.x  s.t.  A x = b, 0 <= x <= u`` where each column's upper
+bound ``u`` may be +inf (standard form) or finite. Finite upper bounds are
+handled implicitly (Dantzig 1955, "Upper bounds, secondary constraints and
+block triangularity"; Chvatal 1983, *Linear Programming*, ch. 8): a nonbasic
+column sits at either bound, and a step that only moves a column from one
+bound to the other is a bound flip, which changes no basis and needs no
+factorization. The optimal basis index set, the set of nonbasic columns at
+their upper bound, and the dual vector are first-class outputs because the
+emission-price sweep and the locational-price extraction are built on them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import os
 import warnings
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -45,15 +50,17 @@ class EmptyIntervalError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Standard-form LP: minimize cost.x subject to A x = rhs, x >= 0.
+    """Bounded LP: minimize cost.x subject to A x = rhs, 0 <= x <= upper.
 
     Inequalities must be converted to equalities with explicit slack
-    columns before construction; the solver only ever sees this form.
+    columns before construction; a ranged row gets one slack with a finite
+    upper bound. ``upper`` defaults to +inf for every column.
     """
 
     cost: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
+    upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = np.ascontiguousarray(np.asarray(self.cost, dtype=float).ravel())
@@ -66,9 +73,18 @@ class LpProblem:
             )
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LP data must be finite")
+        if self.upper is None:
+            u = np.full(c.size, np.inf)
+        else:
+            u = np.ascontiguousarray(np.asarray(self.upper, dtype=float).ravel())
+            if u.size != c.size:
+                raise ValueError(f"{u.size} upper bounds for {c.size} columns")
+            if not (u >= 0.0).all():  # also rejects NaN
+                raise ValueError("upper bounds must be nonnegative")
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", b)
+        object.__setattr__(self, "upper", u)
 
     @property
     def variable_count(self) -> int:
@@ -86,17 +102,23 @@ class LpSolution:
     basis: np.ndarray | None = None
     duals: np.ndarray | None = None
     objective: float = np.nan
+    # basis changes; bound flips are counted apart in bound_flips
     iterations: int = 0
     degenerate: bool = False
-    # Per-row residual violation when infeasible (original row order).
+    # When infeasible: per row (original order), the row activity minus its
+    # rhs at the least infeasible point phase 1 found; 0 on satisfied rows.
     row_violations: np.ndarray | None = None
     # Rows kept after redundant-equality elimination; None when all kept.
     kept_rows: np.ndarray | None = None
     # How the solve started: "cold", "warm" (the given basis was primal or
-    # dual feasible), "repaired" (neither; costs were shifted to make it dual
-    # feasible), or why a warm start fell back to a cold solve: "size",
+    # dual feasible once its boxed columns sat at their dual feasible
+    # bounds), "repaired" (costs of unbounded columns were shifted to make it
+    # dual feasible), or why a warm start fell back to a cold solve: "size",
     # "singular" or "infeasible".
     outcome: str = "cold"
+    # nonbasic columns at their upper bound, ascending
+    at_upper: np.ndarray | None = None
+    bound_flips: int = 0
 
     @property
     def warm_started(self) -> bool:
@@ -113,24 +135,42 @@ def _trace_stream():
 
 
 class _Engine:
-    """Revised simplex over an explicit basis inverse with eta updates.
+    """Bounded revised simplex over an explicit basis inverse with eta updates.
 
-    ``paranoid`` trades speed for numerical safety: Bland's rule from the
-    first pivot and a fresh factorization after every basis change. It is
-    the retry discipline after a singular-basis failure.
+    Every nonbasic column sits at its lower bound 0 or, when ``at_upper``
+    marks it, at its finite upper bound. ``paranoid`` trades speed for
+    numerical safety: Bland's rule from the first pivot and a fresh
+    factorization after every basis change. It is the retry discipline after
+    a singular-basis failure.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, basis: np.ndarray, trace=None,
-                 paranoid: bool = False):
+    def __init__(self, a: np.ndarray, b: np.ndarray, upper: np.ndarray, basis: np.ndarray,
+                 at_upper: np.ndarray | None = None, trace=None, paranoid: bool = False):
         self.a = a
         self.b = b
+        self.upper = upper
         self.m, self.n = a.shape
         self.basis = np.asarray(basis, dtype=int).copy()
+        self.at_upper = np.zeros(self.n, dtype=bool)
+        if at_upper is not None:
+            self.at_upper[at_upper] = True
         self.binv: np.ndarray | None = None
         self.pivots = 0
+        self.flips = 0
         self.since_refactor = 0
         self.trace = trace
         self.paranoid = paranoid
+
+    @property
+    def steps(self) -> int:
+        return self.pivots + self.flips
+
+    def drop_columns_from(self, n: int) -> None:
+        """Forget columns n and beyond (nonbasic phase-1 artificials)."""
+        self.a = self.a[:, :n]
+        self.upper = self.upper[:n]
+        self.at_upper = self.at_upper[:n]
+        self.n = n
 
     def refactor(self) -> None:
         bmat = self.a[:, self.basis]
@@ -144,13 +184,16 @@ class _Engine:
         self.binv = lu_solve((lu, piv), np.eye(self.m), check_finite=False)
         self.since_refactor = 0
 
-    def _pivot(self, enter: int, leave_pos: int, direction: np.ndarray) -> None:
+    def _pivot(self, enter: int, leave_pos: int, direction: np.ndarray,
+               leave_at_upper: bool = False) -> None:
         pivval = direction[leave_pos]
         row = self.binv[leave_pos] / pivval
         rest = direction.copy()
         rest[leave_pos] = 0.0
         self.binv -= np.outer(rest, row)
         self.binv[leave_pos] = row
+        self.at_upper[self.basis[leave_pos]] = leave_at_upper
+        self.at_upper[enter] = False
         self.basis[leave_pos] = enter
         self.pivots += 1
         self.since_refactor += 1
@@ -165,42 +208,64 @@ class _Engine:
             )
 
     def basic_solution(self) -> np.ndarray:
+        if self.at_upper.any():
+            return self.binv @ (self.b - self.a[:, self.at_upper] @ self.upper[self.at_upper])
         return self.binv @ self.b
 
     def duals_for(self, cost: np.ndarray) -> np.ndarray:
         return self.binv.T @ cost[self.basis]
 
+    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        reduced = cost - self.a.T @ self.duals_for(cost)
+        reduced[self.basis] = 0.0
+        return reduced
+
     def run_primal(self, cost: np.ndarray, budget: int, phase: str) -> LpStatus:
         degen_run = 0
         bland = self.paranoid
-        while self.pivots < budget:
+        while self.steps < budget:
             xb = self.basic_solution()
-            y = self.duals_for(cost)
-            reduced = cost - self.a.T @ y
-            reduced[self.basis] = 0.0
+            reduced = self.reduced_costs(cost)
+            # a column at its lower bound improves by rising, one at its
+            # upper bound by falling; gain > 0 marks either
+            gain = np.where(self.at_upper, reduced, -reduced)
             if bland:
-                eligible = np.flatnonzero(reduced < -OPTIMALITY_TOL)
+                eligible = np.flatnonzero(gain > OPTIMALITY_TOL)
                 if eligible.size == 0:
                     return LpStatus.OPTIMAL
                 enter = int(eligible[0])
             else:
-                enter = int(np.argmin(reduced))
-                if reduced[enter] >= -OPTIMALITY_TOL:
+                enter = int(np.argmax(gain))
+                if gain[enter] <= OPTIMALITY_TOL:
                     return LpStatus.OPTIMAL
             direction = self.binv @ self.a[:, enter]
-            movable = direction > PIVOT_TOL
-            if not movable.any():
-                return LpStatus.UNBOUNDED
-            safe_xb = np.maximum(xb, 0.0)
+            # x_B falls by step * move as the entering column moves off its bound
+            move = -direction if self.at_upper[enter] else direction
+            ub = self.upper[self.basis]
             ratios = np.full(self.m, np.inf)
-            ratios[movable] = safe_xb[movable] / direction[movable]
-            step = float(ratios.min())
+            falls = move > PIVOT_TOL
+            ratios[falls] = np.maximum(xb[falls], 0.0) / move[falls]
+            rises = (move < -PIVOT_TOL) & np.isfinite(ub)
+            ratios[rises] = np.maximum(ub[rises] - xb[rises], 0.0) / -move[rises]
+            step = float(ratios.min(initial=np.inf))
+            flip = float(self.upper[enter])
+            if flip <= step:
+                if not np.isfinite(flip):
+                    return LpStatus.UNBOUNDED
+                # the entering column reaches its other bound first
+                self._log(phase + "-flip", enter, -1, flip, float(cost[self.basis] @ xb))
+                self.at_upper[enter] = not self.at_upper[enter]
+                self.flips += 1
+                if flip > FEASIBILITY_TOL:
+                    degen_run = 0
+                    bland = self.paranoid
+                continue
             tied = np.flatnonzero(ratios <= step + 1e-12)
             if bland:
                 leave_pos = int(tied[np.argmin(self.basis[tied])])
             else:
-                leave_pos = int(tied[np.argmax(direction[tied])])
-            if direction[leave_pos] < RISKY_PIVOT_TOL and self.since_refactor > 0:
+                leave_pos = int(tied[np.argmax(np.abs(move[tied]))])
+            if abs(direction[leave_pos]) < RISKY_PIVOT_TOL and self.since_refactor > 0:
                 # a pivot this small on a stale inverse may be pure roundoff;
                 # recompute the iteration from a fresh factorization instead
                 self.refactor()
@@ -213,36 +278,41 @@ class _Engine:
                 degen_run = 0
                 bland = self.paranoid
             self._log(phase, enter, int(self.basis[leave_pos]), step, float(cost[self.basis] @ xb))
-            self._pivot(enter, leave_pos, direction)
+            self._pivot(enter, leave_pos, direction, leave_at_upper=bool(move[leave_pos] < 0.0))
         raise SimplexNumericalError("pivot budget exhausted in primal simplex")
 
     def run_dual(self, cost: np.ndarray, budget: int) -> LpStatus:
         """Dual simplex from a dual-feasible basis (used on rhs perturbations)."""
         degen_run = 0
         bland = self.paranoid
-        nonbasic = np.ones(self.n, dtype=bool)
-        while self.pivots < budget:
-            nonbasic[:] = True
-            nonbasic[self.basis] = False
+        movable = self.upper > 0.0  # a fixed column never enters
+        while self.steps < budget:
             xb = self.basic_solution()
-            worst = int(np.argmin(xb))
-            if xb[worst] >= -FEASIBILITY_TOL:
+            below = -xb
+            above = xb - self.upper[self.basis]
+            infeas = np.maximum(below, above)
+            worst = int(np.argmax(infeas))
+            if infeas[worst] <= FEASIBILITY_TOL:
                 return LpStatus.OPTIMAL
             if bland:
-                candidates_rows = np.flatnonzero(xb < -FEASIBILITY_TOL)
+                candidates_rows = np.flatnonzero(infeas > FEASIBILITY_TOL)
                 worst = int(candidates_rows[np.argmin(self.basis[candidates_rows])])
+            leave_at_upper = bool(above[worst] > below[worst])
+            # the leaving column must fall to its upper bound or rise to 0;
+            # alpha > 0 marks nonbasic columns whose move off their bound does that
             tableau_row = self.binv[worst] @ self.a
-            y = self.duals_for(cost)
-            reduced = cost - self.a.T @ y
-            reduced[self.basis] = 0.0
-            eligible = nonbasic & (tableau_row < -PIVOT_TOL)
+            side = np.where(self.at_upper, -1.0, 1.0)
+            alpha = tableau_row * side if leave_at_upper else -tableau_row * side
+            reduced = self.reduced_costs(cost)
+            eligible = movable & (alpha > PIVOT_TOL)
+            eligible[self.basis] = False
             if not eligible.any():
                 return LpStatus.INFEASIBLE
             idx = np.flatnonzero(eligible)
-            ratios = np.maximum(reduced[idx], 0.0) / (-tableau_row[idx])
+            ratios = np.maximum(side[idx] * reduced[idx], 0.0) / alpha[idx]
             best = float(ratios.min())
             tied = idx[ratios <= best + 1e-12]
-            enter = int(tied.min()) if bland else int(tied[np.argmax(-tableau_row[tied])])
+            enter = int(tied.min()) if bland else int(tied[np.argmax(alpha[tied])])
             if best <= OPTIMALITY_TOL:
                 degen_run += 1
                 if degen_run > 3 * self.m:
@@ -255,7 +325,7 @@ class _Engine:
                 self.refactor()
                 continue
             self._log("dual", enter, int(self.basis[worst]), best, float(cost[self.basis] @ xb))
-            self._pivot(enter, worst, direction)
+            self._pivot(enter, worst, direction, leave_at_upper=leave_at_upper)
         raise SimplexNumericalError("pivot budget exhausted in dual simplex")
 
 
@@ -264,10 +334,11 @@ def _pivot_budget(m: int, n: int) -> int:
 
 
 def _drive_out_artificials(engine: _Engine, n_real: int) -> np.ndarray:
-    """Pivot zero-valued artificials out of the basis; return kept-row mask.
+    """Pivot zero-valued artificials out of the basis; return the mask of
+    basis positions that keep a real column.
 
-    A row whose artificial cannot be exchanged for any real column is
-    linearly dependent on the others and gets dropped.
+    An artificial that cannot be exchanged for any real column marks its
+    row as linearly dependent on the others; that row gets dropped.
     """
     keep = np.ones(engine.m, dtype=bool)
     for pos in range(engine.m):
@@ -286,8 +357,21 @@ def _drive_out_artificials(engine: _Engine, n_real: int) -> np.ndarray:
     return keep
 
 
+def _row_slacks(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per row, a column that is nonzero in that row alone and, with every
+    other column at 0, takes a value within its bounds; -1 where none does."""
+    nonzero = a != 0.0
+    single = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    rows = np.argmax(nonzero[:, single], axis=0)
+    value = b[rows] / a[rows, single]
+    fits = (value >= 0.0) & (value <= upper[single])
+    slack = np.full(a.shape[0], -1)
+    slack[rows[fits]] = single[fits]
+    return slack
+
+
 def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase revised simplex; returns basis, duals, and diagnostics."""
+    """Two-phase bounded revised simplex; returns basis, duals, and diagnostics."""
     trace = _trace_stream()
     try:
         return _solve_impl(problem, trace)
@@ -307,75 +391,84 @@ def _solve_impl(problem: LpProblem, trace) -> LpSolution:
 
 
 def _solve_attempt(problem: LpProblem, trace, paranoid: bool) -> LpSolution:
-    a = problem.constraint_matrix.copy()
-    b = problem.rhs.copy()
+    """Phase 1 starts every column at 0, makes a row's slack basic wherever
+    the slack then lies within its bounds, and puts an artificial, signed to
+    be nonnegative, on each other row."""
+    a = problem.constraint_matrix
+    b = problem.rhs
     c = problem.cost
+    upper = problem.upper
     m, n = a.shape
 
-    flipped = b < 0.0
-    a[flipped] *= -1.0
-    b[flipped] *= -1.0
-
-    art = np.eye(m)
-    a1 = np.hstack([a, art])
-    engine = _Engine(a1, b, np.arange(n, n + m), trace, paranoid=paranoid)
-    engine.binv = np.eye(m)
-    cost1 = np.zeros(n + m)
-    cost1[n:] = 1.0
-    budget = _pivot_budget(m, n + m)
+    basis = _row_slacks(a, b, upper)
+    art_rows = np.flatnonzero(basis < 0)
+    n_art = art_rows.size
+    art_sign = np.where(b[art_rows] < 0.0, -1.0, 1.0)
+    art = np.zeros((m, n_art))
+    art[art_rows, np.arange(n_art)] = art_sign
+    a1 = np.hstack([a, art]) if n_art else a
+    basis[art_rows] = n + np.arange(n_art)
+    engine = _Engine(a1, b, np.concatenate([upper, np.full(n_art, np.inf)]), basis,
+                     trace=trace, paranoid=paranoid)
+    engine.binv = np.diag(1.0 / a1[np.arange(m), basis])
+    budget = _pivot_budget(m, n + n_art)
     if trace is not None:
         trace.write(f"solve m={m} n={n} paranoid={int(paranoid)}\n")
-    status = engine.run_primal(cost1, budget, "phase1")
-    if status is not LpStatus.OPTIMAL:
-        raise SimplexNumericalError("phase 1 cannot be unbounded; numerical failure")
-    xb1 = engine.basic_solution()
-    infeas = float(cost1[engine.basis] @ xb1)
-    if infeas > FEASIBILITY_TOL * max(1.0, float(np.abs(b).sum())):
-        violations = np.zeros(m)
-        for pos, col in enumerate(engine.basis):
-            if col >= n:
-                violations[col - n] = max(0.0, float(xb1[pos]))
-        return LpSolution(
-            status=LpStatus.INFEASIBLE,
-            iterations=engine.pivots,
-            row_violations=violations,
-            objective=np.nan,
-        )
-
-    keep = _drive_out_artificials(engine, n)
     kept_rows = None
-    if not keep.all():
-        kept_rows = np.flatnonzero(keep)
-        a = a[keep]
-        b = b[keep]
-        flipped = flipped[keep]
-        pos_keep = np.array([p for p in range(engine.m) if keep[p]], dtype=int)
-        basis = engine.basis[pos_keep]
-        engine = _Engine(a, b, basis, trace, paranoid=paranoid)
-        engine.refactor()
-    else:
-        engine.a = a1[:, :n]
-        engine.n = n
+    if n_art:
+        cost1 = np.zeros(n + n_art)
+        cost1[n:] = 1.0
+        status = engine.run_primal(cost1, budget, "phase1")
+        if status is not LpStatus.OPTIMAL:
+            raise SimplexNumericalError("phase 1 cannot be unbounded; numerical failure")
+        xb1 = engine.basic_solution()
+        infeas = float(cost1[engine.basis] @ xb1)
+        if infeas > FEASIBILITY_TOL * max(1.0, float(np.abs(b).sum())):
+            violations = np.zeros(m)
+            for pos, col in enumerate(engine.basis):
+                if col >= n:
+                    # A x + sign * artificial = b
+                    violations[art_rows[col - n]] = -art_sign[col - n] * max(0.0, float(xb1[pos]))
+            return LpSolution(
+                status=LpStatus.INFEASIBLE,
+                iterations=engine.pivots,
+                bound_flips=engine.flips,
+                row_violations=violations,
+                objective=np.nan,
+            )
 
-    status = engine.run_primal(c, budget + engine.pivots, "phase2")
+        keep = _drive_out_artificials(engine, n)
+        if keep.all():
+            engine.drop_columns_from(n)
+        else:
+            row_kept = np.ones(m, dtype=bool)
+            row_kept[art_rows[engine.basis[~keep] - n]] = False
+            kept_rows = np.flatnonzero(row_kept)
+            reduced = _Engine(a[row_kept], b[row_kept], upper, engine.basis[keep],
+                              at_upper=engine.at_upper[:n], trace=trace, paranoid=paranoid)
+            reduced.pivots, reduced.flips = engine.pivots, engine.flips
+            engine = reduced
+            engine.refactor()
+
+    status = engine.run_primal(c, budget + engine.steps, "phase2")
     if status is LpStatus.UNBOUNDED:
-        return LpSolution(status=status, iterations=engine.pivots)
-    return _finish(problem, engine, flipped, kept_rows)
+        return LpSolution(status=status, iterations=engine.pivots, bound_flips=engine.flips)
+    return _finish(problem, engine, kept_rows)
 
 
 def _finish(
     problem: LpProblem,
     engine: _Engine,
-    flipped: np.ndarray,
     kept_rows: np.ndarray | None,
     outcome: str = "cold",
 ) -> LpSolution:
     c = problem.cost
+    upper = problem.upper
     xb = engine.basic_solution()
-    primal = np.zeros(problem.variable_count)
-    primal[engine.basis] = np.maximum(xb, 0.0)
+    ub = upper[engine.basis]
+    primal = np.where(engine.at_upper, upper, 0.0)
+    primal[engine.basis] = np.clip(xb, 0.0, ub)
     duals_local = engine.duals_for(c)
-    duals_local = np.where(flipped, -duals_local, duals_local)
     if kept_rows is not None:
         duals = np.zeros(problem.constraint_count)
         duals[kept_rows] = duals_local
@@ -388,37 +481,49 @@ def _finish(
         duals=duals,
         objective=float(c @ primal),
         iterations=engine.pivots,
-        degenerate=bool((np.abs(xb) <= FEASIBILITY_TOL).any()),
+        bound_flips=engine.flips,
+        degenerate=bool(((np.abs(xb) <= FEASIBILITY_TOL)
+                         | (np.abs(xb - ub) <= FEASIBILITY_TOL)).any()),
         kept_rows=kept_rows,
         outcome=outcome,
+        at_upper=np.flatnonzero(engine.at_upper),
     )
 
 
-def solve_with_basis(problem: LpProblem, start_basis) -> LpSolution:
-    """Solve re-using a prior basis; falls back to a cold solve when unusable.
+def solve_with_basis(problem: LpProblem, start_basis, at_upper=()) -> LpSolution:
+    """Solve re-using a prior basis and the nonbasic columns that sat at
+    their upper bounds; falls back to a cold solve when unusable.
 
     A basis that is primal feasible resumes the primal iteration directly.
-    A basis that is only dual feasible (the common case after a right-hand
-    side change, since reduced costs do not depend on the rhs) is repaired
-    by dual simplex. A basis that is neither gets its costs shifted: each
-    dual-infeasible column's cost rises by its deficit, which makes the
-    basis dual feasible; dual simplex then restores primal feasibility, and
-    primal simplex finishes on the true costs (Koberstein 2005, "The dual
-    simplex method, techniques for a fast and stable implementation").
+    Otherwise each boxed nonbasic column moves to the bound its reduced cost
+    makes dual feasible, so a basis is dual feasible whenever its unbounded
+    columns are (the common case after a right-hand-side change, since
+    reduced costs do not depend on the rhs); dual simplex then restores
+    primal feasibility. A basis whose unbounded columns are dual infeasible
+    gets their costs shifted: each such column's cost rises by its deficit,
+    dual simplex restores primal feasibility, and primal simplex finishes on
+    the true costs (Koberstein 2005, "The dual simplex method, techniques
+    for a fast and stable implementation").
 
     Only a basis of the wrong size, a singular basis or a numerical failure
     falls back to the cold path, and so does a problem the dual simplex
     proves infeasible, so that its row violations come from phase 1.
-    ``outcome`` on the result says which of these happened.
+    ``outcome`` on the result says which of these happened. ``at_upper``
+    entries that are basic or have no finite upper bound are ignored.
     """
     basis = np.asarray(start_basis, dtype=int).ravel()
     if (basis.size != problem.constraint_count or np.unique(basis).size != basis.size
             or basis.min(initial=0) < 0 or basis.max(initial=-1) >= problem.variable_count):
         return _fallback(solve(problem), "size")
+    upper_set = np.zeros(problem.variable_count, dtype=bool)
+    cols = np.asarray(at_upper, dtype=int).ravel()
+    upper_set[cols[(cols >= 0) & (cols < problem.variable_count)]] = True
+    upper_set[basis] = False
+    upper_set &= np.isfinite(problem.upper)
     trace = _trace_stream()
     try:
         try:
-            sol = _warm_attempt(problem, basis, trace)
+            sol = _warm_attempt(problem, basis, upper_set, trace)
             reason = "infeasible"
         except SimplexNumericalError:
             # warm start gone numerically bad; the cold path below retries
@@ -436,40 +541,52 @@ def _fallback(sol: LpSolution, reason: str) -> LpSolution:
     return sol
 
 
-def _warm_attempt(problem: LpProblem, basis: np.ndarray, trace) -> LpSolution | None:
+def _warm_attempt(problem: LpProblem, basis: np.ndarray, at_upper: np.ndarray,
+                  trace) -> LpSolution | None:
     """Finish from ``basis``; None when the dual simplex proves infeasibility."""
     cost = problem.cost
-    engine = _Engine(problem.constraint_matrix, problem.rhs, basis, trace)
+    engine = _Engine(problem.constraint_matrix, problem.rhs, problem.upper, basis,
+                     at_upper=at_upper, trace=trace)
     engine.refactor()
-    flipped = np.zeros(problem.constraint_count, dtype=bool)
     budget = _pivot_budget(engine.m, engine.n)
     outcome = "warm"
-    if engine.basic_solution().min(initial=0.0) >= -FEASIBILITY_TOL:
+    xb = engine.basic_solution()
+    if (xb.min(initial=0.0) >= -FEASIBILITY_TOL
+            and (xb - problem.upper[basis]).max(initial=0.0) <= FEASIBILITY_TOL):
         status = engine.run_primal(cost, budget, "warm")
     else:
-        reduced = cost - problem.constraint_matrix.T @ engine.duals_for(cost)
-        reduced[engine.basis] = 0.0
+        reduced = engine.reduced_costs(cost)
+        boxed = np.isfinite(problem.upper)
+        to_upper = boxed & ~engine.at_upper & (reduced < -1e-7)
+        to_lower = engine.at_upper & (reduced > 1e-7)
+        to_upper[basis] = False
+        engine.at_upper[to_upper] = True
+        engine.at_upper[to_lower] = False
+        engine.flips += int(to_upper.sum() + to_lower.sum())
         dual_cost = cost
-        if reduced.min(initial=0.0) < -1e-7:
+        if (reduced[~boxed]).min(initial=0.0) < -1e-7:
             outcome = "repaired"
-            dual_cost = cost + np.maximum(-reduced, 0.0)
+            dual_cost = cost + np.where(boxed, 0.0, np.maximum(-reduced, 0.0))
         status = engine.run_dual(dual_cost, budget)
         if status is LpStatus.INFEASIBLE:
             # primal infeasibility does not depend on the costs, shifted or not
             return None
-        status = engine.run_primal(cost, budget + engine.pivots, "polish")
+        status = engine.run_primal(cost, budget + engine.steps, "polish")
     if status is LpStatus.UNBOUNDED:
-        return LpSolution(status=status, iterations=engine.pivots, outcome=outcome)
-    return _finish(problem, engine, flipped, None, outcome)
+        return LpSolution(status=status, iterations=engine.pivots,
+                          bound_flips=engine.flips, outcome=outcome)
+    return _finish(problem, engine, None, outcome)
 
 
-def feasibility_interval(basis, a, g, h, ray) -> tuple[float, float]:
+def feasibility_interval(basis, a, g, h, ray, upper=None, at_upper=()) -> tuple[float, float]:
     """Interval of y keeping basis feasible for rhs = G (y ray) + H.
 
     The basic solution is affine in y: x_B(y) = y u + v with
-    u = A_B^{-1} G ray and v = A_B^{-1} H. Every component must stay
-    >= -FEASIBILITY_TOL; the result is the maximal closed interval,
-    possibly unbounded on either side.
+    u = A_B^{-1} G ray and v = A_B^{-1} (H - A_U upper_U), where U holds the
+    nonbasic columns at their upper bounds. Every component must stay
+    within [-FEASIBILITY_TOL, upper_B + FEASIBILITY_TOL]; ``upper`` defaults
+    to +inf. The result is the maximal closed interval, possibly unbounded
+    on either side.
     """
     basis = np.asarray(basis, dtype=int).ravel()
     a = np.asarray(a, dtype=float)
@@ -479,15 +596,26 @@ def feasibility_interval(basis, a, g, h, ray) -> tuple[float, float]:
     if not np.isfinite(lu).all() or diag.min(initial=np.inf) <= 1e-13 * max(1.0, np.abs(bmat).max()):
         raise EmptyIntervalError("singular basis matrix")
     direction = np.asarray(g, dtype=float) @ np.asarray(ray, dtype=float)
+    offset = np.asarray(h, dtype=float)
+    at_upper = np.asarray(at_upper, dtype=int).ravel()
+    if upper is None:
+        ub = np.full(basis.size, np.inf)
+    else:
+        upper = np.asarray(upper, dtype=float)
+        ub = upper[basis]
+        if at_upper.size:
+            offset = offset - a[:, at_upper] @ upper[at_upper]
     u = lu_solve((lu, piv), direction, check_finite=False)
-    v = lu_solve((lu, piv), np.asarray(h, dtype=float), check_finite=False)
+    v = lu_solve((lu, piv), offset, check_finite=False)
     lo, hi = -np.inf, np.inf
-    for uk, vk in zip(u, v):
+    for uk, vk, bk in zip(u, v, ub):
         if uk > 1e-11:
             lo = max(lo, (-FEASIBILITY_TOL - vk) / uk)
+            hi = min(hi, (bk + FEASIBILITY_TOL - vk) / uk)
         elif uk < -1e-11:
             hi = min(hi, (-FEASIBILITY_TOL - vk) / uk)
-        elif vk < -10 * FEASIBILITY_TOL:
+            lo = max(lo, (bk + FEASIBILITY_TOL - vk) / uk)
+        elif vk < -10 * FEASIBILITY_TOL or vk > bk + 10 * FEASIBILITY_TOL:
             raise EmptyIntervalError("basis infeasible for every parameter value")
     if lo > hi:
         raise EmptyIntervalError("empty feasibility interval")

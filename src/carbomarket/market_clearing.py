@@ -1,28 +1,32 @@
 """Single-period market clearing.
 
-Assembles the dispatch problem as an equality-form LP over shifted variables,
-solves it, and recovers prices from the duals.  The weighted objective
-(total bid cost plus a small multiple of total emission) realizes the
+Assembles the dispatch problem as a bounded LP over segment columns, solves
+it, and recovers prices from the duals.  The weighted objective (total bid
+cost plus a small multiple of total emission) realizes the
 cost-then-emission lexicographic order for a small enough weight.
 
-Variable layout of the assembled LP, in column order:
-  - one shifted power column per agent, x_p = p - p_min
-  - one shifted cost epigraph column per agent, x_f = f - min f on [p_min, p_max]
-  - one emission epigraph column per emitting agent (plants only), x_sigma = sigma
-  - slack columns: branch upper, branch lower, power upper bound, cost-segment
-    surplus, emission-segment surplus.
+Each agent's range [p_min, p_max] is cut at the union of the kinks of its
+cost curve and its emission curve, so both curves are linear on every piece.
+Each piece is one column delta with 0 <= delta <= piece width, and
+p = p_min + sum of the agent's deltas.  A column costs its cost-curve slope
+plus epsilon times its emission-curve slope.  Both curves are convex (a max
+of lines), so the slopes rise piece by piece, cheaper pieces fill first, and
+cost and emission are exact: f(p) = f(p_min) + sum of cost slope * delta, and
+the same for the emission curve.  The constants f(p_min) and e(p_min) stay
+outside the LP.
 
-Row order: balance; branch upper; branch lower; power upper bounds; cost
-epigraph segments; emission epigraph segments.  The right-hand side is affine
-in the per-bus demand vector, rhs = G @ demand + H, which later lets the
-emission-allocation sweep reuse the same assembly with demand as a parameter.
+Column order: the segment columns, agent by agent, then one slack per branch.
+Row order: the balance row, then one ranged row per branch, whose slack lies
+in [0, 2 cap]: flow + slack = cap.  The right-hand side is affine in the
+per-bus demand vector, rhs = G @ demand + H, which later lets the
+emission-allocation sweep reuse the same assembly with demand as a parameter;
+the emission cost is k.x plus the constant ``k_offset``.
 
 Every column also has a key that names it independently of the layout:
-(agent, role) for the structural and upper-bound columns, ("branch", l, side)
-for the branch slacks, and (agent, curve, segment index) for the segment
-surpluses.  A clearing reports its optimal basis as these keys, so the next
-period's LP, whose storage curves may have more or fewer segments, can start
-from it.
+(agent, "segment", i) for an agent's i-th piece and ("branch", l) for branch
+l's slack.  A clearing reports its optimal basis and its columns at their
+upper bounds as these keys, so the next period's LP, whose storage curves
+may have more or fewer pieces, can start from them.
 """
 
 from __future__ import annotations
@@ -87,42 +91,47 @@ class BidSet:
 
 @dataclass(frozen=True)
 class AssembledMarket:
-    """LP in equality form plus the affine demand parametrization."""
+    """Bounded LP plus the affine demand parametrization."""
 
     problem: LpProblem
     g: np.ndarray
     h: np.ndarray
     k: np.ndarray
+    # emission cost at every agent's p_min: E = k.x + k_offset
+    k_offset: float
     demand: np.ndarray
     n_agents: int
     n_buses: int
     n_branches: int
     p_shift: np.ndarray
-    f_shift: np.ndarray
+    # per segment column: its agent, cost-curve slope and emission-curve slope
+    column_agent: np.ndarray
+    cost_slope: np.ndarray
+    emission_slope: np.ndarray
+    # per agent: f(p_min), and e(p_min) (0 for agents without emission curve)
+    cost_at_min: np.ndarray
+    emission_at_min: np.ndarray
     sigma_agents: tuple[int, ...]
     row_labels: tuple[str, ...]
     loss: np.ndarray
-    # layout-independent name of each column, and each row's own slack or
-    # surplus column (-1 for the balance row, which has none)
+    # layout-independent name of each column, and each row's own slack
+    # column (-1 for the balance row, which has none)
     column_keys: tuple[tuple, ...]
     row_slack: np.ndarray
 
-    @property
-    def f_offset(self) -> int:
-        return self.n_agents
-
-    @property
-    def sigma_offset(self) -> int:
-        return 2 * self.n_agents
+    def _per_agent(self, weights: np.ndarray) -> np.ndarray:
+        return np.bincount(self.column_agent, weights=weights, minlength=self.n_agents)
 
     def power(self, x: np.ndarray) -> np.ndarray:
-        return x[: self.n_agents] + self.p_shift
+        return self.p_shift + self._per_agent(x[: self.column_agent.size])
 
     def cost_values(self, x: np.ndarray) -> np.ndarray:
-        return x[self.f_offset : 2 * self.n_agents] + self.f_shift
+        return self.cost_at_min + self._per_agent(self.cost_slope * x[: self.column_agent.size])
 
     def sigma_values(self, x: np.ndarray) -> np.ndarray:
-        return x[self.sigma_offset : self.sigma_offset + len(self.sigma_agents)]
+        emission = self.emission_at_min + self._per_agent(
+            self.emission_slope * x[: self.column_agent.size])
+        return emission[list(self.sigma_agents)]
 
 
 @dataclass
@@ -140,8 +149,10 @@ class ClearingResult:
     bids: BidSet
     period: int = 0
     degenerate: bool = False
-    # optimal basis as column keys (see the module docstring)
+    # optimal basis, and the nonbasic columns at their upper bounds, as
+    # column keys (see the module docstring)
     basis: tuple[tuple, ...] | None = None
+    at_upper: tuple[tuple, ...] = ()
     loss_converged: bool = True
     loss_iterations: int = 1
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -155,9 +166,20 @@ class ClearingResult:
         return float(self.dispatch[self.agent_names.index(name)])
 
 
-def _curve_min_on(curve: PiecewiseLinearCurve, lo: float, hi: float) -> float:
-    candidates = [lo, hi] + [b for b in curve.breakpoints() if lo < b < hi]
-    return float(min(curve.value(c) for c in candidates))
+def _pieces(agent: AgentBid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Widths of the pieces of [p_min, p_max] cut at the kinks of both curves,
+    the cost and emission slopes on each piece, and f(p_min), e(p_min)."""
+    lo, hi = agent.p_min, agent.p_max
+    envelopes = [c.envelope() for c in (agent.cost_curve, agent.emission_curve) if c is not None]
+    xs = np.unique(np.concatenate(
+        [[lo, hi]] + [starts[(starts > lo) & (starts < hi)] for _, _, starts in envelopes]))
+    mid = (xs[:-1] + xs[1:]) / 2.0
+    slopes, at_min = [np.zeros(mid.size)] * 2, [0.0, 0.0]
+    for j, (slope, intercept, starts) in enumerate(envelopes):
+        slopes[j] = slope[np.searchsorted(starts, mid, side="right") - 1]
+        first = np.searchsorted(starts, lo, side="right") - 1
+        at_min[j] = float(slope[first] * lo + intercept[first])
+    return np.diff(xs), slopes[0], slopes[1], at_min[0], at_min[1]
 
 
 def assemble_market_lp(
@@ -182,100 +204,48 @@ def assemble_market_lp(
     n_br = len(case.branches)
     agent_bus = np.array([bus_index[a.bus] for a in agents], dtype=int)
     agent_loss = loss[agent_bus] if n_agents else np.zeros(0)
-
-    p_shift = np.array([a.p_min for a in agents])
-    f_shift = np.array([_curve_min_on(a.cost_curve, a.p_min, a.p_max) for a in agents])
+    p_shift = np.array([a.p_min for a in agents], dtype=float)
     sigma_agents = tuple(k for k, a in enumerate(agents) if a.emission_curve is not None)
-    cost_segs = [a.cost_curve.segments for a in agents]
-    sigma_segs = [agents[k].emission_curve.segments for k in sigma_agents]
-    n_fseg = sum(len(s) for s in cost_segs)
-    n_eseg = sum(len(s) for s in sigma_segs)
 
-    n_rows = 1 + 2 * n_br + n_agents + n_fseg + n_eseg
-    n_struct = 2 * n_agents + len(sigma_agents)
-    n_cols = n_struct + 2 * n_br + n_agents + n_fseg + n_eseg
+    pieces = [_pieces(a) for a in agents]
+    width, cost_slope, emission_slope = (
+        np.concatenate([np.zeros(0), *(p[i] for p in pieces)]) for i in range(3))
+    cost_at_min, emission_at_min = (np.array([p[i] for p in pieces]) for i in (3, 4))
+    col_agent = np.repeat(np.arange(n_agents), [p[0].size for p in pieces])
+    n_seg = col_agent.size
+    keys = [(a.name, "segment", i) for a, p in zip(agents, pieces) for i in range(p[0].size)]
+    keys += [("branch", l) for l in range(n_br)]
 
-    a_mat = np.zeros((n_rows, n_cols))
-    g = np.zeros((n_rows, n_buses))
-    h = np.zeros(n_rows)
-    labels: list[str] = []
-    names = [a.name for a in agents]
-    keys: list[tuple] = [(name, "power") for name in names]
-    keys += [(name, "cost") for name in names]
-    keys += [(names[k], "emission") for k in sigma_agents]
-
-    # balance: sum (1-L_i) p_i = sum (1-L_b) D_b + L_0
-    if n_agents:
-        a_mat[0, :n_agents] = 1.0 - agent_loss
-    g[0, :] = 1.0 - loss
-    h[0] = case.loss_offset - float(((1.0 - agent_loss) * p_shift).sum())
-    labels.append("balance")
-
-    slack = n_struct
     t_agent = ptdf[:, agent_bus] if (n_br and n_agents) else np.zeros((n_br, n_agents))
-    shift_flow = t_agent @ p_shift if n_agents else np.zeros(n_br)
-    for l in range(n_br):
-        r = 1 + l
-        a_mat[r, :n_agents] = t_agent[l]
-        a_mat[r, slack + l] = 1.0
-        g[r, :] = ptdf[l]
-        h[r] = caps[l] - shift_flow[l]
-        labels.append(f"branch {case.branches[l].name or l} upper")
-        keys.append(("branch", l, "upper"))
-    for l in range(n_br):
-        r = 1 + n_br + l
-        a_mat[r, :n_agents] = -t_agent[l]
-        a_mat[r, slack + n_br + l] = 1.0
-        g[r, :] = -ptdf[l]
-        h[r] = caps[l] + shift_flow[l]
-        labels.append(f"branch {case.branches[l].name or l} lower")
-        keys.append(("branch", l, "lower"))
-    slack += 2 * n_br
+    a_mat = np.zeros((1 + n_br, n_seg + n_br))
+    # balance: sum (1-L_i) p_i = sum (1-L_b) D_b + L_0
+    a_mat[0, :n_seg] = (1.0 - agent_loss)[col_agent]
+    # branch l: flow + slack = cap, with the slack in [0, 2 cap]
+    a_mat[1:, :n_seg] = t_agent[:, col_agent]
+    a_mat[1:, n_seg:] = np.eye(n_br)
+    g = np.vstack([1.0 - loss, ptdf])
+    h = np.concatenate([
+        [case.loss_offset - float((1.0 - agent_loss) @ p_shift)],
+        caps - t_agent @ p_shift,
+    ])
+    labels = ["balance"] + [f"branch {br.name or l}" for l, br in enumerate(case.branches)]
 
-    for k, a in enumerate(agents):
-        r = 1 + 2 * n_br + k
-        a_mat[r, k] = 1.0
-        a_mat[r, slack + k] = 1.0
-        h[r] = a.p_max - a.p_min
-        labels.append(f"{a.name} upper bound")
-        keys.append((a.name, "upper bound"))
-    slack += n_agents
-
-    row = 1 + 2 * n_br + n_agents
-    for k, a in enumerate(agents):
-        for i, (alpha, beta) in enumerate(cost_segs[k]):
-            a_mat[row, k] = -alpha
-            a_mat[row, n_agents + k] = 1.0
-            a_mat[row, slack] = -1.0
-            h[row] = alpha * p_shift[k] + beta - f_shift[k]
-            labels.append(f"{a.name} cost segment")
-            keys.append((a.name, "cost", i))
-            slack += 1
-            row += 1
-    for j, k in enumerate(sigma_agents):
-        for i, (alpha, beta) in enumerate(sigma_segs[j]):
-            a_mat[row, k] = -alpha
-            a_mat[row, 2 * n_agents + j] = 1.0
-            a_mat[row, slack] = -1.0
-            h[row] = alpha * p_shift[k] + beta
-            labels.append(f"{agents[k].name} emission segment")
-            keys.append((agents[k].name, "emission", i))
-            slack += 1
-            row += 1
-
-    cost = np.zeros(n_cols)
-    cost[n_agents : 2 * n_agents] = 1.0
-    cost[2 * n_agents : n_struct] = case.epsilon
-    k_vec = np.zeros(n_cols)
-    k_vec[2 * n_agents : n_struct] = case.kappa * case.tau / 2.0
-
-    problem = LpProblem(cost=cost, constraint_matrix=a_mat, rhs=g @ demand + h)
+    k_scale = case.kappa * case.tau / 2.0
+    problem = LpProblem(
+        cost=np.concatenate([cost_slope + case.epsilon * emission_slope, np.zeros(n_br)]),
+        constraint_matrix=a_mat, rhs=g @ demand + h,
+        upper=np.concatenate([width, 2.0 * caps]),
+    )
     return AssembledMarket(
-        problem=problem, g=g, h=h, k=k_vec, demand=demand,
-        n_agents=n_agents, n_buses=n_buses, n_branches=n_br,
-        p_shift=p_shift, f_shift=f_shift, sigma_agents=sigma_agents,
-        row_labels=tuple(labels), loss=loss,
-        column_keys=tuple(keys), row_slack=np.concatenate([[-1], np.arange(n_struct, n_cols)]),
+        problem=problem, g=g, h=h,
+        k=np.concatenate([k_scale * emission_slope, np.zeros(n_br)]),
+        k_offset=k_scale * float(emission_at_min.sum()),
+        demand=demand, n_agents=n_agents, n_buses=n_buses, n_branches=n_br,
+        p_shift=p_shift, column_agent=col_agent, cost_slope=cost_slope,
+        emission_slope=emission_slope,
+        cost_at_min=cost_at_min, emission_at_min=emission_at_min,
+        sigma_agents=sigma_agents, row_labels=tuple(labels), loss=loss,
+        column_keys=tuple(keys), row_slack=np.concatenate([[-1], n_seg + np.arange(n_br)]),
     )
 
 
@@ -309,8 +279,9 @@ def extract_result(
     p = form.power(x)
     y = sol.duals
     lambda_bar = float(y[0])
+    # a branch row's dual is negative when flow sits at +cap, positive at -cap
     mu_plus = np.maximum(-y[1 : 1 + n_br], 0.0)
-    mu_minus = np.maximum(-y[1 + n_br : 1 + 2 * n_br], 0.0)
+    mu_minus = np.maximum(y[1 : 1 + n_br], 0.0)
     lmp = compute_lmps(lambda_bar, mu_minus, mu_plus, form.loss, case.ptdf)
     injection = np.zeros(form.n_buses)
     bus_index = case.bus_index
@@ -328,6 +299,7 @@ def extract_result(
         status=sol.status, bids=bids, period=period,
         degenerate=sol.degenerate,
         basis=tuple(form.column_keys[j] for j in sol.basis),
+        at_upper=tuple(form.column_keys[j] for j in sol.at_upper),
         sigma=sigma, sigma_agents=form.sigma_agents, loss=form.loss,
         outcome=sol.outcome,
     )
@@ -343,22 +315,24 @@ def _independent(mat: np.ndarray) -> np.ndarray:
     return perm[: int((diag > 1e-10 * diag[0]).sum())]
 
 
-def _map_basis(form: AssembledMarket, keys) -> np.ndarray:
-    """Column indices of a square, nonsingular basis of ``form`` from ``keys``.
+def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, list[int]]:
+    """Column indices of a square, nonsingular basis of ``form`` from ``keys``,
+    and of the columns named by ``upper_keys`` (a previous clearing's
+    ``at_upper``) that this layout has.
 
     Keys this layout has become its columns, in their given order; keys it
-    lacks are dropped. Each row that the mapped slack and surplus columns do
-    not cover (the balance row, the rows binding at the old vertex, and rows
-    new to this layout) must be covered by a mapped structural column or get
-    its own slack or surplus. So the basis is block triangular, and it is
-    nonsingular when the structural columns restricted to the uncovered rows
-    are: the largest independent set of those columns is kept, and the
-    uncovered rows they leave over, never the balance row, get their own
-    columns. Returns fewer columns than rows only when no structural column
-    covers the balance row.
+    lacks are dropped. Each row that the mapped branch slacks do not cover
+    (the balance row, the branches binding at the old vertex, and rows new to
+    this layout) must be covered by a mapped segment column or get its own
+    slack. So the basis is block triangular, and it is nonsingular when the
+    segment columns restricted to the uncovered rows are: the largest
+    independent set of those columns is kept, and the uncovered rows they
+    leave over, never the balance row, get their own slacks. Returns fewer
+    columns than rows only when no segment column covers the balance row.
     """
     index = {key: j for j, key in enumerate(form.column_keys)}
     cols = np.array(list(dict.fromkeys(index[k] for k in keys if k in index)), dtype=int)
+    at_upper = [index[k] for k in upper_keys if k in index]
     n_rows = form.problem.constraint_count
     slack_row = np.full(form.problem.variable_count, -1)
     slack_row[form.row_slack[1:]] = np.arange(1, n_rows)
@@ -378,7 +352,7 @@ def _map_basis(form: AssembledMarket, keys) -> np.ndarray:
         balance = block[0]
         norm2 = float(balance @ balance)
         if norm2 == 0.0:
-            return cols
+            return cols, at_upper
         rest = block[1:] - np.outer(block[1:] @ balance / norm2, balance)
         chosen = _independent(rest.T)[: struct_pos.size - 1] + 1
         left = np.ones(open_rows.size, dtype=bool)
@@ -386,24 +360,30 @@ def _map_basis(form: AssembledMarket, keys) -> np.ndarray:
         left[chosen] = False
         extra_rows = open_rows[left]
     keep = is_slack | np.isin(cols, struct[struct_pos])
-    return np.concatenate([cols[keep], form.row_slack[extra_rows]])
+    return np.concatenate([cols[keep], form.row_slack[extra_rows]]), at_upper
 
 
 def clear_market(
     case: NetworkCase, bids: BidSet, period: int = 0,
     loss: np.ndarray | None = None,
     warm_basis=None,
+    warm_upper=(),
 ) -> ClearingResult:
-    """Clear one period; ``warm_basis`` is a previous ``ClearingResult.basis``."""
+    """Clear one period; ``warm_basis`` and ``warm_upper`` are a previous
+    ``ClearingResult.basis`` and ``ClearingResult.at_upper``."""
     problem, form = assemble_clearing_lp(case, bids, period, loss=loss)
     if warm_basis is not None:
-        sol = solve_with_basis(problem, _map_basis(form, warm_basis))
+        sol = solve_with_basis(problem, *_map_start(form, warm_basis, warm_upper))
     else:
         sol = solve(problem)
     if sol.status is LpStatus.INFEASIBLE:
-        worst = int(np.argmax(sol.row_violations))
+        worst = int(np.argmax(np.abs(sol.row_violations)))
+        excess = float(sol.row_violations[worst])
         label = form.row_labels[worst]
-        gap = float(sol.row_violations[worst])
+        if worst > 0:
+            # flow above +cap leaves the row's activity above its rhs
+            label += " upper" if excess > 0.0 else " lower"
+        gap = abs(excess)
         raise MarketInfeasibleError(
             f"market infeasible; most violated: {label} (short by {gap:.6g})",
             row_label=label, violation=gap,
@@ -416,13 +396,14 @@ def clear_market(
 def loss_direction_iterate(
     case: NetworkCase, bids: BidSet, period: int = 0, max_iters: int = 10,
     warm_basis=None,
+    warm_upper=(),
 ) -> ClearingResult:
     """Re-clear until assumed per-bus flow directions match the dispatch.
 
     The per-bus loss sensitivity takes the sign of the bus's net injection;
     a lossless or fixed-coefficient case converges on the first pass. The
-    first clear starts from ``warm_basis``, each re-clear from the basis of
-    the clear before it.
+    first clear starts from ``warm_basis`` and ``warm_upper``, each re-clear
+    from the final basis of the clear before it.
     """
     base = np.abs(case.loss_vector())
     signs = np.ones(case.n_buses)
@@ -430,8 +411,9 @@ def loss_direction_iterate(
     demand = case.demand(period) if bids.demand is None else bids.demand
     result = None
     for it in range(1, max_iters + 1):
-        result = clear_market(case, bids, period, loss=loss, warm_basis=warm_basis)
-        warm_basis = result.basis
+        result = clear_market(case, bids, period, loss=loss,
+                              warm_basis=warm_basis, warm_upper=warm_upper)
+        warm_basis, warm_upper = result.basis, result.at_upper
         if not case.loss_direction_dependent:
             result.loss_converged = True
             result.loss_iterations = it

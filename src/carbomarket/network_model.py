@@ -69,6 +69,12 @@ class PiecewiseLinearCurve:
         pieces = self._envelope()
         return [x for _, _, x in pieces if lo < x < hi]
 
+    def envelope(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Active pieces as arrays (slopes, intercepts, starts), ordered by
+        start; the first start is -inf and each piece runs to the next start."""
+        pieces = np.array(self._envelope())
+        return pieces[:, 0], pieces[:, 1], pieces[:, 2]
+
     def _envelope(self) -> list[tuple[float, float, float]]:
         """Active pieces as (slope, intercept, start_x), start of first = -inf."""
         stack: list[tuple[float, float, float]] = []

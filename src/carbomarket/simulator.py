@@ -305,8 +305,10 @@ def run_period(
     states: dict[str, StorageState],
     params: dict[str, PolicyParams],
     warm_basis: tuple[tuple, ...] | None = None,
+    warm_upper: tuple[tuple, ...] = (),
 ) -> tuple[PeriodRecord, ClearingResult, AllocationResult | None]:
-    """One market round; mutates nothing, returns the pieces."""
+    """One market round; mutates nothing, returns the pieces. ``warm_basis``
+    and ``warm_upper`` start the clearing from a previous one's basis."""
     agents = plant_bids(case, t, include_emission_cost=scenario.enable_allocation)
     bounds: dict[str, tuple[float, float]] = {}
     if scenario.enable_storage:
@@ -321,9 +323,10 @@ def run_period(
             ))
     bids = BidSet(agents=agents, demand=case.demand(t))
     if case.loss_direction_dependent:
-        clearing = loss_direction_iterate(case, bids, t, warm_basis=warm_basis)
+        clearing = loss_direction_iterate(case, bids, t, warm_basis=warm_basis,
+                                          warm_upper=warm_upper)
     else:
-        clearing = clear_market(case, bids, t, warm_basis=warm_basis)
+        clearing = clear_market(case, bids, t, warm_basis=warm_basis, warm_upper=warm_upper)
     allocation = None
     if scenario.enable_allocation and case.kappa > 0:
         allocation = allocate_period(case, clearing, t)
@@ -399,14 +402,15 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
             states[unit.name] = initial_state(unit, params[unit.name])
     records: list[PeriodRecord] = []
     warm: tuple[tuple, ...] | None = None
+    warm_upper: tuple[tuple, ...] = ()
     for t in range(t_end):
         try:
             record, clearing, allocation = run_period(
-                case, scenario, t, states, params, warm_basis=warm)
+                case, scenario, t, states, params, warm_basis=warm, warm_upper=warm_upper)
         except Exception as exc:
             partial = SimulationReport.from_records(scenario, records, case.tau)
             raise SimulationAbort(f"period {t}: {exc}", partial) from exc
-        warm = clearing.basis
+        warm, warm_upper = clearing.basis, clearing.at_upper
         if scenario.enable_storage:
             psi = allocation.psi if allocation is not None else np.zeros(case.n_buses)
             for unit in case.storages:

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .network_model import PiecewiseLinearCurve, StorageUnit, curve_from_points, zero_curve
 
@@ -230,6 +228,11 @@ def offline_optimal(prices, unit: StorageUnit, tau: float) -> OfflineSchedule:
     positive prices the efficiency loss makes it suboptimal anyway, and any
     residual violations are reported rather than raised.
     """
+    # imported here, not at module level: only this baseline needs them, and
+    # scipy.optimize is the heaviest import the package would otherwise have
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     gamma = np.asarray(prices, dtype=float)
     t_len = gamma.size
     if t_len == 0:

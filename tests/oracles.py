@@ -90,6 +90,19 @@ def tableau_simplex(cost, a, rhs, tol=1e-9, max_iter=50000):
     return "optimal", x, float(c @ x)
 
 
+def _inside_region(form, sol, ys):
+    """Which ray points ``ys`` keep the basis of ``sol`` primal feasible: the
+    basic solution, with the nonbasic columns of ``sol.at_upper`` held at their
+    upper bounds, stays within [0, upper] (dual feasibility is independent of
+    the ray point)."""
+    a_b = form.a[:, sol.basis]
+    at = sol.at_upper
+    u = np.linalg.solve(a_b, form.g @ form.net_demand_star)
+    v = np.linalg.solve(a_b, form.h - form.a[:, at] @ form.upper[at])
+    xb = np.outer(ys, u) + v
+    return ((xb >= -1e-7) & (xb <= form.upper[sol.basis] + 1e-7)).all(axis=1)
+
+
 def c2_psi(form, n_samples):
     """Midpoint-rule numerical integration of the per-bus emission gradient.
 
@@ -102,7 +115,6 @@ def c2_psi(form, n_samples):
 
     ys = (np.arange(n_samples) + 0.5) / n_samples
     uncovered = np.ones(n_samples, dtype=bool)
-    ray = form.net_demand_star
     psi = np.zeros(form.g.shape[1])
     rounds = 0
     while uncovered.any():
@@ -112,15 +124,11 @@ def c2_psi(form, n_samples):
         y = float(ys[uncovered][0])
         sol = solve(_problem_at(form, y))
         assert sol.status is LpStatus.OPTIMAL, f"oracle LP infeasible at y={y}"
-        a_b = form.a[:, sol.basis]
-        u = np.linalg.solve(a_b, form.g @ ray)
-        v = np.linalg.solve(a_b, form.h)
         idx = np.flatnonzero(uncovered)
-        xb = np.outer(ys[idx], u) + v
-        feas = (xb >= -1e-7).all(axis=1)
+        feas = _inside_region(form, sol, ys[idx])
         if not feas.any():
             raise RuntimeError("sampled point escaped its own basis region")
-        grad = np.linalg.solve(a_b.T, form.k[sol.basis]) @ form.g
+        grad = np.linalg.solve(form.a[:, sol.basis].T, form.k[sol.basis]) @ form.g
         psi += feas.sum() / n_samples * grad
         uncovered[idx[feas]] = False
     return psi / (form.tau * 1000.0)
@@ -137,18 +145,13 @@ def scan_basis_regions(form, step=1e-4):
 
     ys = np.arange(0.0, 1.0 + step / 2, step)
     label = -np.ones(len(ys), dtype=int)
-    ray = form.net_demand_star
     region = 0
     while (label < 0).any():
         y = float(ys[label < 0][0])
         sol = solve(_problem_at(form, y))
         assert sol.status is LpStatus.OPTIMAL
-        a_b = form.a[:, sol.basis]
-        u = np.linalg.solve(a_b, form.g @ ray)
-        v = np.linalg.solve(a_b, form.h)
         idx = np.flatnonzero(label < 0)
-        xb = np.outer(ys[idx], u) + v
-        feas = (xb >= -1e-7).all(axis=1)
+        feas = _inside_region(form, sol, ys[idx])
         label[idx[feas]] = region
         region += 1
     changes = np.flatnonzero(np.diff(label) != 0)

@@ -339,3 +339,103 @@ def test_paranoid_mode_matches_fast_path():
         assert slow.status is LpStatus.OPTIMAL
         scale = max(1.0, abs(fast.objective))
         assert abs(fast.objective - slow.objective) <= 1e-7 * scale
+
+
+def random_bounded_lp(rng, m=6, n=14):
+    """Equality LP with finite upper bounds on most columns, feasible by
+    construction; costs of either sign, so bounds bind from both sides."""
+    a = rng.normal(size=(m, n))
+    upper = rng.uniform(0.5, 2.0, size=n)
+    upper[rng.random(n) < 0.25] = np.inf
+    b = a @ (rng.uniform(0.1, 0.9, size=n) * np.minimum(upper, 2.0))
+    c = rng.uniform(-1.0, 1.0, size=n)
+    return LpProblem(cost=c, constraint_matrix=a, rhs=b, upper=upper)
+
+
+def with_bound_rows(prob):
+    """The same LP in standard form: each finite bound becomes x_j + s_j = u_j."""
+    finite = np.flatnonzero(np.isfinite(prob.upper))
+    m, n, k = prob.constraint_count, prob.variable_count, finite.size
+    a = np.zeros((m + k, n + k))
+    a[:m, :n] = prob.constraint_matrix
+    a[m + np.arange(k), finite] = 1.0
+    a[m:, n:] = np.eye(k)
+    return (np.concatenate([prob.cost, np.zeros(k)]), a,
+            np.concatenate([prob.rhs, prob.upper[finite]]))
+
+
+def test_bounded_lps_match_tableau_oracle_on_bound_rows():
+    rng = np.random.default_rng(31337)
+    statuses = []
+    for _ in range(40):
+        prob = random_bounded_lp(rng)
+        sol = solve(prob)
+        status, _, obj = tableau_simplex(*with_bound_rows(prob))
+        assert sol.status.value == status
+        statuses.append(status)
+        if status != "optimal":
+            continue
+        assert abs(sol.objective - obj) <= 1e-7 * max(1.0, abs(obj))
+        x = sol.primal
+        assert np.abs(prob.constraint_matrix @ x - prob.rhs).max() <= 1e-8
+        assert x.min() >= 0.0 and (x <= prob.upper).all()
+        # optimality: columns at 0 price nonnegative, columns at their upper
+        # bound nonpositive, and no basis change is counted as a bound flip
+        reduced = prob.cost - prob.constraint_matrix.T @ sol.duals
+        nonbasic = np.setdiff1d(np.arange(prob.variable_count), sol.basis)
+        at_upper = np.isin(nonbasic, sol.at_upper)
+        assert reduced[nonbasic[~at_upper]].min(initial=0.0) >= -1e-9
+        assert reduced[nonbasic[at_upper]].max(initial=0.0) <= 1e-9
+        np.testing.assert_array_equal(x[sol.at_upper], prob.upper[sol.at_upper])
+    assert statuses.count("optimal") >= 30
+    assert sum(solve(random_bounded_lp(rng)).bound_flips > 0 for _ in range(10)) >= 5
+
+
+def test_bounded_warm_start_after_rhs_change_reports_warm():
+    rng = np.random.default_rng(8080)
+    dual_steps = 0
+    for _ in range(60):
+        prob = random_bounded_lp(rng)
+        prob = LpProblem(cost=np.abs(prob.cost), constraint_matrix=prob.constraint_matrix,
+                         rhs=prob.rhs, upper=prob.upper)
+        cold = solve(prob)
+        assert cold.status is LpStatus.OPTIMAL
+        point = rng.uniform(0.1, 0.9, size=prob.variable_count) * np.minimum(prob.upper, 2.0)
+        moved = LpProblem(cost=prob.cost, constraint_matrix=prob.constraint_matrix,
+                          rhs=prob.constraint_matrix @ point, upper=prob.upper)
+        warm = solve_with_basis(moved, cold.basis, cold.at_upper)
+        re_cold = solve(moved)
+        assert warm.outcome == "warm"
+        assert abs(warm.objective - re_cold.objective) <= 1e-7 * max(1.0, abs(re_cold.objective))
+        dual_steps += warm.iterations > 0
+        # the start of a solved problem is already optimal
+        again = solve_with_basis(moved, warm.basis, warm.at_upper)
+        assert again.outcome == "warm" and again.iterations == 0 and again.bound_flips == 0
+    assert dual_steps >= 20
+
+
+def test_feasibility_interval_is_cut_off_by_a_basic_upper_bound():
+    # the cheap unit (cap 4) and the dear one (cap 8) fill a demand of 10 y
+    a = np.array([[1.0, 1.0]])
+    c = np.array([1.0, 2.0])
+    upper = np.array([4.0, 8.0])
+    g = np.array([[10.0]])
+    h = np.array([0.0])
+    ray = np.array([1.0])
+
+    def solve_at(y):
+        return solve(LpProblem(cost=c, constraint_matrix=a, rhs=g @ (y * ray) + h, upper=upper))
+
+    low = solve_at(0.2)
+    assert list(low.basis) == [0] and low.at_upper.size == 0
+    lo, hi = feasibility_interval(low.basis, a, g, h, ray, upper, low.at_upper)
+    assert lo == pytest.approx(0.0, abs=1e-8)
+    assert hi == pytest.approx(0.4, abs=1e-8)  # column 0 reaches its bound 4
+    # without the bound the same basis would look feasible for every y >= 0
+    assert feasibility_interval(low.basis, a, g, h, ray)[1] == np.inf
+
+    high = solve_at(0.9)
+    assert list(high.basis) == [1] and list(high.at_upper) == [0]
+    lo, hi = feasibility_interval(high.basis, a, g, h, ray, upper, high.at_upper)
+    assert lo == pytest.approx(0.4, abs=1e-8)
+    assert hi == pytest.approx(1.2, abs=1e-8)

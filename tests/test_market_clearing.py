@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from carbomarket import simulator
 from carbomarket.lp_core import LpStatus, solve as lp_solve
 from carbomarket.market_clearing import (
     AgentBid,
@@ -25,6 +26,9 @@ from carbomarket.network_model import (
     curve_from_points,
     zero_curve,
 )
+from carbomarket.simulator import ScenarioConfig, run_horizon
+from carbomarket.synthetic import replica30_case
+from oracles import random_small_case
 
 
 def linear_bid(name, bus, slope, cap, psi=None, p_min=0.0, renewable=False):
@@ -108,6 +112,20 @@ def test_demand_beyond_capacity_is_infeasible():
     with pytest.raises(MarketInfeasibleError, match="balance") as err:
         clear_market(case, bids)
     assert err.value.violation == pytest.approx(5.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("gen_bus, load_bus, side", [(1, 2, "upper"), (2, 1, "lower")])
+def test_branch_infeasibility_names_the_violated_side(gen_bus, load_bus, side):
+    # a 50 MW floor must cross a 30 MW line: flow beyond +cap or below -cap
+    case = make_case(n_buses=2, branches=[Branch(1, 2, capacity=30.0, reactance=0.1, name="tie")])
+    demand = np.zeros(2)
+    demand[load_bus - 1] = 50.0
+    bids = BidSet(agents=[linear_bid("g", gen_bus, 30.0, 80.0, psi=0.5, p_min=50.0)],
+                  demand=demand)
+    with pytest.raises(MarketInfeasibleError, match=f"branch tie {side}") as err:
+        clear_market(case, bids)
+    assert err.value.row_label == f"branch tie {side}"
+    assert err.value.violation == pytest.approx(20.0, abs=1e-6)
 
 
 def congested_triangle():
@@ -277,10 +295,100 @@ def test_warm_start_survives_a_storage_curve_gaining_and_losing_a_segment():
     assert previous.outcome == "cold"
     for n_segments, shift in ((5, 0.7), (4, -0.4)):
         bids = BidSet(agents=agents + [storage_bid(n_segments, shift)], demand=demand)
-        warm = clear_market(case, bids, warm_basis=previous.basis)
+        warm = clear_market(case, bids, warm_basis=previous.basis, warm_upper=previous.at_upper)
         cold = clear_market(case, bids)
-        assert len(warm.basis) == len(previous.basis) + (1 if n_segments == 5 else -1)
+        # one balance row and one ranged row per branch, whatever the curve
+        assert len(warm.basis) == len(previous.basis) == 1 + len(case.branches)
         assert warm.outcome in ("warm", "repaired")
         for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp)):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
         previous = warm
+
+
+def kinked_triangle_bids(demand):
+    """Convex cost and emission curves whose kinks fall at different outputs."""
+    cheap = AgentBid(
+        name="cheap", bus=1, p_min=5.0, p_max=60.0,
+        cost_curve=curve_from_points([(5.0, 50.0), (20.0, 200.0), (45.0, 700.0), (60.0, 1150.0)]),
+        emission_curve=curve_from_points([(5.0, 4000.0), (30.0, 19000.0), (60.0, 43000.0)]),
+    )
+    dear = AgentBid(
+        name="dear", bus=3, p_min=0.0, p_max=80.0,
+        cost_curve=curve_from_points([(0.0, 0.0), (35.0, 875.0), (80.0, 2900.0)]),
+        emission_curve=curve_from_points(
+            [(0.0, 0.0), (10.0, 2000.0), (50.0, 14000.0), (80.0, 26000.0)]),
+    )
+    es = storage_bid(6)
+    return BidSet(agents=[cheap, dear, es], demand=np.asarray(demand, dtype=float))
+
+
+def test_segments_fill_in_order_and_emissions_are_exact():
+    case, _, _ = congested_triangle()
+    cases = [(case, kinked_triangle_bids([0.0, 0.0, d])) for d in (8.0, 30.0, 55.0, 90.0, 120.0)]
+    rng = np.random.default_rng(5)
+    cases += [random_small_case(rng, min_output_prob=0.5) for _ in range(10)]
+    for case, bids in cases:
+        problem, form = assemble_clearing_lp(case, bids)
+        sol = lp_solve(problem)
+        assert sol.status is LpStatus.OPTIMAL
+        for k in range(form.n_agents):
+            cols = np.flatnonzero(form.column_agent == k)
+            fill = sol.primal[cols] / problem.upper[cols]
+            # a segment takes power only once every cheaper one is full
+            started = np.flatnonzero(fill > 1e-12)
+            if started.size:
+                np.testing.assert_allclose(fill[: started[-1]], 1.0, rtol=0, atol=1e-12)
+        res = clear_market(case, bids)
+        for k, sigma in zip(res.sigma_agents, res.sigma):
+            want = bids.agents[k].emission_curve.value(res.dispatch[k])
+            assert sigma == pytest.approx(want, rel=1e-12, abs=1e-9)
+        want_cost = sum(a.cost_curve.value(p) for a, p in zip(bids.agents, res.dispatch))
+        assert res.total_cost == pytest.approx(want_cost, rel=1e-12, abs=1e-9)
+
+
+def highs_prices(case, bids, period):
+    """Objective and LMPs of the clearing LP solved by HiGHS instead."""
+    from scipy.optimize import linprog
+
+    problem, form = assemble_clearing_lp(case, bids, period)
+    bounds = [(0.0, u if np.isfinite(u) else None) for u in problem.upper]
+    res = linprog(problem.cost, A_eq=problem.constraint_matrix, b_eq=problem.rhs,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    y = res.eqlin.marginals
+    n_br = form.n_branches
+    lmp = compute_lmps(y[0], np.maximum(y[1:1 + n_br], 0.0), np.maximum(-y[1:1 + n_br], 0.0),
+                       form.loss, case.ptdf)
+    return res.fun, y, lmp
+
+
+def assert_matches_highs(case, bids, period, result):
+    problem, _ = assemble_clearing_lp(case, bids, period)
+    ours = lp_solve(problem)
+    fun, y, lmp = highs_prices(case, bids, period)
+    assert abs(ours.objective - fun) <= 1e-9 * max(1.0, abs(fun))
+    # balance and branch duals; the bounds' duals are degenerate and not compared
+    scale = max(1.0, np.abs(y).max())
+    assert np.abs(ours.duals - y).max() <= 1e-9 * scale
+    assert np.abs(result.lmp - lmp).max() <= 1e-9 * max(1.0, np.abs(lmp).max())
+
+
+def test_clearing_matches_highs_on_replica30_and_random_networks(monkeypatch):
+    case = replica30_case(seed=7)
+    seen = []
+
+    def recording(case, bids, period, **kwargs):
+        seen.append((bids, period, clear_market(case, bids, period, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(simulator, "clear_market", recording)
+    run_horizon(case, ScenarioConfig.a1(horizon=24))
+    monkeypatch.undo()
+    assert len(seen) == 24 and all(r.outcome == "warm" for _, _, r in seen[1:])
+    for bids, period, result in seen:
+        assert_matches_highs(case, bids, period, result)
+
+    rng = np.random.default_rng(2718)
+    for _ in range(15):
+        small, bids = random_small_case(rng, min_output_prob=0.3)
+        assert_matches_highs(small, bids, 0, clear_market(small, bids))
