@@ -13,7 +13,6 @@ from carbomarket.emission_allocation import (
     allocate_period,
     aumann_shapley_prices,
     build_compact_form,
-    verify_axioms,
 )
 from carbomarket.market_clearing import (
     AgentBid,
@@ -96,6 +95,5 @@ __all__ = [
     "scaled_parameters",
     "update_state",
     "validate_case",
-    "verify_axioms",
     "write_case",
 ]

@@ -3,16 +3,15 @@
 Attaches emissions to the cleared power flows: every bus mixes its inflows
 (local generation plus line imports) and sends power out at one uniform
 intensity.  Solved as a linear system over bus intensities so cyclic flow
-patterns need no special casing.  Storage is a "container of liquid" whose
-content carries a mass-weighted average intensity.
+patterns need no special casing.
 
-Units: intensities are kgCO2/kWh, powers MW, energies MWh.  The 1000s cancel
+Units: intensities are kgCO2/kWh, powers MW.  The 1000s cancel
 inside the nodal balance, so the system is assembled in composite units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +23,6 @@ FLOW_TOL = 1e-9
 
 class CefSingularError(RuntimeError):
     """The intensity balance system is singular beyond zero-throughput buses."""
-
-
-class DischargeFromEmptyError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -55,13 +50,7 @@ class FlowGraph:
         return self.throughput() - outflow
 
     @classmethod
-    def from_clearing(
-        cls,
-        case: NetworkCase,
-        clearing: ClearingResult,
-        storage_intensity: dict[str, float] | None = None,
-    ) -> "FlowGraph":
-        storage_intensity = storage_intensity or {}
+    def from_clearing(cls, case: NetworkCase, clearing: ClearingResult) -> "FlowGraph":
         bus_index = case.bus_index
         n = case.n_buses
         bids = clearing.bids
@@ -76,8 +65,7 @@ class FlowGraph:
                 if p < -FLOW_TOL:
                     demand[pos] += -p  # charging behaves like extra load
                 elif p > FLOW_TOL:
-                    rate = float(storage_intensity.get(agent.name, 0.0))
-                    generation[pos].append((p, rate))
+                    generation[pos].append((p, 0.0))  # discharge carries no emission
             elif p > FLOW_TOL:
                 sigma = float(sigma_by_agent.get(idx, 0.0))  # kg/h
                 generation[pos].append((p, sigma / (1000.0 * p)))
@@ -127,45 +115,6 @@ def cef_solve(graph: FlowGraph) -> np.ndarray:
         raise CefSingularError("intensity system produced non-finite values")
     rho[live] = sol
     return rho
-
-
-@dataclass
-class CefStorageState:
-    stored_energy: float  # MWh
-    stored_intensity: float = 0.0  # kgCO2/kWh
-
-
-def cef_storage_step(
-    state: CefStorageState,
-    power: float,
-    inflow_intensity: float,
-    tau: float,
-) -> tuple[CefStorageState, float]:
-    """Container update; negative power charges, positive discharges.
-
-    Returns the new state and the attributed emission in kg: positive when
-    charging (emissions stored away are attributed to the unit), negative on
-    discharge (credit at the stored intensity, which does not change).
-    """
-    if power < -FLOW_TOL:
-        energy_in = -power * tau
-        mass = state.stored_energy * state.stored_intensity + energy_in * inflow_intensity
-        total = state.stored_energy + energy_in
-        new = CefStorageState(stored_energy=total, stored_intensity=mass / total)
-        return new, inflow_intensity * energy_in * 1000.0
-    if power > FLOW_TOL:
-        energy_out = power * tau
-        if energy_out > state.stored_energy + 1e-9:
-            raise DischargeFromEmptyError(
-                f"discharge of {energy_out:.6g} MWh exceeds stored "
-                f"{state.stored_energy:.6g} MWh"
-            )
-        new = CefStorageState(
-            stored_energy=state.stored_energy - energy_out,
-            stored_intensity=state.stored_intensity,
-        )
-        return new, -state.stored_intensity * energy_out * 1000.0
-    return CefStorageState(state.stored_energy, state.stored_intensity), 0.0
 
 
 def cef_emission_prices(rho: np.ndarray, kappa: float) -> np.ndarray:

@@ -266,108 +266,3 @@ def allocate_period(
     except InfeasibleAtOriginError:
         start = feasible_start(case, form)
         return aumann_shapley_prices(form, delta=step, start=start)
-
-
-@dataclass
-class AxiomReport:
-    additivity_error: float
-    scale_error: float
-    consistency_error: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.additivity_error <= 1e-8
-            and self.scale_error <= 1e-8
-            and self.consistency_error <= 1e-12
-        )
-
-
-def verify_axioms(
-    case: NetworkCase, clearing: ClearingResult, period: int = 0,
-) -> AxiomReport:
-    form = build_compact_form(case, clearing, period)
-    combined = aumann_shapley_prices(form, delta=case.delta)
-
-    # additivity: pricing each plant's emission separately must sum back
-    sigma_cols = np.flatnonzero(form.k)
-    psi_sum = np.zeros_like(combined.psi)
-    for col in sigma_cols:
-        split = np.zeros_like(form.k)
-        split[col] = form.k[col]
-        grad_accum = np.zeros(form.g.shape[1])
-        y_prev = 0.0
-        for y_next, basis in combined.breakpoints:
-            basis_arr = np.array(basis)
-            z = np.linalg.solve(form.a[:, basis_arr].T, split[basis_arr])
-            grad_accum += (y_next - y_prev) * (z @ form.g)
-            y_prev = y_next
-        psi_sum += grad_accum / (form.tau * 1000.0)
-    additivity_error = float(np.max(np.abs(psi_sum - combined.psi), initial=0.0))
-
-    # scale invariance: restate the case in kW; allocated dollars must not move
-    scaled_case, scaled_clearing = _rescaled(case, clearing, period, factor=1000.0)
-    scaled_form = build_compact_form(scaled_case, scaled_clearing, period)
-    scaled = aumann_shapley_prices(scaled_form, delta=case.delta)
-    denom = np.maximum(np.abs(combined.load_cost), 1.0)
-    scale_error = float(
-        np.max(np.abs(scaled.load_cost - combined.load_cost) / denom, initial=0.0)
-    )
-    for name, cost in combined.storage_cost.items():
-        gap = abs(scaled.storage_cost[name] - cost) / max(abs(cost), 1.0)
-        scale_error = max(scale_error, gap)
-
-    # consistency: two co-located loads priced separately vs merged
-    d = form.demand_star
-    split_bus = int(np.argmax(d))
-    merged = combined.load_cost[split_bus]
-    parts = 0.35 * d[split_bus] * combined.psi[split_bus] * form.tau * 1000.0
-    parts += 0.65 * d[split_bus] * combined.psi[split_bus] * form.tau * 1000.0
-    consistency_error = abs(parts - merged)
-
-    return AxiomReport(
-        additivity_error=additivity_error,
-        scale_error=scale_error,
-        consistency_error=float(consistency_error),
-    )
-
-
-def _rescaled(
-    case: NetworkCase, clearing: ClearingResult, period: int, factor: float,
-):
-    """Restate powers in smaller units (MW -> kW for factor=1000)."""
-    from .market_clearing import AgentBid, BidSet, clear_market
-    from .network_model import Branch, Bus, PiecewiseLinearCurve
-
-    def scale_curve(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
-        return PiecewiseLinearCurve(
-            segments=tuple((s / factor, b) for s, b in curve.segments),
-            domain=(curve.domain[0] * factor, curve.domain[1] * factor),
-        )
-
-    buses = [Bus(b.id, b.loss_sensitivity) for b in case.buses]
-    branches = [
-        Branch(br.from_bus, br.to_bus, br.capacity * factor,
-               br.reactance, br.ptdf_row, br.name)
-        for br in case.branches
-    ]
-    scaled_case = NetworkCase(
-        buses=buses, branches=branches, generators=[], storages=[],
-        load_series=case.load_series * factor, tau=case.tau,
-        kappa=case.kappa, epsilon=case.epsilon, delta=case.delta,
-        slack_bus=case.slack_bus, loss_offset=case.loss_offset * factor,
-    )
-    bids = clearing.bids
-    demand = case.demand(period) if bids.demand is None else bids.demand
-    scaled_agents = [
-        AgentBid(
-            name=a.name, bus=a.bus, cost_curve=scale_curve(a.cost_curve),
-            p_min=a.p_min * factor, p_max=a.p_max * factor,
-            emission_curve=scale_curve(a.emission_curve) if a.emission_curve else None,
-            is_storage=a.is_storage, is_renewable=a.is_renewable,
-        )
-        for a in bids.agents
-    ]
-    scaled_bids = BidSet(agents=scaled_agents, demand=demand * factor)
-    scaled_clearing = clear_market(scaled_case, scaled_bids, period)
-    return scaled_case, scaled_clearing

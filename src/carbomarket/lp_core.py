@@ -14,9 +14,8 @@ emission-price sweep and the locational-price extraction are built on them.
 
 from __future__ import annotations
 
-import os
+import logging
 import warnings
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,9 +28,11 @@ PIVOT_TOL = 1e-10
 # pivots below this on a stale eta-updated inverse may be roundoff ghosts
 RISKY_PIVOT_TOL = 1e-7
 REFACTOR_PERIOD = 64
-TRACE_ENV = "CARBOMARKET_LP_TRACE"
 # LpSolution.outcome values of a solve that finished from the given basis
 WARM_OUTCOMES = ("warm", "repaired")
+
+# at DEBUG: each cold solve's header and one line per pivot and bound flip
+logger = logging.getLogger("carbomarket.lp_core")
 
 
 class LpStatus(Enum):
@@ -125,15 +126,6 @@ class LpSolution:
         return self.outcome in WARM_OUTCOMES
 
 
-def _trace_stream():
-    target = os.environ.get(TRACE_ENV)
-    if not target:
-        return None
-    if target in ("1", "stderr"):
-        return sys.stderr
-    return open(target, "a", encoding="utf-8")
-
-
 class _Engine:
     """Bounded revised simplex over an explicit basis inverse with eta updates.
 
@@ -145,7 +137,7 @@ class _Engine:
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, upper: np.ndarray, basis: np.ndarray,
-                 at_upper: np.ndarray | None = None, trace=None, paranoid: bool = False):
+                 at_upper: np.ndarray | None = None, paranoid: bool = False):
         self.a = a
         self.b = b
         self.upper = upper
@@ -158,8 +150,8 @@ class _Engine:
         self.pivots = 0
         self.flips = 0
         self.since_refactor = 0
-        self.trace = trace
         self.paranoid = paranoid
+        self.debug = logger.isEnabledFor(logging.DEBUG)
 
     @property
     def steps(self) -> int:
@@ -200,12 +192,11 @@ class _Engine:
         if self.paranoid or self.since_refactor >= REFACTOR_PERIOD:
             self.refactor()
 
-    def _log(self, phase: str, enter: int, leave: int, step: float, obj: float) -> None:
-        if self.trace is not None:
-            self.trace.write(
-                f"{phase} pivot={self.pivots} enter={enter} leave={leave} "
-                f"step={step:.6g} obj={obj:.12g}\n"
-            )
+    def _log(self, phase: str, enter: int, leave: int, step: float,
+             cost: np.ndarray, xb: np.ndarray) -> None:
+        if self.debug:
+            logger.debug("%s pivot=%d enter=%d leave=%d step=%.6g obj=%.12g", phase,
+                         self.pivots, enter, leave, step, float(cost[self.basis] @ xb))
 
     def basic_solution(self) -> np.ndarray:
         if self.at_upper.any():
@@ -223,9 +214,11 @@ class _Engine:
     def run_primal(self, cost: np.ndarray, budget: int, phase: str) -> LpStatus:
         degen_run = 0
         bland = self.paranoid
+        reduced = None  # a bound flip changes neither the basis nor the duals
         while self.steps < budget:
             xb = self.basic_solution()
-            reduced = self.reduced_costs(cost)
+            if reduced is None:
+                reduced = self.reduced_costs(cost)
             # a column at its lower bound improves by rising, one at its
             # upper bound by falling; gain > 0 marks either
             gain = np.where(self.at_upper, reduced, -reduced)
@@ -253,7 +246,7 @@ class _Engine:
                 if not np.isfinite(flip):
                     return LpStatus.UNBOUNDED
                 # the entering column reaches its other bound first
-                self._log(phase + "-flip", enter, -1, flip, float(cost[self.basis] @ xb))
+                self._log(phase + "-flip", enter, -1, flip, cost, xb)
                 self.at_upper[enter] = not self.at_upper[enter]
                 self.flips += 1
                 if flip > FEASIBILITY_TOL:
@@ -269,6 +262,7 @@ class _Engine:
                 # a pivot this small on a stale inverse may be pure roundoff;
                 # recompute the iteration from a fresh factorization instead
                 self.refactor()
+                reduced = None
                 continue
             if step <= FEASIBILITY_TOL:
                 degen_run += 1
@@ -277,8 +271,9 @@ class _Engine:
             else:
                 degen_run = 0
                 bland = self.paranoid
-            self._log(phase, enter, int(self.basis[leave_pos]), step, float(cost[self.basis] @ xb))
+            self._log(phase, enter, int(self.basis[leave_pos]), step, cost, xb)
             self._pivot(enter, leave_pos, direction, leave_at_upper=bool(move[leave_pos] < 0.0))
+            reduced = None
         raise SimplexNumericalError("pivot budget exhausted in primal simplex")
 
     def run_dual(self, cost: np.ndarray, budget: int) -> LpStatus:
@@ -324,7 +319,7 @@ class _Engine:
             if abs(direction[worst]) < RISKY_PIVOT_TOL and self.since_refactor > 0:
                 self.refactor()
                 continue
-            self._log("dual", enter, int(self.basis[worst]), best, float(cost[self.basis] @ xb))
+            self._log("dual", enter, int(self.basis[worst]), best, cost, xb)
             self._pivot(enter, worst, direction, leave_at_upper=leave_at_upper)
         raise SimplexNumericalError("pivot budget exhausted in dual simplex")
 
@@ -372,25 +367,16 @@ def _row_slacks(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 def solve(problem: LpProblem) -> LpSolution:
     """Two-phase bounded revised simplex; returns basis, duals, and diagnostics."""
-    trace = _trace_stream()
     try:
-        return _solve_impl(problem, trace)
-    finally:
-        if trace is not None and trace is not sys.stderr:
-            trace.close()
-
-
-def _solve_impl(problem: LpProblem, trace) -> LpSolution:
-    try:
-        return _solve_attempt(problem, trace, paranoid=False)
+        return _solve_attempt(problem, paranoid=False)
     except SimplexNumericalError:
         # eta-update drift can strand the fast path on a singular basis;
         # one slow, exactly-refactored retry settles whether the problem
         # itself or the arithmetic was at fault
-        return _solve_attempt(problem, trace, paranoid=True)
+        return _solve_attempt(problem, paranoid=True)
 
 
-def _solve_attempt(problem: LpProblem, trace, paranoid: bool) -> LpSolution:
+def _solve_attempt(problem: LpProblem, paranoid: bool) -> LpSolution:
     """Phase 1 starts every column at 0, makes a row's slack basic wherever
     the slack then lies within its bounds, and puts an artificial, signed to
     be nonnegative, on each other row."""
@@ -409,11 +395,10 @@ def _solve_attempt(problem: LpProblem, trace, paranoid: bool) -> LpSolution:
     a1 = np.hstack([a, art]) if n_art else a
     basis[art_rows] = n + np.arange(n_art)
     engine = _Engine(a1, b, np.concatenate([upper, np.full(n_art, np.inf)]), basis,
-                     trace=trace, paranoid=paranoid)
+                     paranoid=paranoid)
     engine.binv = np.diag(1.0 / a1[np.arange(m), basis])
     budget = _pivot_budget(m, n + n_art)
-    if trace is not None:
-        trace.write(f"solve m={m} n={n} paranoid={int(paranoid)}\n")
+    logger.debug("solve m=%d n=%d paranoid=%d", m, n, int(paranoid))
     kept_rows = None
     if n_art:
         cost1 = np.zeros(n + n_art)
@@ -445,7 +430,7 @@ def _solve_attempt(problem: LpProblem, trace, paranoid: bool) -> LpSolution:
             row_kept[art_rows[engine.basis[~keep] - n]] = False
             kept_rows = np.flatnonzero(row_kept)
             reduced = _Engine(a[row_kept], b[row_kept], upper, engine.basis[keep],
-                              at_upper=engine.at_upper[:n], trace=trace, paranoid=paranoid)
+                              at_upper=engine.at_upper[:n], paranoid=paranoid)
             reduced.pivots, reduced.flips = engine.pivots, engine.flips
             engine = reduced
             engine.refactor()
@@ -520,20 +505,15 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=()) -> LpSolution
     upper_set[cols[(cols >= 0) & (cols < problem.variable_count)]] = True
     upper_set[basis] = False
     upper_set &= np.isfinite(problem.upper)
-    trace = _trace_stream()
     try:
-        try:
-            sol = _warm_attempt(problem, basis, upper_set, trace)
-            reason = "infeasible"
-        except SimplexNumericalError:
-            # warm start gone numerically bad; the cold path below retries
-            # from scratch and has its own paranoid second attempt
-            sol = None
-            reason = "singular"
-        return sol if sol is not None else _fallback(_solve_impl(problem, trace), reason)
-    finally:
-        if trace is not None and trace is not sys.stderr:
-            trace.close()
+        sol = _warm_attempt(problem, basis, upper_set)
+        reason = "infeasible"
+    except SimplexNumericalError:
+        # warm start gone numerically bad; the cold path below retries
+        # from the start and has its own paranoid second attempt
+        sol = None
+        reason = "singular"
+    return sol if sol is not None else _fallback(solve(problem), reason)
 
 
 def _fallback(sol: LpSolution, reason: str) -> LpSolution:
@@ -541,12 +521,12 @@ def _fallback(sol: LpSolution, reason: str) -> LpSolution:
     return sol
 
 
-def _warm_attempt(problem: LpProblem, basis: np.ndarray, at_upper: np.ndarray,
-                  trace) -> LpSolution | None:
+def _warm_attempt(problem: LpProblem, basis: np.ndarray,
+                  at_upper: np.ndarray) -> LpSolution | None:
     """Finish from ``basis``; None when the dual simplex proves infeasibility."""
     cost = problem.cost
     engine = _Engine(problem.constraint_matrix, problem.rhs, problem.upper, basis,
-                     at_upper=at_upper, trace=trace)
+                     at_upper=at_upper)
     engine.refactor()
     budget = _pivot_budget(engine.m, engine.n)
     outcome = "warm"

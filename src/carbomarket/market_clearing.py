@@ -31,7 +31,6 @@ may have more or fewer pieces, can start from them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,12 +80,6 @@ class BidSet:
     def __post_init__(self) -> None:
         if self.demand is not None:
             self.demand = np.asarray(self.demand, dtype=float)
-
-    def agent_index(self, name: str) -> int:
-        for k, a in enumerate(self.agents):
-            if a.name == name:
-                return k
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -431,19 +424,3 @@ def loss_direction_iterate(
     result.loss_converged = False
     result.loss_iterations = max_iters
     return result
-
-
-def renewable_curtailment(results: list[ClearingResult], case: NetworkCase) -> float:
-    """Fraction of offered renewable energy left undispatched over the horizon."""
-    renewables = {g.name for g in case.generators if g.is_renewable}
-    offered = 0.0
-    spilled = 0.0
-    for res in results:
-        for k, a in enumerate(res.bids.agents):
-            if a.name in renewables:
-                offered += a.p_max
-                spilled += a.p_max - res.dispatch[k]
-    if offered <= 0.0:
-        warnings.warn("no renewable energy offered; curtailment undefined, using 0")
-        return 0.0
-    return float(min(max(spilled / offered, 0.0), 1.0))

@@ -91,11 +91,6 @@ class PiecewiseLinearCurve:
             stack.append((slope, intercept, start))
         return stack
 
-    def minimum_on_domain(self) -> float:
-        lo, hi = self.domain
-        candidates = [lo, hi] + [x for x in self.breakpoints()]
-        return float(min(self.value(x) for x in candidates))
-
 
 def zero_curve(lo: float, hi: float) -> PiecewiseLinearCurve:
     return PiecewiseLinearCurve(segments=((0.0, 0.0),), domain=(lo, hi))

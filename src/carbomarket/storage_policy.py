@@ -29,10 +29,6 @@ class SocViolationError(RuntimeError):
     pass
 
 
-class SimultaneousChargeDischargeError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PolicyParams:
     e_s: float  # queue offset, MWh
@@ -124,24 +120,6 @@ def optimal_power(q, gamma, params: PolicyParams, unit: StorageUnit, tau: float)
     if p.ndim == 0:
         return float(p)
     return p
-
-
-def drift_plus_penalty(
-    q: float,
-    gamma: float,
-    p_c: float,
-    p_d: float,
-    params: PolicyParams,
-    unit: StorageUnit,
-    tau: float,
-) -> float:
-    if p_c > 1e-12 and p_d > 1e-12:
-        raise SimultaneousChargeDischargeError(
-            f"charge {p_c} MW and discharge {p_d} MW cannot both be positive"
-        )
-    delta_e = p_c * tau * unit.eta_c - p_d * tau / unit.eta_d
-    drift = delta_e * delta_e / 2 + delta_e * q
-    return drift + params.v_s * (-gamma * (p_d - p_c) * tau)
 
 
 def power_bounds(
@@ -319,12 +297,3 @@ def b2_power(
     if gamma > hi_threshold:
         return hi_p
     return 0.0
-
-
-def estimate_gamma_range(history, window: int = 168) -> tuple[float, float]:
-    """Empirical combined-price range over a warm-up prefix."""
-    h = np.asarray(history, dtype=float)
-    if h.size == 0:
-        raise ValueError("empty price history")
-    warmup = h[:window] if h.size >= window else h
-    return float(warmup.min()), float(warmup.max())

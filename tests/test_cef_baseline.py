@@ -1,18 +1,11 @@
-"""Flow-tracing intensity tests: hand graphs, containers, price invariance."""
+"""Flow-tracing intensity tests: hand graphs, conservation, price invariance."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from carbomarket.cef_baseline import (
-    CefStorageState,
-    DischargeFromEmptyError,
-    FlowGraph,
-    cef_emission_prices,
-    cef_solve,
-    cef_storage_step,
-)
+from carbomarket.cef_baseline import FlowGraph, cef_emission_prices, cef_solve
 from carbomarket.emission_allocation import aumann_shapley_prices, build_compact_form
 from carbomarket.market_clearing import AgentBid, BidSet, clear_market
 from carbomarket.network_model import Branch, Bus, NetworkCase, curve_from_points
@@ -127,51 +120,12 @@ def test_emission_conservation_on_random_cleared_networks():
     for _ in range(25):
         case, bids = random_small_case(rng)
         res = clear_market(case, bids)
-        intensities = {a.name: 0.31 for a in bids.agents if a.is_storage}
-        graph = FlowGraph.from_clearing(case, res, storage_intensity=intensities)
+        graph = FlowGraph.from_clearing(case, res)
         assert np.max(np.abs(graph.conservation_residual())) <= 1e-6
         rho = cef_solve(graph)
         attributed = float(graph.demand @ rho)
         emitted = sum(p * rate for gens in graph.generation for p, rate in gens)
         assert attributed == pytest.approx(emitted, rel=1e-8, abs=1e-10)
-
-
-def test_container_mean_intensity_examples():
-    state = CefStorageState(stored_energy=0.0)
-    state, attributed = cef_storage_step(state, power=-1.0, inflow_intensity=0.5, tau=1.0)
-    assert state.stored_energy == pytest.approx(1.0)
-    assert state.stored_intensity == pytest.approx(0.5, abs=1e-12)
-    assert attributed == pytest.approx(500.0)
-
-    state = CefStorageState(stored_energy=2.0, stored_intensity=0.5)
-    state, _ = cef_storage_step(state, power=-2.0, inflow_intensity=0.9, tau=1.0)
-    assert state.stored_energy == pytest.approx(4.0)
-    assert state.stored_intensity == pytest.approx(0.7, abs=1e-12)
-
-    state, credit = cef_storage_step(state, power=1.0, inflow_intensity=0.2, tau=1.0)
-    assert credit == pytest.approx(-700.0)
-    assert state.stored_energy == pytest.approx(3.0)
-    # drawing down the container does not change what is left inside
-    assert state.stored_intensity == pytest.approx(0.7, abs=1e-12)
-
-
-def test_container_rejects_discharge_beyond_content():
-    state = CefStorageState(stored_energy=0.5, stored_intensity=0.4)
-    with pytest.raises(DischargeFromEmptyError):
-        cef_storage_step(state, power=2.0, inflow_intensity=0.0, tau=1.0)
-
-
-def test_container_mass_balance_fuzz():
-    rng = np.random.default_rng(5)
-    state = CefStorageState(stored_energy=4.0, stored_intensity=0.6)
-    mass = state.stored_energy * state.stored_intensity * 1000.0
-    for _ in range(500):
-        power = rng.uniform(-2.0, min(2.0, state.stored_energy))
-        state, attributed = cef_storage_step(
-            state, power, inflow_intensity=rng.uniform(0.0, 1.2), tau=1.0)
-        mass += attributed
-        assert mass == pytest.approx(
-            state.stored_energy * state.stored_intensity * 1000.0, abs=1e-6)
 
 
 def test_intensity_prices_are_half_rate_times_carbon_price():

@@ -1,4 +1,4 @@
-"""Allocation sweep tests: gradients, breakpoints, cost sharing, axioms."""
+"""Allocation sweep tests: gradients, breakpoints, cost sharing, scale invariance."""
 
 from __future__ import annotations
 
@@ -12,12 +12,17 @@ from carbomarket.emission_allocation import (
     build_compact_form,
     feasible_start,
     partial_derivative,
-    verify_axioms,
     _emission_cost,
 )
 from carbomarket.lp_core import LpStatus, solve
 from carbomarket.market_clearing import AgentBid, BidSet, clear_market
-from carbomarket.network_model import Bus, NetworkCase, curve_from_points
+from carbomarket.network_model import (
+    Branch,
+    Bus,
+    NetworkCase,
+    PiecewiseLinearCurve,
+    curve_from_points,
+)
 from oracles import c2_psi, random_small_case, scan_basis_regions
 
 KAPPA = 0.05
@@ -239,16 +244,50 @@ def test_feasible_start_zeta_values():
     assert total == pytest.approx(res.emission_cost_at_star, rel=1e-9)
 
 
-def test_axioms_on_small_cases():
-    case = single_bus_case()
-    clearing, _ = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, 0.5)], [7.0])
-    report = verify_axioms(case, clearing)
-    assert report.passed
+def _rescaled(case, clearing, factor):
+    """Restate powers in smaller units (MW -> kW for factor=1000) and re-clear."""
 
-    case2 = single_bus_case()
-    agents = [gen_bid("b", 1, 20.0, 5.0, 0.2), gen_bid("a", 1, 40.0, 20.0, 0.8)]
-    clearing2 = clear_market(case2, BidSet(agents=agents, demand=np.array([10.0])))
-    report2 = verify_axioms(case2, clearing2)
-    assert report2.additivity_error <= 1e-8
-    assert report2.scale_error <= 1e-8
-    assert report2.consistency_error <= 1e-12
+    def scale_curve(curve):
+        return PiecewiseLinearCurve(
+            segments=tuple((s / factor, b) for s, b in curve.segments),
+            domain=(curve.domain[0] * factor, curve.domain[1] * factor),
+        )
+
+    branches = [
+        Branch(br.from_bus, br.to_bus, br.capacity * factor, br.reactance, br.ptdf_row, br.name)
+        for br in case.branches
+    ]
+    scaled_case = NetworkCase(
+        buses=[Bus(b.id, b.loss_sensitivity) for b in case.buses], branches=branches,
+        generators=[], storages=[], load_series=case.load_series * factor, tau=case.tau,
+        kappa=case.kappa, epsilon=case.epsilon, delta=case.delta,
+        slack_bus=case.slack_bus, loss_offset=case.loss_offset * factor,
+    )
+    agents = [
+        AgentBid(
+            name=a.name, bus=a.bus, cost_curve=scale_curve(a.cost_curve),
+            p_min=a.p_min * factor, p_max=a.p_max * factor,
+            emission_curve=scale_curve(a.emission_curve) if a.emission_curve else None,
+            is_storage=a.is_storage, is_renewable=a.is_renewable,
+        )
+        for a in clearing.bids.agents
+    ]
+    demand = clearing.bids.demand * factor
+    return scaled_case, clear_market(scaled_case, BidSet(agents=agents, demand=demand))
+
+
+def test_allocated_dollars_do_not_move_when_the_case_is_restated_in_kw():
+    case = single_bus_case()
+    one, _ = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, 0.5)], [7.0])
+    two, _ = cleared_form(
+        case, [gen_bid("b", 1, 20.0, 5.0, 0.2), gen_bid("a", 1, 40.0, 20.0, 0.8)], [10.0])
+    for clearing in (one, two):
+        base = aumann_shapley_prices(build_compact_form(case, clearing), delta=case.delta)
+        scaled_case, scaled_clearing = _rescaled(case, clearing, factor=1000.0)
+        scaled = aumann_shapley_prices(build_compact_form(scaled_case, scaled_clearing),
+                                       delta=case.delta)
+        assert base.load_cost.sum() > 0.0
+        denom = np.maximum(np.abs(base.load_cost), 1.0)
+        assert np.max(np.abs(scaled.load_cost - base.load_cost) / denom) <= 1e-8
+        for name, cost in base.storage_cost.items():
+            assert abs(scaled.storage_cost[name] - cost) <= 1e-8 * max(abs(cost), 1.0)

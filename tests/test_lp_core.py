@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -315,13 +317,15 @@ def test_parametric_breakpoints_match_grid_scan():
     assert scan_breaks[0] == pytest.approx(0.4, abs=2e-3)
 
 
-def test_trace_environment_toggle(tmp_path, monkeypatch):
-    target = tmp_path / "trace.log"
-    monkeypatch.setenv(lp_core.TRACE_ENV, str(target))
-    prob = LpProblem(cost=[1.0, 0.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0])
+def test_pivot_log_is_silent_by_default_and_traces_pivots_at_debug(caplog):
+    prob = LpProblem(cost=[0.0, 1.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0])
     solve(prob)
-    assert target.exists()
-    assert "solve m=1 n=2" in target.read_text()
+    assert [r for r in caplog.records if r.name == lp_core.logger.name] == []
+    with caplog.at_level(logging.DEBUG, logger=lp_core.logger.name):
+        solve(prob)
+    lines = [r.getMessage() for r in caplog.records if r.name == lp_core.logger.name]
+    assert lines[0].startswith("solve m=1 n=2 ")
+    assert any(line.startswith("phase2 pivot=0 enter=0 leave=1 ") for line in lines[1:])
 
 
 def test_paranoid_mode_matches_fast_path():
@@ -334,11 +338,33 @@ def test_paranoid_mode_matches_fast_path():
         else:
             prob, _, _ = random_inequality_lp(rng)
         fast = solve(prob)
-        slow = lp_core._solve_attempt(prob, None, paranoid=True)
+        slow = lp_core._solve_attempt(prob, paranoid=True)
         assert fast.status is LpStatus.OPTIMAL
         assert slow.status is LpStatus.OPTIMAL
         scale = max(1.0, abs(fast.objective))
         assert abs(fast.objective - slow.objective) <= 1e-7 * scale
+
+
+def test_numerical_failure_on_the_fast_path_retries_in_paranoid_mode(monkeypatch, caplog):
+    prob = random_equality_lp(np.random.default_rng(4242), m=9, n=18)
+    fast = solve(prob)
+    attempt = lp_core._solve_attempt
+    modes = []
+
+    def failing_fast_path(problem, paranoid):
+        modes.append(paranoid)
+        if not paranoid:
+            raise lp_core.SimplexNumericalError("forced")
+        return attempt(problem, paranoid)
+
+    monkeypatch.setattr(lp_core, "_solve_attempt", failing_fast_path)
+    with caplog.at_level(logging.DEBUG, logger=lp_core.logger.name):
+        retried = solve(prob)
+    assert modes == [False, True]
+    assert retried.status is LpStatus.OPTIMAL
+    assert retried.objective == pytest.approx(fast.objective, rel=1e-9, abs=1e-9)
+    np.testing.assert_allclose(retried.primal, fast.primal, rtol=0, atol=1e-9)
+    assert "paranoid=1" in caplog.text
 
 
 def random_bounded_lp(rng, m=6, n=14):

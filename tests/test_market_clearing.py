@@ -1,4 +1,4 @@
-"""Clearing tests: hand merit orders, dual oracles, loss iteration, curtailment."""
+"""Clearing tests: hand merit orders, dual oracles, loss iteration, warm starts."""
 
 from __future__ import annotations
 
@@ -16,16 +16,8 @@ from carbomarket.market_clearing import (
     clear_market,
     compute_lmps,
     loss_direction_iterate,
-    renewable_curtailment,
 )
-from carbomarket.network_model import (
-    Branch,
-    Bus,
-    Generator,
-    NetworkCase,
-    curve_from_points,
-    zero_curve,
-)
+from carbomarket.network_model import Branch, Bus, NetworkCase, curve_from_points
 from carbomarket.simulator import ScenarioConfig, run_horizon
 from carbomarket.synthetic import replica30_case
 from oracles import random_small_case
@@ -237,39 +229,6 @@ def test_loss_direction_iteration():
     assert nxt.outcome in ("warm", "repaired") and nxt.loss_iterations == 2
     np.testing.assert_allclose(nxt.dispatch, cold.dispatch, rtol=0, atol=1e-9)
     np.testing.assert_allclose(nxt.lmp, cold.lmp, rtol=0, atol=1e-9)
-
-
-def renewable_case():
-    case = make_case()
-    case.generators = [Generator(
-        name="wind", bus=1, fuel_curve=zero_curve(0.0, 4.0),
-        emission_curve=zero_curve(0.0, 4.0), p_min=0.0, p_max=4.0,
-        is_renewable=True,
-    )]
-    return case
-
-
-def renewable_bids(avail, demand):
-    agents = [
-        AgentBid(name="wind", bus=1, cost_curve=zero_curve(0.0, avail),
-                 p_min=0.0, p_max=avail, emission_curve=zero_curve(0.0, avail),
-                 is_renewable=True),
-        linear_bid("gas", 1, 40.0, 10.0, psi=0.4),
-    ]
-    return BidSet(agents=agents, demand=np.array([demand]))
-
-
-def test_renewable_curtailment_fractions():
-    case = renewable_case()
-    full = clear_market(case, renewable_bids(4.0, 6.0))
-    assert renewable_curtailment([full], case) == pytest.approx(0.0, abs=1e-9)
-    idle = clear_market(case, renewable_bids(4.0, 0.0))
-    assert renewable_curtailment([idle], case) == pytest.approx(1.0)
-    half = clear_market(case, renewable_bids(4.0, 2.0))
-    assert renewable_curtailment([full, half], case) == pytest.approx(0.25, abs=1e-9)
-    with pytest.warns(UserWarning, match="no renewable"):
-        empty_case = make_case()
-        assert renewable_curtailment([full], empty_case) == 0.0
 
 
 def test_warm_basis_reclear_is_cheap_and_identical():

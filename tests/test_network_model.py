@@ -115,7 +115,6 @@ def test_curve_v_shape():
     assert [s for s, _ in curve.segments] == [-1.0, 2.0]
     assert curve.value(-1.0) == pytest.approx(1.0)
     assert curve.value(1.0) == pytest.approx(2.0)
-    assert curve.minimum_on_domain() == pytest.approx(0.0)
 
 
 def test_curve_rejects_slope_decrease():

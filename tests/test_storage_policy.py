@@ -9,15 +9,12 @@ from carbomarket.market_clearing import AgentBid, BidSet, clear_market
 from carbomarket.network_model import Bus, NetworkCase, StorageUnit, curve_from_points
 from carbomarket.storage_policy import (
     PolicyAssumptionError,
-    SimultaneousChargeDischargeError,
     SocViolationError,
     b1_parameters,
     b1_power,
     b2_power,
     bid_curve,
     choose_parameters,
-    drift_plus_penalty,
-    estimate_gamma_range,
     feasible_power_range,
     initial_state,
     offline_optimal,
@@ -129,18 +126,6 @@ def test_policy_monotone_in_price_and_queue():
         g = rng.uniform(-0.05, 0.2)
         assert optimal_power(q1, g, params, unit, 1.0) \
             <= optimal_power(q2, g, params, unit, 1.0) + 1e-12
-
-
-def test_drift_plus_penalty_values_and_guard():
-    unit = make_unit()
-    params = choose_parameters(unit)
-    assert drift_plus_penalty(-30.0, 0.08, 0.0, 0.0, params, unit, 1.0) == 0.0
-    p_d = 2.0
-    expected = (p_d / unit.eta_d) ** 2 / 2 - params.v_s * 0.08 * p_d
-    assert drift_plus_penalty(0.0, 0.08, 0.0, p_d, params, unit, 1.0) \
-        == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(SimultaneousChargeDischargeError):
-        drift_plus_penalty(0.0, 0.08, 1.0, 1.0, params, unit, 1.0)
 
 
 def test_power_bounds_match_price_extremes():
@@ -377,14 +362,6 @@ def test_threshold_policy_and_its_soc_clip():
         == pytest.approx(0.5 * unit.eta_d, abs=1e-12)
     with pytest.raises(ValueError):
         b2_power(0.03, mid, unit, 1.0, lo_threshold=0.05, hi_threshold=0.02)
-
-
-def test_price_range_estimate_uses_warmup_prefix():
-    history = np.concatenate([np.linspace(0.03, 0.09, 168), [0.5, -1.0]])
-    assert estimate_gamma_range(history) == (0.03, 0.09)
-    assert estimate_gamma_range([0.05, 0.02], window=168) == (0.02, 0.05)
-    with pytest.raises(ValueError):
-        estimate_gamma_range([])
 
 
 def test_scaled_parameters_reclamp_the_queue_offset():
