@@ -19,7 +19,6 @@ from carbomarket.market_clearing import (
     BidSet,
     ClearingResult,
     MarketInfeasibleError,
-    MarketUnboundedError,
     clear_market,
 )
 from carbomarket.network_model import (
@@ -65,7 +64,6 @@ __all__ = [
     "FlowGraph",
     "Generator",
     "MarketInfeasibleError",
-    "MarketUnboundedError",
     "NetworkCase",
     "PiecewiseLinearCurve",
     "PolicyParams",

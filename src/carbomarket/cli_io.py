@@ -25,7 +25,7 @@ import yaml
 from .cef_baseline import CefSingularError, FlowGraph, cef_emission_prices, cef_solve
 from .emission_allocation import InfeasibleAtOriginError, NonProgressError
 from .lp_core import SimplexNumericalError
-from .market_clearing import MarketInfeasibleError, MarketUnboundedError
+from .market_clearing import MarketInfeasibleError
 from .network_model import (
     Branch,
     Bus,
@@ -73,7 +73,7 @@ TRACE_COLUMNS = ["period", "index", "y", "iterations", "start_used",
 
 SCENARIO_KEYS = {
     "name", "enable_storage", "enable_allocation", "kappa_override",
-    "epsilon", "delta", "horizon", "seed", "storage_method",
+    "epsilon", "horizon",
 }
 
 
@@ -261,7 +261,6 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     tau = _num(market, "tau", "market", problems, default=1.0)
     kappa = _num(market, "kappa", "market", problems, default=0.05)
     epsilon = _num(market, "epsilon", "market", problems, default=1e-4)
-    delta = _num(market, "delta", "market", problems, default=0.002)
     slack_bus = _int(market, "slack_bus", "market", problems, default=None)
     loss_offset = _num(market, "loss_offset", "market", problems, default=0.0)
     loss_dir = _bool(market, "loss_direction_dependent", "market", problems)
@@ -360,7 +359,7 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     case = NetworkCase(
         buses=buses, branches=branches, generators=generators, storages=storages,
         load_series=load_series, renewable_series=renewable_series,
-        tau=tau, kappa=kappa, epsilon=epsilon, delta=delta,
+        tau=tau, kappa=kappa, epsilon=epsilon,
         slack_bus=slack_bus, loss_offset=loss_offset,
         loss_direction_dependent=loss_dir,
         name=_str(doc, "name", "case", problems, default=path.stem),
@@ -383,22 +382,11 @@ def _check_scenario_fields(data: dict, path: str, problems: list[str]) -> None:
     for key in ("enable_storage", "enable_allocation"):
         if key in data and not isinstance(data[key], bool):
             problems.append(f"{path}.{key}: expected true/false")
-    for key in ("kappa_override", "epsilon", "delta"):
+    for key in ("kappa_override", "epsilon"):
         if key in data and data[key] is not None:
             _num(data, key, path, problems)
-    for key in ("horizon", "seed"):
-        if key in data and data[key] is not None:
-            _int(data, key, path, problems)
-    method = data.get("storage_method", "proposed")
-    flat = list(method.values()) if isinstance(method, dict) else [method]
-    for m in flat:
-        if not isinstance(m, str) or m.lower() not in ("proposed", "b1", "b2", "b3"):
-            problems.append(f"{path}.storage_method: unknown method {m!r}")
-        elif m.lower() != "proposed":
-            problems.append(
-                f"{path}.storage_method: {m!r} is a price-taking baseline; it "
-                "replays recorded prices, which the compare command produces"
-            )
+    if data.get("horizon") is not None:
+        _int(data, "horizon", path, problems)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -440,7 +428,7 @@ def write_case(case: NetworkCase, path, scenario_defaults: dict | None = None) -
         "units": dict(CANONICAL_UNITS),
         "market": {
             "tau": float(case.tau), "kappa": float(case.kappa),
-            "epsilon": float(case.epsilon), "delta": float(case.delta),
+            "epsilon": float(case.epsilon),
             "slack_bus": int(case.slack_bus),
             "loss_offset": float(case.loss_offset),
             "loss_direction_dependent": bool(case.loss_direction_dependent),
@@ -606,7 +594,6 @@ def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir,
         "case": case.name,
         "periods": len(report.records),
         "scenario": dataclasses.asdict(report.scenario),
-        "seed": report.scenario.seed,
         "versions": {
             "carbomarket": version,
             "numpy": np.__version__,
@@ -624,12 +611,9 @@ def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir,
 
 def _case_with_overrides(args) -> NetworkCase:
     case, _ = load_case_document(args.case)
-    changes = {}
-    if getattr(args, "epsilon", None) is not None:
-        changes["epsilon"] = args.epsilon
-    if getattr(args, "delta", None) is not None:
-        changes["delta"] = args.delta
-    return dataclasses.replace(case, **changes) if changes else case
+    if args.epsilon is not None:
+        case = dataclasses.replace(case, epsilon=args.epsilon)
+    return case
 
 
 def _single_period(case: NetworkCase, period: int):
@@ -699,10 +683,6 @@ def _merged_scenario(args, defaults: dict) -> ScenarioConfig:
     overlay: dict = {}
     if args.scenario:
         overlay.update(_read_yaml(Path(args.scenario)))
-    if args.seed is not None:
-        overlay["seed"] = args.seed
-    if args.delta is not None:
-        overlay["delta"] = args.delta
     if args.epsilon is not None:
         overlay["epsilon"] = args.epsilon
     return build_scenario(defaults, overlay)
@@ -777,8 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, period=False, scenario=False, out=None, delta=False,
-                   epsilon=False, seed=False):
+    def add_common(sp, period=False, scenario=False, out=None):
         sp.add_argument("--case", required=True,
                         help="case file path or bundled case name")
         if period:
@@ -787,34 +766,28 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--scenario", help="scenario YAML file")
         if out is not None:
             sp.add_argument("--out", required=out, help="output directory")
-        if delta:
-            sp.add_argument("--delta", type=float, default=None,
-                            help="allocation sweep step override")
-        if epsilon:
-            sp.add_argument("--epsilon", type=float, default=None,
-                            help="emission tie-break weight override")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--epsilon", type=float, default=None,
+                        help="emission tie-break weight override")
 
     sp = sub.add_parser("clear", help="clear one period and print the dispatch")
-    add_common(sp, period=True, epsilon=True, delta=True)
+    add_common(sp, period=True)
     sp.set_defaults(func=_cmd_clear)
 
     sp = sub.add_parser("allocate",
                         help="clear one period and print emission prices")
-    add_common(sp, period=True, epsilon=True, delta=True)
+    add_common(sp, period=True)
     sp.set_defaults(func=_cmd_allocate)
 
     sp = sub.add_parser("cef", help="flow-tracing baseline prices for one period")
-    add_common(sp, period=True, epsilon=True, delta=True)
+    add_common(sp, period=True)
     sp.set_defaults(func=_cmd_cef)
 
     sp = sub.add_parser("simulate", help="run a horizon and write a report bundle")
-    add_common(sp, scenario=True, out=True, delta=True, epsilon=True, seed=True)
+    add_common(sp, scenario=True, out=True)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("compare", help="run the scenario matrix and baselines")
-    add_common(sp, scenario=True, out=False, delta=True, epsilon=True, seed=True)
+    add_common(sp, scenario=True, out=False)
     sp.set_defaults(func=_cmd_compare)
     return parser
 
@@ -845,5 +818,5 @@ def main(argv=None) -> int:
             return _fail(EXIT_INFEASIBLE, "infeasible", exc)
         return _fail(EXIT_NUMERIC, "numeric", exc)
     except (SimplexNumericalError, NonProgressError, SettlementImbalanceError,
-            CefSingularError, MarketUnboundedError, np.linalg.LinAlgError) as exc:
+            CefSingularError, np.linalg.LinAlgError) as exc:
         return _fail(EXIT_NUMERIC, "numeric", exc)

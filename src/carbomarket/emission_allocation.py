@@ -34,6 +34,10 @@ from .market_clearing import AssembledMarket, ClearingResult, assemble_market_lp
 from .network_model import NetworkCase
 
 
+# probe step of the sweep along the ray, as a share of the ray
+SWEEP_STEP = 0.002
+
+
 class InfeasibleAtOriginError(RuntimeError):
     """Zero demand is undispatchable; integrate from a feasible start instead."""
 
@@ -103,7 +107,7 @@ def build_compact_form(
             net_demand[case.bus_index[agent.bus]] -= p
         else:
             generators.append(agent)
-    market = assemble_market_lp(case, generators, net_demand)
+    market = assemble_market_lp(case, generators, net_demand, loss=clearing.loss)
     return CompactAllocationForm(
         a=market.problem.constraint_matrix, c=market.problem.cost,
         g=market.g, h=market.h, k=market.k,
@@ -142,11 +146,8 @@ def _emission_cost(form: CompactAllocationForm, y: float) -> tuple[float, LpSolu
 
 def aumann_shapley_prices(
     form: CompactAllocationForm,
-    delta: float = 0.002,
     start: FeasibleStart | None = None,
 ) -> AllocationResult:
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     tau = form.tau
     y0 = start.zeta if start is not None else 0.0
     try:
@@ -161,11 +162,11 @@ def aumann_shapley_prices(
     breakpoints: list[tuple[float, tuple[int, ...]]] = []
     y_prev = y0
     iterations = 0
-    max_iter = 16 * int(np.ceil(1.0 / delta)) + 400
+    max_iter = 16 * int(np.ceil(1.0 / SWEEP_STEP)) + 400
     last_basis, last_upper = sol.basis, sol.at_upper
     # E at the last region's probe, and its slope along the ray there
     e_probe, y_probe, slope = e_start, y0, 0.0
-    step = delta
+    step = SWEEP_STEP
     while y_prev < 1.0 - 1e-12:
         iterations += 1
         if iterations > max_iter:
@@ -197,7 +198,7 @@ def aumann_shapley_prices(
         e_probe = float(form.k @ sol.primal) + form.k_offset
         y_probe, slope = probe, float(grad @ ray)
         y_prev = y_next
-        step = delta
+        step = SWEEP_STEP
 
     # E is affine on the last region, which reaches y = 1
     e_star = e_probe + (1.0 - y_probe) * slope
@@ -256,13 +257,10 @@ def feasible_start(case: NetworkCase, form: CompactAllocationForm) -> FeasibleSt
 
 def allocate_period(
     case: NetworkCase, clearing: ClearingResult, period: int = 0,
-    delta: float | None = None,
 ) -> AllocationResult:
     """Build the compact form and run the sweep, falling back to a feasible start."""
     form = build_compact_form(case, clearing, period)
-    step = case.delta if delta is None else delta
     try:
-        return aumann_shapley_prices(form, delta=step)
+        return aumann_shapley_prices(form)
     except InfeasibleAtOriginError:
-        start = feasible_start(case, form)
-        return aumann_shapley_prices(form, delta=step, start=start)
+        return aumann_shapley_prices(form, start=feasible_start(case, form))

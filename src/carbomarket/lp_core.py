@@ -1,15 +1,15 @@
 """Dense two-phase bounded-variable revised simplex with basis, duals, and
 parametric intervals.
 
-Solves ``min c.x  s.t.  A x = b, 0 <= x <= u`` where each column's upper
-bound ``u`` may be +inf (standard form) or finite. Finite upper bounds are
-handled implicitly (Dantzig 1955, "Upper bounds, secondary constraints and
-block triangularity"; Chvatal 1983, *Linear Programming*, ch. 8): a nonbasic
-column sits at either bound, and a step that only moves a column from one
-bound to the other is a bound flip, which changes no basis and needs no
-factorization. The optimal basis index set, the set of nonbasic columns at
-their upper bound, and the dual vector are first-class outputs because the
-emission-price sweep and the locational-price extraction are built on them.
+Solves ``min c.x  s.t.  A x = b, 0 <= x <= u`` where every column's upper
+bound ``u`` is finite. The bounds are handled implicitly (Dantzig 1955,
+"Upper bounds, secondary constraints and block triangularity"; Chvatal 1983,
+*Linear Programming*, ch. 8): a nonbasic column sits at either bound, and a
+step that only moves a column from one bound to the other is a bound flip,
+which changes no basis and needs no factorization. The optimal basis index
+set, the set of nonbasic columns at their upper bound, and the dual vector
+are first-class outputs because the emission-price sweep and the
+locational-price extraction are built on them.
 """
 
 from __future__ import annotations
@@ -28,17 +28,13 @@ PIVOT_TOL = 1e-10
 # pivots below this on a stale eta-updated inverse may be roundoff ghosts
 RISKY_PIVOT_TOL = 1e-7
 REFACTOR_PERIOD = 64
-# LpSolution.outcome values of a solve that finished from the given basis
-WARM_OUTCOMES = ("warm", "repaired")
-
-# at DEBUG: each cold solve's header and one line per pivot and bound flip
+# at DEBUG: each solve's header and one line per pivot and bound flip
 logger = logging.getLogger("carbomarket.lp_core")
 
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class SimplexNumericalError(RuntimeError):
@@ -54,14 +50,14 @@ class LpProblem:
     """Bounded LP: minimize cost.x subject to A x = rhs, 0 <= x <= upper.
 
     Inequalities must be converted to equalities with explicit slack
-    columns before construction; a ranged row gets one slack with a finite
-    upper bound. ``upper`` defaults to +inf for every column.
+    columns before construction; a ranged row gets one slack bounded by the
+    width of its range. Every upper bound must be finite.
     """
 
     cost: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
-    upper: np.ndarray | None = None
+    upper: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.ascontiguousarray(np.asarray(self.cost, dtype=float).ravel())
@@ -74,14 +70,11 @@ class LpProblem:
             )
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LP data must be finite")
-        if self.upper is None:
-            u = np.full(c.size, np.inf)
-        else:
-            u = np.ascontiguousarray(np.asarray(self.upper, dtype=float).ravel())
-            if u.size != c.size:
-                raise ValueError(f"{u.size} upper bounds for {c.size} columns")
-            if not (u >= 0.0).all():  # also rejects NaN
-                raise ValueError("upper bounds must be nonnegative")
+        u = np.ascontiguousarray(np.asarray(self.upper, dtype=float).ravel())
+        if u.size != c.size:
+            raise ValueError(f"{u.size} upper bounds for {c.size} columns")
+        if not ((u >= 0.0) & (u < np.inf)).all():  # also rejects NaN
+            raise ValueError("upper bounds must be finite and nonnegative")
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", b)
@@ -111,10 +104,8 @@ class LpSolution:
     row_violations: np.ndarray | None = None
     # Rows kept after redundant-equality elimination; None when all kept.
     kept_rows: np.ndarray | None = None
-    # How the solve started: "cold", "warm" (the given basis was primal or
-    # dual feasible once its boxed columns sat at their dual feasible
-    # bounds), "repaired" (costs of unbounded columns were shifted to make it
-    # dual feasible), or why a warm start fell back to a cold solve: "size",
+    # How the solve started: "cold", "warm" (it finished from the given
+    # basis), or why a warm start fell back to a cold solve: "size",
     # "singular" or "infeasible".
     outcome: str = "cold"
     # nonbasic columns at their upper bound, ascending
@@ -123,7 +114,7 @@ class LpSolution:
 
     @property
     def warm_started(self) -> bool:
-        return self.outcome in WARM_OUTCOMES
+        return self.outcome == "warm"
 
 
 class _Engine:
@@ -211,7 +202,9 @@ class _Engine:
         reduced[self.basis] = 0.0
         return reduced
 
-    def run_primal(self, cost: np.ndarray, budget: int, phase: str) -> LpStatus:
+    def run_primal(self, cost: np.ndarray, budget: int, phase: str) -> None:
+        """Primal simplex to optimality; every column is boxed, so no ray is
+        unbounded."""
         degen_run = 0
         bland = self.paranoid
         reduced = None  # a bound flip changes neither the basis nor the duals
@@ -225,12 +218,12 @@ class _Engine:
             if bland:
                 eligible = np.flatnonzero(gain > OPTIMALITY_TOL)
                 if eligible.size == 0:
-                    return LpStatus.OPTIMAL
+                    return
                 enter = int(eligible[0])
             else:
                 enter = int(np.argmax(gain))
                 if gain[enter] <= OPTIMALITY_TOL:
-                    return LpStatus.OPTIMAL
+                    return
             direction = self.binv @ self.a[:, enter]
             # x_B falls by step * move as the entering column moves off its bound
             move = -direction if self.at_upper[enter] else direction
@@ -238,13 +231,11 @@ class _Engine:
             ratios = np.full(self.m, np.inf)
             falls = move > PIVOT_TOL
             ratios[falls] = np.maximum(xb[falls], 0.0) / move[falls]
-            rises = (move < -PIVOT_TOL) & np.isfinite(ub)
+            rises = move < -PIVOT_TOL
             ratios[rises] = np.maximum(ub[rises] - xb[rises], 0.0) / -move[rises]
             step = float(ratios.min(initial=np.inf))
             flip = float(self.upper[enter])
             if flip <= step:
-                if not np.isfinite(flip):
-                    return LpStatus.UNBOUNDED
                 # the entering column reaches its other bound first
                 self._log(phase + "-flip", enter, -1, flip, cost, xb)
                 self.at_upper[enter] = not self.at_upper[enter]
@@ -379,7 +370,9 @@ def solve(problem: LpProblem) -> LpSolution:
 def _solve_attempt(problem: LpProblem, paranoid: bool) -> LpSolution:
     """Phase 1 starts every column at 0, makes a row's slack basic wherever
     the slack then lies within its bounds, and puts an artificial, signed to
-    be nonnegative, on each other row."""
+    be nonnegative, on each other row. The artificials start at |rhs| and
+    phase 1 never raises their sum S, so their bound 2S + 1 is out of reach:
+    an artificial that met its bound would leave the basis nonzero."""
     a = problem.constraint_matrix
     b = problem.rhs
     c = problem.cost
@@ -394,8 +387,8 @@ def _solve_attempt(problem: LpProblem, paranoid: bool) -> LpSolution:
     art[art_rows, np.arange(n_art)] = art_sign
     a1 = np.hstack([a, art]) if n_art else a
     basis[art_rows] = n + np.arange(n_art)
-    engine = _Engine(a1, b, np.concatenate([upper, np.full(n_art, np.inf)]), basis,
-                     paranoid=paranoid)
+    art_upper = np.full(n_art, 2.0 * np.abs(b[art_rows]).sum() + 1.0)
+    engine = _Engine(a1, b, np.concatenate([upper, art_upper]), basis, paranoid=paranoid)
     engine.binv = np.diag(1.0 / a1[np.arange(m), basis])
     budget = _pivot_budget(m, n + n_art)
     logger.debug("solve m=%d n=%d paranoid=%d", m, n, int(paranoid))
@@ -403,9 +396,7 @@ def _solve_attempt(problem: LpProblem, paranoid: bool) -> LpSolution:
     if n_art:
         cost1 = np.zeros(n + n_art)
         cost1[n:] = 1.0
-        status = engine.run_primal(cost1, budget, "phase1")
-        if status is not LpStatus.OPTIMAL:
-            raise SimplexNumericalError("phase 1 cannot be unbounded; numerical failure")
+        engine.run_primal(cost1, budget, "phase1")
         xb1 = engine.basic_solution()
         infeas = float(cost1[engine.basis] @ xb1)
         if infeas > FEASIBILITY_TOL * max(1.0, float(np.abs(b).sum())):
@@ -435,9 +426,7 @@ def _solve_attempt(problem: LpProblem, paranoid: bool) -> LpSolution:
             engine = reduced
             engine.refactor()
 
-    status = engine.run_primal(c, budget + engine.steps, "phase2")
-    if status is LpStatus.UNBOUNDED:
-        return LpSolution(status=status, iterations=engine.pivots, bound_flips=engine.flips)
+    engine.run_primal(c, budget + engine.steps, "phase2")
     return _finish(problem, engine, kept_rows)
 
 
@@ -479,22 +468,17 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=()) -> LpSolution
     """Solve re-using a prior basis and the nonbasic columns that sat at
     their upper bounds; falls back to a cold solve when unusable.
 
-    A basis that is primal feasible resumes the primal iteration directly.
-    Otherwise each boxed nonbasic column moves to the bound its reduced cost
-    makes dual feasible, so a basis is dual feasible whenever its unbounded
-    columns are (the common case after a right-hand-side change, since
-    reduced costs do not depend on the rhs); dual simplex then restores
-    primal feasibility. A basis whose unbounded columns are dual infeasible
-    gets their costs shifted: each such column's cost rises by its deficit,
-    dual simplex restores primal feasibility, and primal simplex finishes on
-    the true costs (Koberstein 2005, "The dual simplex method, techniques
-    for a fast and stable implementation").
+    Every column is boxed, so moving each nonbasic column to the bound its
+    reduced cost favours makes any basis dual feasible; the dual simplex
+    then restores primal feasibility (Koberstein 2005, "The dual simplex
+    method, techniques for a fast and stable implementation"). ``at_upper``
+    only decides the columns whose reduced cost is within the optimality
+    tolerance of zero; its basic entries are ignored.
 
     Only a basis of the wrong size, a singular basis or a numerical failure
     falls back to the cold path, and so does a problem the dual simplex
     proves infeasible, so that its row violations come from phase 1.
-    ``outcome`` on the result says which of these happened. ``at_upper``
-    entries that are basic or have no finite upper bound are ignored.
+    ``outcome`` on the result says which of these happened.
     """
     basis = np.asarray(start_basis, dtype=int).ravel()
     if (basis.size != problem.constraint_count or np.unique(basis).size != basis.size
@@ -504,7 +488,6 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=()) -> LpSolution
     cols = np.asarray(at_upper, dtype=int).ravel()
     upper_set[cols[(cols >= 0) & (cols < problem.variable_count)]] = True
     upper_set[basis] = False
-    upper_set &= np.isfinite(problem.upper)
     try:
         sol = _warm_attempt(problem, basis, upper_set)
         reason = "infeasible"
@@ -524,38 +507,17 @@ def _fallback(sol: LpSolution, reason: str) -> LpSolution:
 def _warm_attempt(problem: LpProblem, basis: np.ndarray,
                   at_upper: np.ndarray) -> LpSolution | None:
     """Finish from ``basis``; None when the dual simplex proves infeasibility."""
-    cost = problem.cost
     engine = _Engine(problem.constraint_matrix, problem.rhs, problem.upper, basis,
                      at_upper=at_upper)
+    logger.debug("warm m=%d n=%d", engine.m, engine.n)
     engine.refactor()
-    budget = _pivot_budget(engine.m, engine.n)
-    outcome = "warm"
-    xb = engine.basic_solution()
-    if (xb.min(initial=0.0) >= -FEASIBILITY_TOL
-            and (xb - problem.upper[basis]).max(initial=0.0) <= FEASIBILITY_TOL):
-        status = engine.run_primal(cost, budget, "warm")
-    else:
-        reduced = engine.reduced_costs(cost)
-        boxed = np.isfinite(problem.upper)
-        to_upper = boxed & ~engine.at_upper & (reduced < -1e-7)
-        to_lower = engine.at_upper & (reduced > 1e-7)
-        to_upper[basis] = False
-        engine.at_upper[to_upper] = True
-        engine.at_upper[to_lower] = False
-        engine.flips += int(to_upper.sum() + to_lower.sum())
-        dual_cost = cost
-        if (reduced[~boxed]).min(initial=0.0) < -1e-7:
-            outcome = "repaired"
-            dual_cost = cost + np.where(boxed, 0.0, np.maximum(-reduced, 0.0))
-        status = engine.run_dual(dual_cost, budget)
-        if status is LpStatus.INFEASIBLE:
-            # primal infeasibility does not depend on the costs, shifted or not
-            return None
-        status = engine.run_primal(cost, budget + engine.steps, "polish")
-    if status is LpStatus.UNBOUNDED:
-        return LpSolution(status=status, iterations=engine.pivots,
-                          bound_flips=engine.flips, outcome=outcome)
-    return _finish(problem, engine, None, outcome)
+    reduced = engine.reduced_costs(problem.cost)
+    flip = np.where(engine.at_upper, reduced > OPTIMALITY_TOL, reduced < -OPTIMALITY_TOL)
+    engine.at_upper ^= flip
+    engine.flips += int(flip.sum())
+    if engine.run_dual(problem.cost, _pivot_budget(engine.m, engine.n)) is LpStatus.INFEASIBLE:
+        return None
+    return _finish(problem, engine, None, "warm")
 
 
 def feasibility_interval(basis, a, g, h, ray, upper=None, at_upper=()) -> tuple[float, float]:

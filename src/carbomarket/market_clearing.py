@@ -49,10 +49,6 @@ class MarketInfeasibleError(RuntimeError):
         self.violation = violation
 
 
-class MarketUnboundedError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class AgentBid:
     """One market participant's offer for a single period.
@@ -151,7 +147,7 @@ class ClearingResult:
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sigma_agents: tuple[int, ...] = ()
     loss: np.ndarray | None = None
-    # LpSolution.outcome of the final solve: cold, warm, repaired, or the
+    # LpSolution.outcome of the final solve: cold, warm, or the
     # reason a warm start fell back to cold (size, singular, infeasible)
     outcome: str = "cold"
 
@@ -381,8 +377,6 @@ def clear_market(
             f"market infeasible; most violated: {label} (short by {gap:.6g})",
             row_label=label, violation=gap,
         )
-    if sol.status is LpStatus.UNBOUNDED:
-        raise MarketUnboundedError("clearing LP unbounded; check bid bounds")
     return extract_result(case, form, sol, bids, period)
 
 

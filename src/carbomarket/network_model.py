@@ -237,7 +237,6 @@ class NetworkCase:
     tau: float = 1.0
     kappa: float = 0.05
     epsilon: float = 1e-4
-    delta: float = 0.002
     slack_bus: int | None = None
     loss_offset: float = 0.0
     loss_direction_dependent: bool = False
@@ -301,9 +300,34 @@ def _curve_covers(curve: PiecewiseLinearCurve, lo: float, hi: float) -> bool:
     return curve.domain[0] <= lo + 1e-9 and curve.domain[1] >= hi - 1e-9
 
 
+def _non_finite(tag: str, obj, names) -> list[str]:
+    """A problem for each named number of ``obj`` that is NaN or infinite."""
+    return [f"{tag}: {name} must be finite" for name in names
+            if getattr(obj, name) is not None
+            and not np.isfinite(np.asarray(getattr(obj, name), dtype=float)).all()]
+
+
 def validate_case(case: NetworkCase) -> list[str]:
     """Collect every invariant violation; an empty list means a clean case."""
-    problems: list[str] = []
+    # the LPs are built from these numbers and box every column with them, so
+    # none may be NaN or infinite
+    problems = _non_finite("market", case, ("tau", "kappa", "epsilon", "loss_offset"))
+    problems += _non_finite("series", case, ("load_series",))
+    for name, series in case.renewable_series.items():
+        if not np.isfinite(series).all():
+            problems.append(f"series: renewable_series[{name}] must be finite")
+    for b in case.buses:
+        problems += _non_finite(f"bus {b.id}", b, ("loss_sensitivity",))
+    for br in case.branches:
+        problems += _non_finite(f"branch {br.from_bus}-{br.to_bus}", br,
+                                ("capacity", "reactance", "ptdf_row"))
+    for g in case.generators:
+        problems += _non_finite(f"generator {g.name}", g, ("p_min", "p_max", "unit_emission"))
+        for curve in ("fuel_curve", "emission_curve"):
+            problems += _non_finite(f"generator {g.name} {curve}", getattr(g, curve), ("domain",))
+    for s in case.storages:
+        problems += _non_finite(f"storage {s.name}", s, (
+            "p_max", "eta_c", "eta_d", "e_min", "e_max", "e_init", "gamma_lo", "gamma_hi"))
     ids = case.bus_ids
     if len(set(ids)) != len(ids):
         problems.append("buses: duplicate bus ids")
@@ -333,8 +357,6 @@ def validate_case(case: NetworkCase) -> list[str]:
         problems.append("epsilon: must be > 0")
     if case.tau <= 0:
         problems.append("tau: must be > 0")
-    if case.delta <= 0:
-        problems.append("delta: must be > 0")
     names = [g.name for g in case.generators] + [s.name for s in case.storages]
     if len(set(names)) != len(names):
         problems.append("agents: duplicate names")

@@ -54,9 +54,6 @@ class SimulationAbort(RuntimeError):
         self.report = report
 
 
-STORAGE_METHODS = ("proposed", "b1", "b2", "b3")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "proposed"
@@ -64,22 +61,7 @@ class ScenarioConfig:
     enable_allocation: bool = True
     kappa_override: float | None = None
     epsilon: float | None = None
-    delta: float | None = None
     horizon: int | None = None
-    seed: int | None = None
-    # "proposed" storages bid into the market; b1/b2/b3 are price takers
-    # evaluated afterwards on the recorded price path (b3 is the hindsight
-    # optimum, only meaningful on recorded prices). A dict picks per storage.
-    storage_method: str | dict[str, str] = "proposed"
-
-    def method_for(self, name: str) -> str:
-        method = self.storage_method
-        if isinstance(method, dict):
-            method = method.get(name, "proposed")
-        method = method.lower()
-        if method not in STORAGE_METHODS:
-            raise ValueError(f"unknown storage method {method!r} for {name}")
-        return method
 
     @classmethod
     def proposed(cls, **kw) -> "ScenarioConfig":
@@ -293,8 +275,6 @@ def _effective_case(case: NetworkCase, scenario: ScenarioConfig) -> NetworkCase:
         changes["kappa"] = scenario.kappa_override
     if scenario.epsilon is not None:
         changes["epsilon"] = scenario.epsilon
-    if scenario.delta is not None:
-        changes["delta"] = scenario.delta
     return dataclasses.replace(case, **changes) if changes else case
 
 
@@ -393,11 +373,6 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
     states: dict[str, StorageState] = {}
     if scenario.enable_storage:
         for unit in case.storages:
-            if scenario.method_for(unit.name) != "proposed":
-                raise ValueError(
-                    f"storage {unit.name}: baseline methods are price takers; "
-                    "run the proposed scenario, then replay_storage on its prices"
-                )
             params[unit.name] = choose_parameters(unit)
             states[unit.name] = initial_state(unit, params[unit.name])
     records: list[PeriodRecord] = []

@@ -143,6 +143,6 @@ def replica30_case(horizon: int = 672, seed: int = DEFAULT_SERIES_SEED) -> Netwo
     return NetworkCase(
         buses=buses, branches=branches, generators=generators, storages=storages,
         load_series=loads, renewable_series=renew,
-        tau=1.0, kappa=0.05, epsilon=1e-4, delta=0.002,
+        tau=1.0, kappa=0.05, epsilon=1e-4,
         slack_bus=1, name="replica30",
     )

@@ -94,7 +94,7 @@ def test_criterion_02_price_sweep_matches_dense_integration():
         forms.append(build_compact_form(case, clearing))
     worst_gap, worst_iters = 0.0, 0
     for form in forms:
-        res = aumann_shapley_prices(form, delta=0.002)
+        res = aumann_shapley_prices(form)
         oracle = c2_psi(form, 100_000)
         scale = max(float(np.max(np.abs(res.psi))), 1e-12)
         gap = float(np.max(np.abs(res.psi - oracle))) / scale

@@ -71,7 +71,7 @@ def two_bus_case(loss_offset=0.0):
         storages=[es],
         load_series=np.array([[10.0, 3.0], [11.0, 2.0], [12.0, 4.0], [9.0, 5.0]]),
         renewable_series={"wind2": np.array([6.0, 0.0, 8.0, 2.0])},
-        tau=0.25, kappa=0.05, epsilon=1e-4, delta=0.01,
+        tau=0.25, kappa=0.05, epsilon=1e-4,
         loss_offset=loss_offset, name="two_bus")
 
 
@@ -88,7 +88,7 @@ def assert_cases_equal(a: NetworkCase, b: NetworkCase) -> None:
     assert set(a.renewable_series) == set(b.renewable_series)
     for key in a.renewable_series:
         assert np.array_equal(a.renewable_series[key], b.renewable_series[key])
-    for field in ("tau", "kappa", "epsilon", "delta", "slack_bus",
+    for field in ("tau", "kappa", "epsilon", "slack_bus",
                   "loss_offset", "loss_direction_dependent", "name"):
         assert getattr(a, field) == getattr(b, field), field
 
@@ -105,6 +105,17 @@ def test_round_trip_is_exact(tmp_path):
     case = two_bus_case(loss_offset=0.3)
     write_case(case, tmp_path / "two_bus.yaml")
     assert_cases_equal(load_case(tmp_path / "two_bus.yaml"), case)
+
+
+def test_a_retired_market_delta_still_loads(tmp_path):
+    # the sweep step is no longer a case field; old files that set it still load
+    case = two_bus_case()
+    write_case(case, tmp_path / "c.yaml")
+    text = (tmp_path / "c.yaml").read_text()
+    assert "epsilon: 0.0001," in text
+    text = text.replace("epsilon: 0.0001,", "epsilon: 0.0001, delta: 0.01,")
+    (tmp_path / "c.yaml").write_text(text)
+    assert_cases_equal(load_case(tmp_path / "c.yaml"), case)
 
 
 def test_round_trip_survives_a_second_pass(tmp_path):
@@ -186,6 +197,23 @@ def test_schema_errors_list_every_problem(tmp_path):
     assert len(problems) >= 5
 
 
+@pytest.mark.parametrize("target, old, new, field", [
+    ("c.yaml", "capacity: 5.0", "capacity: .inf", "branch 1-2: capacity must be finite"),
+    ("c.yaml", "capacity: 5.0", "capacity: .nan", "branch 1-2: capacity must be finite"),
+    ("c_loads.csv", "10.0,3.0", "nan,3.0", "series: load_series must be finite"),
+], ids=["inf-capacity", "nan-capacity", "nan-load"])
+def test_non_finite_numbers_exit_3_and_name_the_field(tmp_path, capsys, target, old, new, field):
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    path = tmp_path / target
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    assert main(["clear", "--case", str(tmp_path / "c.yaml")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error code=3 kind=data" in err
+    assert field in err
+
+
 def test_series_column_mismatches_are_reported(tmp_path):
     write_case(two_bus_case(), tmp_path / "c.yaml")
     loads = tmp_path / "c_loads.csv"
@@ -204,9 +232,9 @@ def test_series_column_mismatches_are_reported(tmp_path):
 
 def test_case_document_carries_scenario_defaults(tmp_path):
     write_case(two_bus_case(), tmp_path / "c.yaml",
-               scenario_defaults={"horizon": 2, "seed": 11})
+               scenario_defaults={"horizon": 2, "enable_allocation": False})
     case, defaults = load_case_document(tmp_path / "c.yaml")
-    assert defaults == {"horizon": 2, "seed": 11}
+    assert defaults == {"horizon": 2, "enable_allocation": False}
     assert case.horizon == 4
 
 
@@ -215,27 +243,26 @@ def test_case_document_carries_scenario_defaults(tmp_path):
 
 def test_scenario_file_loads_and_rejects_unknowns(tmp_path):
     good = tmp_path / "s.yaml"
-    good.write_text("horizon: 3\nenable_allocation: false\nseed: 5\n")
+    good.write_text("horizon: 3\nenable_allocation: false\nepsilon: 0.0002\n")
     scenario = load_scenario(good)
-    assert (scenario.horizon, scenario.enable_allocation, scenario.seed) == \
-        (3, False, 5)
+    assert (scenario.horizon, scenario.enable_allocation, scenario.epsilon) == \
+        (3, False, 2e-4)
     bad = tmp_path / "t.yaml"
-    bad.write_text("horizont: 3\n")
-    with pytest.raises(CaseSchemaError, match="unknown scenario field"):
-        load_scenario(bad)
+    # a misspelt key, and the retired seed and delta settings
+    for doc in ("horizont: 3\n", "seed: 5\n", "delta: 0.01\n"):
+        bad.write_text(doc)
+        with pytest.raises(CaseSchemaError, match="unknown scenario field"):
+            load_scenario(bad)
 
 
 def test_scenario_file_rejects_price_taking_methods(tmp_path):
+    # storages always bid the proposed policy; the price-taking baselines
+    # only replay recorded prices, so no scenario key selects a method
     doc = tmp_path / "s.yaml"
-    doc.write_text("storage_method: b2\n")
-    with pytest.raises(CaseSchemaError, match="price-taking"):
-        load_scenario(doc)
-    doc.write_text("storage_method: {es2: b3}\n")
-    with pytest.raises(CaseSchemaError, match="price-taking"):
-        load_scenario(doc)
-    doc.write_text("storage_method: warp\n")
-    with pytest.raises(CaseSchemaError, match="unknown method"):
-        load_scenario(doc)
+    for method in ("b2", "{es2: b3}", "proposed"):
+        doc.write_text(f"storage_method: {method}\n")
+        with pytest.raises(CaseSchemaError, match="storage_method: unknown scenario field"):
+            load_scenario(doc)
 
 
 # ----------------------------------------------------------- report bundle
@@ -246,8 +273,7 @@ def simulated_bundle(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundle")
     write_case(two_bus_case(loss_offset=0.3), root / "c.yaml")
     out = root / "report"
-    code = main(["simulate", "--case", str(root / "c.yaml"),
-                 "--out", str(out), "--seed", "9"])
+    code = main(["simulate", "--case", str(root / "c.yaml"), "--out", str(out)])
     assert code == EXIT_OK
     return out
 
@@ -258,8 +284,8 @@ def test_bundle_has_all_four_files(simulated_bundle):
     meta = json.loads((simulated_bundle / "meta.json").read_text())
     assert meta["case"] == "two_bus"
     assert meta["periods"] == 4
-    assert meta["seed"] == 9
-    assert meta["scenario"]["storage_method"] == "proposed"
+    assert set(meta["scenario"]) == {"name", "enable_storage", "enable_allocation",
+                                     "kappa_override", "epsilon", "horizon"}
     assert set(meta["versions"]) == {"carbomarket", "numpy", "scipy", "python"}
 
 
@@ -421,14 +447,15 @@ def test_flag_overrides_reach_the_solver(tmp_path, capsys):
     out = tmp_path / "r"
     scenario = tmp_path / "s.yaml"
     scenario.write_text("horizon: 2\n")
-    assert main(["simulate", "--case", str(tmp_path / "c.yaml"),
-                 "--scenario", str(scenario), "--out", str(out),
-                 "--seed", "3", "--delta", "0.2", "--epsilon", "1e-5"]) == EXIT_OK
-    capsys.readouterr()
+    command = ["simulate", "--case", str(tmp_path / "c.yaml"),
+               "--scenario", str(scenario), "--out", str(out)]
+    assert main(command + ["--epsilon", "1e-5"]) == EXIT_OK
     meta = json.loads((out / "meta.json").read_text())
     assert meta["periods"] == 2
-    assert meta["scenario"]["seed"] == 3
-    assert meta["scenario"]["delta"] == 0.2
     assert meta["scenario"]["epsilon"] == 1e-5
+    # the sweep step and the seed are no longer settings
+    assert main(command + ["--delta", "0.2"]) == EXIT_USAGE
+    assert main(command + ["--seed", "3"]) == EXIT_USAGE
+    capsys.readouterr()
     trace = read_csv(out / "trace.csv")
     assert max(int(r["index"]) for r in trace) <= 6

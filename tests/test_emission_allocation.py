@@ -15,7 +15,7 @@ from carbomarket.emission_allocation import (
     _emission_cost,
 )
 from carbomarket.lp_core import LpStatus, solve
-from carbomarket.market_clearing import AgentBid, BidSet, clear_market
+from carbomarket.market_clearing import AgentBid, BidSet, clear_market, loss_direction_iterate
 from carbomarket.network_model import (
     Branch,
     Bus,
@@ -107,6 +107,25 @@ def test_form_reproduces_clearing_emission_on_replica():
     assert e_star == pytest.approx(expected, rel=1e-7)
 
 
+def test_sweep_prices_the_loss_vector_the_clearing_converged_to():
+    # bus 1 exports and bus 2 imports, so the clearing settles on the signed
+    # losses (+0.05, -0.03); the sweep must price that dispatch, not the
+    # case's unsigned losses, or part of the emission cost goes unallocated
+    case = NetworkCase(
+        buses=[Bus(1, loss_sensitivity=0.05), Bus(2, loss_sensitivity=0.03)],
+        branches=[Branch(1, 2, capacity=50.0, reactance=0.1)], generators=[], storages=[],
+        load_series=np.zeros((1, 2)), tau=1.0, kappa=KAPPA, epsilon=1e-4,
+        loss_direction_dependent=True,
+    )
+    agents = [gen_bid("cheap", 1, 20.0, 50.0, 0.5), gen_bid("dear", 2, 40.0, 50.0, 0.5)]
+    clearing = loss_direction_iterate(case, BidSet(agents=agents, demand=np.array([0.0, 10.0])))
+    np.testing.assert_array_equal(clearing.loss, [0.05, -0.03])
+    res = allocate_period(case, clearing)
+    expected = KAPPA * case.tau / 2 * clearing.total_emission
+    assert res.emission_cost_at_star == pytest.approx(expected, rel=1e-9)
+    assert res.cost_sharing_error <= 1e-9
+
+
 def test_partial_derivative_single_and_two_generator():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, 0.5)], [7.0])
@@ -147,7 +166,7 @@ def test_partial_derivative_matches_finite_difference():
 def test_sweep_single_generator_flat_price():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, 0.5)], [7.0])
-    res = aumann_shapley_prices(form, delta=0.002)
+    res = aumann_shapley_prices(form)
     np.testing.assert_allclose(res.psi, KAPPA * 0.5 / 2, atol=1e-12)
     assert len(res.breakpoints) == 1
     assert res.breakpoints[0][0] == pytest.approx(1.0)
@@ -163,7 +182,7 @@ def two_generator_crossing_form():
 
 def test_sweep_two_generator_breakpoint_at_half():
     case, form = two_generator_crossing_form()
-    res = aumann_shapley_prices(form, delta=0.002)
+    res = aumann_shapley_prices(form)
     expected = KAPPA * (0.5 * 0.2 + 0.5 * 0.8) / 2
     np.testing.assert_allclose(res.psi, expected, rtol=1e-9)
     assert len(res.breakpoints) == 2
@@ -173,7 +192,7 @@ def test_sweep_two_generator_breakpoint_at_half():
 
 def test_sweep_matches_dense_c2_oracle():
     _, form = two_generator_crossing_form()
-    res = aumann_shapley_prices(form, delta=0.002)
+    res = aumann_shapley_prices(form)
     oracle = c2_psi(form, 100_000)
     gap = np.max(np.abs(res.psi - oracle)) / np.max(np.abs(res.psi))
     assert gap <= 1e-4
@@ -185,7 +204,7 @@ def test_breakpoints_match_grid_scan_three_regions():
               gen_bid("g2", 1, 20.0, 4.0, 0.3),
               gen_bid("g3", 1, 30.0, 5.0, 0.8)]
     _, form = cleared_form(case, agents, [10.0])
-    res = aumann_shapley_prices(form, delta=0.002)
+    res = aumann_shapley_prices(form)
     interior = [y for y, _ in res.breakpoints if y < 1.0 - 1e-9]
     assert interior == pytest.approx([0.3, 0.7], abs=1e-9)
     boundaries, regions = scan_basis_regions(form, step=1e-4)
@@ -215,7 +234,7 @@ def test_storage_and_load_share_one_bus_price():
     case = single_bus_case()
     agents = [gen_bid("g", 1, 30.0, 20.0, 0.5), storage_bid("es", 1, lo=50.0, hi=90.0)]
     clearing, form = cleared_form(case, agents, [3.0])
-    res = aumann_shapley_prices(form, delta=0.002)
+    res = aumann_shapley_prices(form)
     psi_bus = res.psi[0]
     p_es = clearing.power("es")
     assert res.storage_cost["es"] == pytest.approx(-psi_bus * p_es * 1000.0, rel=1e-12)
@@ -231,13 +250,13 @@ def test_feasible_start_zeta_values():
     agents = [gen_bid("g", 1, 30.0, 50.0, 0.5, p_min=10.0)]
     clearing, form2 = cleared_form(case, agents, [40.0])
     with pytest.raises(InfeasibleAtOriginError):
-        aumann_shapley_prices(form2, delta=0.002)
+        aumann_shapley_prices(form2)
     start2 = feasible_start(case, form2)
     assert start2.zeta == pytest.approx(0.25, abs=1e-9)
     share_total = sum(start2.storage_share.values()) + float(start2.load_share.sum())
     assert share_total == pytest.approx(start2.emission_cost, rel=1e-12)
 
-    res = aumann_shapley_prices(form2, delta=0.002, start=start2)
+    res = aumann_shapley_prices(form2, start=start2)
     assert res.cost_sharing_error <= 1e-9
     # with the start share folded into psi, everything allocated adds to E*
     total = sum(res.storage_cost.values()) + float(res.load_cost.sum())
@@ -260,7 +279,7 @@ def _rescaled(case, clearing, factor):
     scaled_case = NetworkCase(
         buses=[Bus(b.id, b.loss_sensitivity) for b in case.buses], branches=branches,
         generators=[], storages=[], load_series=case.load_series * factor, tau=case.tau,
-        kappa=case.kappa, epsilon=case.epsilon, delta=case.delta,
+        kappa=case.kappa, epsilon=case.epsilon,
         slack_bus=case.slack_bus, loss_offset=case.loss_offset * factor,
     )
     agents = [
@@ -282,10 +301,9 @@ def test_allocated_dollars_do_not_move_when_the_case_is_restated_in_kw():
     two, _ = cleared_form(
         case, [gen_bid("b", 1, 20.0, 5.0, 0.2), gen_bid("a", 1, 40.0, 20.0, 0.8)], [10.0])
     for clearing in (one, two):
-        base = aumann_shapley_prices(build_compact_form(case, clearing), delta=case.delta)
+        base = aumann_shapley_prices(build_compact_form(case, clearing))
         scaled_case, scaled_clearing = _rescaled(case, clearing, factor=1000.0)
-        scaled = aumann_shapley_prices(build_compact_form(scaled_case, scaled_clearing),
-                                       delta=case.delta)
+        scaled = aumann_shapley_prices(build_compact_form(scaled_case, scaled_clearing))
         assert base.load_cost.sum() > 0.0
         denom = np.maximum(np.abs(base.load_cost), 1.0)
         assert np.max(np.abs(scaled.load_cost - base.load_cost) / denom) <= 1e-8

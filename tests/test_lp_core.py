@@ -20,25 +20,53 @@ from oracles import tableau_simplex
 
 
 def random_equality_lp(rng, m=10, n=20):
+    """Feasible by construction, with every column boxed in [0, 3]; the
+    feasible point lies inside the box and the box can bind at the optimum."""
     a = rng.normal(size=(m, n))
     feasible_x = rng.uniform(0.5, 1.5, size=n)
     b = a @ feasible_x
     c = rng.uniform(0.1, 1.0, size=n)
-    return LpProblem(cost=c, constraint_matrix=a, rhs=b)
+    return LpProblem(cost=c, constraint_matrix=a, rhs=b, upper=np.full(n, 3.0))
 
 
 def random_inequality_lp(rng, m=8, n=12):
-    """A x <= b with x >= 0, assembled with explicit slack columns."""
+    """A x <= b with x >= 0, assembled with explicit slack columns. Each box
+    is twice the bound the rows already imply, so no box ever binds and the
+    LP is the same as without them."""
     a = rng.uniform(0.0, 1.0, size=(m, n))
     b = rng.uniform(5.0, 10.0, size=m)
     c = rng.uniform(-1.0, 1.0, size=n)
     full_a = np.hstack([a, np.eye(m)])
     full_c = np.concatenate([c, np.zeros(m)])
-    return LpProblem(cost=full_c, constraint_matrix=full_a, rhs=b), m, n
+    upper = 2.0 * np.concatenate([(b[:, None] / a).min(axis=0), b])
+    return LpProblem(cost=full_c, constraint_matrix=full_a, rhs=b, upper=upper), m, n
+
+
+def with_bound_rows(prob):
+    """The same LP in standard form: each bound becomes a row x_j + s_j = u_j."""
+    m, n = prob.constraint_count, prob.variable_count
+    a = np.zeros((m + n, 2 * n))
+    a[:m, :n] = prob.constraint_matrix
+    a[m:, :n] = np.eye(n)
+    a[m:, n:] = np.eye(n)
+    return np.concatenate([prob.cost, np.zeros(n)]), a, np.concatenate([prob.rhs, prob.upper])
+
+
+def assert_bounded_optimality(prob, sol, tol=1e-9):
+    """Columns at 0 price nonnegative, columns at their upper bound
+    nonpositive, and the columns ``at_upper`` names sit at their bound."""
+    reduced = prob.cost - prob.constraint_matrix.T @ sol.duals
+    nonbasic = np.setdiff1d(np.arange(prob.variable_count), sol.basis)
+    at_upper = np.isin(nonbasic, sol.at_upper)
+    assert np.all(sol.primal[nonbasic[~at_upper]] == 0.0)
+    np.testing.assert_array_equal(sol.primal[sol.at_upper], prob.upper[sol.at_upper])
+    assert reduced[nonbasic[~at_upper]].min(initial=0.0) >= -tol
+    assert reduced[nonbasic[at_upper]].max(initial=0.0) <= tol
 
 
 def test_one_constraint_lp():
-    prob = LpProblem(cost=[1.0, 0.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0])
+    prob = LpProblem(cost=[1.0, 0.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0],
+                     upper=[2.0, 2.0])
     sol = solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     np.testing.assert_allclose(sol.primal, [0.0, 1.0], atol=1e-12)
@@ -47,7 +75,8 @@ def test_one_constraint_lp():
 
 
 def test_single_bound_binds():
-    prob = LpProblem(cost=[-1.0, 0.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0])
+    prob = LpProblem(cost=[-1.0, 0.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0],
+                     upper=[2.0, 2.0])
     sol = solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-12)
@@ -56,17 +85,32 @@ def test_single_bound_binds():
 
 
 def test_infeasible_reports_violation():
-    prob = LpProblem(cost=[1.0, 1.0], constraint_matrix=[[1.0, 1.0]], rhs=[-1.0])
+    prob = LpProblem(cost=[1.0, 1.0], constraint_matrix=[[1.0, 1.0]], rhs=[-1.0],
+                     upper=[1.0, 1.0])
     sol = solve(prob)
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.row_violations is not None
     assert sol.row_violations[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_unbounded():
-    prob = LpProblem(cost=[-1.0, 0.0], constraint_matrix=[[1.0, -1.0]], rhs=[1.0])
+def test_infeasible_when_the_first_phase1_pivot_ties_on_every_artificial():
+    # x must be -0.5 and 0 at once. Every column sits in several rows, so
+    # each row gets an artificial, and the first ratio test ties all three
+    # at 0; the artificial leaving there must not leave at its bound with
+    # its value still owed to row 0.
+    prob = LpProblem(cost=[0.0], constraint_matrix=[[-2.0], [1.5], [1.5]],
+                     rhs=[1.0, 0.0, 0.0], upper=[1.0])
     sol = solve(prob)
-    assert sol.status is LpStatus.UNBOUNDED
+    assert sol.status is LpStatus.INFEASIBLE
+    assert np.abs(sol.row_violations).max() > 0.0
+
+
+def test_upper_bounds_must_be_finite_and_nonnegative():
+    # every column is boxed, so no LP can be unbounded
+    for bound in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="upper bounds must be finite and nonnegative"):
+            LpProblem(cost=[-1.0, 0.0], constraint_matrix=[[1.0, -1.0]], rhs=[1.0],
+                      upper=[bound, 1.0])
 
 
 def test_random_lps_match_tableau_oracle():
@@ -74,7 +118,7 @@ def test_random_lps_match_tableau_oracle():
     for _ in range(30):
         prob = random_equality_lp(rng)
         sol = solve(prob)
-        status, _, obj = tableau_simplex(prob.cost, prob.constraint_matrix, prob.rhs)
+        status, _, obj = tableau_simplex(*with_bound_rows(prob))
         assert sol.status is LpStatus.OPTIMAL
         assert status == "optimal"
         assert abs(sol.objective - obj) <= 1e-7 * max(1.0, abs(obj))
@@ -86,12 +130,9 @@ def test_solution_invariants_on_random_instances():
         prob = random_equality_lp(rng, m=8, n=16)
         sol = solve(prob)
         assert sol.status is LpStatus.OPTIMAL
-        nonbasic = np.setdiff1d(np.arange(prob.variable_count), sol.basis)
-        assert np.all(sol.primal[nonbasic] == 0.0)
-        residual = prob.constraint_matrix[:, sol.basis] @ sol.primal[sol.basis] - prob.rhs
+        assert_bounded_optimality(prob, sol)
+        residual = prob.constraint_matrix @ sol.primal - prob.rhs
         assert np.abs(residual).max() <= 1e-8 * max(1.0, np.abs(prob.rhs).max())
-        reduced = prob.cost - prob.constraint_matrix.T @ sol.duals
-        assert reduced[nonbasic].min(initial=0.0) >= -1e-9
 
 
 def test_strong_duality_and_complementary_slackness():
@@ -100,6 +141,7 @@ def test_strong_duality_and_complementary_slackness():
         prob, m, n = random_inequality_lp(rng)
         sol = solve(prob)
         assert sol.status is LpStatus.OPTIMAL
+        assert sol.at_upper.size == 0  # the boxes never bind
         dual_obj = float(sol.duals @ prob.rhs)
         assert abs(dual_obj - sol.objective) <= 1e-7 * max(1.0, abs(sol.objective))
         slacks = sol.primal[n:]
@@ -119,7 +161,8 @@ def test_beale_cycling_instance_terminates():
     )
     c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
     b = np.array([0.0, 0.0, 1.0])
-    prob = LpProblem(cost=c, constraint_matrix=a, rhs=b)
+    # the box holds the optimum (1/25, 0, 1, 0, 3/100, 0, 0) inside
+    prob = LpProblem(cost=c, constraint_matrix=a, rhs=b, upper=np.full(7, 10.0))
     sol = solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(-0.05, abs=1e-10)
@@ -138,11 +181,11 @@ def test_degenerate_duplicated_rhs_instances():
         a[3, -1] += 1.0
         b[3] = b[2] + sparse_x[-1]
         c = rng.uniform(0.1, 1.0, size=n)
-        prob = LpProblem(cost=c, constraint_matrix=a, rhs=b)
+        prob = LpProblem(cost=c, constraint_matrix=a, rhs=b, upper=np.full(n, 2.0))
         sol = solve(prob)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.iterations <= 50 * prob.variable_count
-        status, _, obj = tableau_simplex(c, a, b)
+        status, _, obj = tableau_simplex(*with_bound_rows(prob))
         assert status == "optimal"
         assert abs(sol.objective - obj) <= 1e-7 * max(1.0, abs(obj))
 
@@ -151,7 +194,7 @@ def test_redundant_row_is_dropped():
     a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([1.0, 2.0, 1.5])
     c = np.array([1.0, 2.0, 0.5])
-    prob = LpProblem(cost=c, constraint_matrix=a, rhs=b)
+    prob = LpProblem(cost=c, constraint_matrix=a, rhs=b, upper=np.full(3, 2.0))
     sol = solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.kept_rows is not None and len(sol.kept_rows) == 2
@@ -180,6 +223,7 @@ def test_warm_start_equivalence_on_perturbed_rhs():
             cost=prob.cost,
             constraint_matrix=prob.constraint_matrix,
             rhs=prob.rhs * (1.0 + rng.uniform(-0.05, 0.05, size=prob.constraint_count)),
+            upper=prob.upper,
         )
         re_cold = solve(bumped)
         warm = solve_with_basis(bumped, cold.basis)
@@ -194,7 +238,7 @@ def test_warm_start_singular_fallback():
     a = np.array([[1.0, 1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     b = np.array([2.0, 1.0])
     c = np.array([1.0, 1.0, 3.0, 0.5])
-    prob = LpProblem(cost=c, constraint_matrix=a, rhs=b)
+    prob = LpProblem(cost=c, constraint_matrix=a, rhs=b, upper=np.full(4, 5.0))
     cold = solve(prob)
     # Columns 0 and 2 are independent; 0 and 1 are not singular either, so
     # use duplicated column indices rejected upfront plus a truly singular pair.
@@ -206,18 +250,26 @@ def test_warm_start_singular_fallback():
     assert short.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
-def basic_solution_and_reduced_costs(prob, basis):
+def basic_solution_and_gains(prob, basis, at_upper=()):
+    """x_B with the ``at_upper`` columns at their bounds, and per column how
+    much the objective falls per unit moved off its bound (> 0: dual
+    infeasible)."""
+    upper_set = np.zeros(prob.variable_count, dtype=bool)
+    upper_set[list(at_upper)] = True
     a_b = prob.constraint_matrix[:, basis]
-    xb = np.linalg.solve(a_b, prob.rhs)
+    xb = np.linalg.solve(a_b, prob.rhs - prob.constraint_matrix[:, upper_set]
+                         @ prob.upper[upper_set])
     y = np.linalg.solve(a_b.T, prob.cost[basis])
     reduced = prob.cost - prob.constraint_matrix.T @ y
     reduced[basis] = 0.0
-    return xb, reduced
+    return xb, np.where(upper_set, reduced, -reduced)
 
 
-def test_warm_start_repairs_a_basis_neither_primal_nor_dual_feasible():
+def test_warm_start_from_a_basis_neither_primal_nor_dual_feasible_flips_then_finishes():
+    # moving each nonbasic column to the bound its reduced cost favours makes
+    # any basis of a boxed LP dual feasible, so the dual simplex finishes it
     rng = np.random.default_rng(4242)
-    repaired = 0
+    started = 0
     for _ in range(200):
         prob = random_equality_lp(rng, m=8, n=16)
         old = solve(prob)
@@ -226,17 +278,21 @@ def test_warm_start_repairs_a_basis_neither_primal_nor_dual_feasible():
             cost=prob.cost * rng.uniform(0.3, 1.7, size=prob.variable_count),
             constraint_matrix=prob.constraint_matrix,
             rhs=prob.constraint_matrix @ rng.uniform(0.5, 1.5, size=prob.variable_count),
+            upper=prob.upper,
         )
-        xb, reduced = basic_solution_and_reduced_costs(moved, old.basis)
-        if xb.min() >= -1e-6 or reduced.min() >= -1e-6:
+        xb, gain = basic_solution_and_gains(moved, old.basis, old.at_upper)
+        primal_feasible = xb.min() >= -1e-6 and (xb - moved.upper[old.basis]).max() <= 1e-6
+        if primal_feasible or gain.max() <= 1e-6:
             continue  # still primal or dual feasible: not the case under test
-        warm = solve_with_basis(moved, old.basis)
+        warm = solve_with_basis(moved, old.basis, old.at_upper)
         cold = solve(moved)
-        assert warm.outcome == "repaired" and warm.warm_started
+        assert warm.outcome == "warm" and warm.warm_started
+        assert warm.bound_flips >= int((gain > 1e-6).sum())
         assert warm.status is LpStatus.OPTIMAL and cold.status is LpStatus.OPTIMAL
         assert abs(warm.objective - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
-        repaired += 1
-    assert repaired >= 20
+        assert_bounded_optimality(moved, warm)
+        started += 1
+    assert started >= 20
 
 
 @pytest.mark.parametrize("move_cost", [False, True])
@@ -249,12 +305,14 @@ def test_infeasible_problem_on_the_warm_path_reports_row_violations(move_cost):
     rhs[2] = -1.0  # nonnegative row coefficients and slack cannot sum below zero
     cost = prob.cost.copy()
     if move_cost:
-        # make the old basis dual infeasible too, so the repair path runs
+        # make the old basis dual infeasible too, so the start flips columns
+        # to their upper bounds before the dual simplex runs
         nonbasic = np.setdiff1d(np.arange(prob.variable_count), old.basis)
         cost[nonbasic] -= 5.0
-    moved = LpProblem(cost=cost, constraint_matrix=prob.constraint_matrix, rhs=rhs)
-    xb, reduced = basic_solution_and_reduced_costs(moved, old.basis)
-    assert xb.min() < 0.0 and (reduced.min() < -1e-9) == move_cost
+    moved = LpProblem(cost=cost, constraint_matrix=prob.constraint_matrix, rhs=rhs,
+                      upper=prob.upper)
+    xb, gain = basic_solution_and_gains(moved, old.basis)
+    assert xb.min() < 0.0 and (gain.max() > 1e-9) == move_cost
     warm = solve_with_basis(moved, old.basis)
     assert warm.status is LpStatus.INFEASIBLE
     assert warm.outcome == "infeasible" and not warm.warm_started
@@ -298,7 +356,9 @@ def test_parametric_breakpoints_match_grid_scan():
     ray = np.array([1.0])
 
     def solve_at(y):
-        return solve(LpProblem(cost=c, constraint_matrix=a, rhs=(g @ (y * ray) + h)))
+        # the rows cap the columns at 10, 4, 8 and 8, so this box never binds
+        return solve(LpProblem(cost=c, constraint_matrix=a, rhs=(g @ (y * ray) + h),
+                               upper=np.full(4, 20.0)))
 
     scan_breaks = []
     prev_basis = None
@@ -318,14 +378,23 @@ def test_parametric_breakpoints_match_grid_scan():
 
 
 def test_pivot_log_is_silent_by_default_and_traces_pivots_at_debug(caplog):
-    prob = LpProblem(cost=[0.0, 1.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0])
+    prob = LpProblem(cost=[0.0, 1.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0],
+                     upper=[2.0, 2.0])
     solve(prob)
+    solve_with_basis(prob, [1])
     assert [r for r in caplog.records if r.name == lp_core.logger.name] == []
     with caplog.at_level(logging.DEBUG, logger=lp_core.logger.name):
         solve(prob)
+        # column 0 moves to its bound 2, which drives column 1 to -1, and
+        # one dual pivot exchanges them
+        warm = solve_with_basis(prob, [1])
+    assert warm.outcome == "warm" and warm.iterations == 1
     lines = [r.getMessage() for r in caplog.records if r.name == lp_core.logger.name]
     assert lines[0].startswith("solve m=1 n=2 ")
-    assert any(line.startswith("phase2 pivot=0 enter=0 leave=1 ") for line in lines[1:])
+    warm_at = lines.index("warm m=1 n=2")
+    assert any(line.startswith("phase2 pivot=0 enter=0 leave=1 ") for line in lines[1:warm_at])
+    assert [line.split(" step=")[0] for line in lines[warm_at + 1:]] == [
+        "dual pivot=0 enter=0 leave=1"]
 
 
 def test_paranoid_mode_matches_fast_path():
@@ -368,26 +437,15 @@ def test_numerical_failure_on_the_fast_path_retries_in_paranoid_mode(monkeypatch
 
 
 def random_bounded_lp(rng, m=6, n=14):
-    """Equality LP with finite upper bounds on most columns, feasible by
-    construction; costs of either sign, so bounds bind from both sides."""
+    """Equality LP with tight boxes on most columns and wide ones on the
+    rest, feasible by construction; costs of either sign, so bounds bind
+    from both sides."""
     a = rng.normal(size=(m, n))
     upper = rng.uniform(0.5, 2.0, size=n)
-    upper[rng.random(n) < 0.25] = np.inf
+    upper[rng.random(n) < 0.25] = 50.0
     b = a @ (rng.uniform(0.1, 0.9, size=n) * np.minimum(upper, 2.0))
     c = rng.uniform(-1.0, 1.0, size=n)
     return LpProblem(cost=c, constraint_matrix=a, rhs=b, upper=upper)
-
-
-def with_bound_rows(prob):
-    """The same LP in standard form: each finite bound becomes x_j + s_j = u_j."""
-    finite = np.flatnonzero(np.isfinite(prob.upper))
-    m, n, k = prob.constraint_count, prob.variable_count, finite.size
-    a = np.zeros((m + k, n + k))
-    a[:m, :n] = prob.constraint_matrix
-    a[m + np.arange(k), finite] = 1.0
-    a[m:, n:] = np.eye(k)
-    return (np.concatenate([prob.cost, np.zeros(k)]), a,
-            np.concatenate([prob.rhs, prob.upper[finite]]))
 
 
 def test_bounded_lps_match_tableau_oracle_on_bound_rows():
@@ -405,14 +463,7 @@ def test_bounded_lps_match_tableau_oracle_on_bound_rows():
         x = sol.primal
         assert np.abs(prob.constraint_matrix @ x - prob.rhs).max() <= 1e-8
         assert x.min() >= 0.0 and (x <= prob.upper).all()
-        # optimality: columns at 0 price nonnegative, columns at their upper
-        # bound nonpositive, and no basis change is counted as a bound flip
-        reduced = prob.cost - prob.constraint_matrix.T @ sol.duals
-        nonbasic = np.setdiff1d(np.arange(prob.variable_count), sol.basis)
-        at_upper = np.isin(nonbasic, sol.at_upper)
-        assert reduced[nonbasic[~at_upper]].min(initial=0.0) >= -1e-9
-        assert reduced[nonbasic[at_upper]].max(initial=0.0) <= 1e-9
-        np.testing.assert_array_equal(x[sol.at_upper], prob.upper[sol.at_upper])
+        assert_bounded_optimality(prob, sol)
     assert statuses.count("optimal") >= 30
     assert sum(solve(random_bounded_lp(rng)).bound_flips > 0 for _ in range(10)) >= 5
 

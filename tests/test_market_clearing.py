@@ -219,14 +219,14 @@ def test_loss_direction_iteration():
     assert res2.dispatch[0] == pytest.approx(10.3 / 0.95, abs=1e-8)
     # the re-clear started from the first pass's basis and lands where a
     # cold clear with the final loss vector does
-    assert res2.outcome in ("warm", "repaired")
+    assert res2.outcome == "warm"
     cold = clear_market(flip, bids2, loss=np.array([0.05, -0.03]))
     assert cold.outcome == "cold"
     np.testing.assert_allclose(res2.dispatch, cold.dispatch, rtol=0, atol=1e-9)
     np.testing.assert_allclose(res2.lmp, cold.lmp, rtol=0, atol=1e-9)
     # a later period starts from the previous period's basis
     nxt = loss_direction_iterate(flip, bids2, warm_basis=res2.basis)
-    assert nxt.outcome in ("warm", "repaired") and nxt.loss_iterations == 2
+    assert nxt.outcome == "warm" and nxt.loss_iterations == 2
     np.testing.assert_allclose(nxt.dispatch, cold.dispatch, rtol=0, atol=1e-9)
     np.testing.assert_allclose(nxt.lmp, cold.lmp, rtol=0, atol=1e-9)
 
@@ -258,7 +258,7 @@ def test_warm_start_survives_a_storage_curve_gaining_and_losing_a_segment():
         cold = clear_market(case, bids)
         # one balance row and one ranged row per branch, whatever the curve
         assert len(warm.basis) == len(previous.basis) == 1 + len(case.branches)
-        assert warm.outcome in ("warm", "repaired")
+        assert warm.outcome == "warm"
         for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp)):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
         previous = warm

@@ -386,15 +386,6 @@ def test_scenario_overrides_reach_the_case():
     assert case.kappa == 0.05  # the input case is untouched
 
 
-def test_market_run_rejects_price_taker_baselines():
-    case = one_bus_case([50.0], [linear_gen("g", 1, 80.0, 200.0, 0.5)],
-                        storages=[es_unit()], kappa=0.0)
-    with pytest.raises(ValueError, match="price takers"):
-        run_horizon(case, ScenarioConfig.proposed(storage_method="b2"))
-    with pytest.raises(ValueError, match="price takers"):
-        run_horizon(case, ScenarioConfig.proposed(storage_method={"es": "b3"}))
-
-
 def test_horizon_beyond_the_series_is_rejected():
     case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.0)
     with pytest.raises(ValueError, match="exceeds"):
@@ -474,11 +465,12 @@ def test_proposed_replay_mirrors_the_market_run_on_one_bus():
                                atol=3.0 * width / (unit.n_segments - 1) + 1e-6)
 
 
-def test_replica30_horizon_warm_starts_every_period_and_matches_cold(monkeypatch):
-    # the first two days of the bundled series under a1: storage curves gain
-    # and lose segments from one period to the next
+@pytest.mark.parametrize("name", ["a1", "proposed"])
+def test_replica30_horizon_warm_starts_every_period_and_matches_cold(monkeypatch, name):
+    # the first two days of the bundled series: storage curves gain and lose
+    # segments from one period to the next
     case = replica30_case(seed=7)
-    scenario = ScenarioConfig.a1(horizon=48)
+    scenario = getattr(ScenarioConfig, name)(horizon=48)
     clearings = []
 
     def recording(*args, **kwargs):
@@ -489,17 +481,22 @@ def test_replica30_horizon_warm_starts_every_period_and_matches_cold(monkeypatch
     report = run_horizon(case, scenario)
     monkeypatch.undo()
     assert clearings[0].outcome == "cold"
-    assert all(c.outcome in ("warm", "repaired") for c in clearings[1:])
+    assert all(c.outcome == "warm" for c in clearings[1:])
     segments = [tuple(len(a.cost_curve.segments) for a in c.bids.agents if a.is_storage)
                 for c in clearings]
     assert sum(a != b for a, b in zip(segments, segments[1:])) >= 1
     assert all(len(c.basis) == 1 + len(case.branches) for c in clearings)
 
     params = {u.name: choose_parameters(u) for u in case.storages}
+    units = {u.name: u for u in case.storages}
+    psi_prev = np.zeros(case.n_buses)  # a1 prices no emission, so it stays 0
     for t, (record, warm) in enumerate(zip(report.records, clearings)):
-        # allocation is off under a1, so the previous emission price stays 0
-        states = {name: StorageState(e=row.e, q=row.q) for name, row in record.storage.items()}
-        _, cold, _ = run_period(case, scenario, t, states, params)
+        states = {name: StorageState(e=row.e, q=row.q,
+                                     psi_prev=float(psi_prev[case.bus_index[units[name].bus]]))
+                  for name, row in record.storage.items()}
+        cold_record, cold, _ = run_period(case, scenario, t, states, params)
         assert cold.outcome == "cold"
-        for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp)):
-            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp),
+                          (record.psi, cold_record.psi)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+        psi_prev = record.psi
