@@ -76,6 +76,24 @@ SCENARIO_KEYS = {
     "epsilon", "horizon",
 }
 
+STORAGE_FIELDS = ("p_max", "eta_c", "eta_d", "e_min", "e_max", "e_init",
+                  "gamma_lo", "gamma_hi")
+# Keys each case-file mapping may hold; any other key is reported. The
+# retired market.delta (the sweep step, now a constant) loads and is ignored.
+CASE_KEYS = {
+    "case": {"name", "units", "market", "buses", "branches", "generators",
+             "storages", "series", "scenario"},
+    "units": set(CANONICAL_UNITS),
+    "market": {"tau", "kappa", "epsilon", "slack_bus", "loss_offset",
+               "loss_direction_dependent", "delta"},
+    "buses": {"id", "loss_sensitivity"},
+    "branches": {"from", "to", "capacity", "reactance", "ptdf_row", "name"},
+    "generators": {"name", "bus", "p_min", "p_max", "fuel_points", "fuel_curve",
+                   "emission_points", "emission_curve", "unit_emission", "renewable"},
+    "storages": {"name", "bus", "n_segments", *STORAGE_FIELDS},
+    "series": {"loads", "renewables"},
+}
+
 
 class CaseFormatError(ValueError):
     """The document cannot be parsed at all (syntax, empty, wrong shape)."""
@@ -154,6 +172,12 @@ def _str(data, key, path, problems, default=None, required=False):
     return value
 
 
+def _check_keys(data: dict, section: str, path: str, problems: list[str]) -> None:
+    for key in data:
+        if key not in CASE_KEYS[section]:
+            problems.append(f"{path}.{key}: unknown field")
+
+
 def _maplist(doc, key, path, problems, required=False):
     entries = doc.get(key)
     if entries is None:
@@ -168,6 +192,7 @@ def _maplist(doc, key, path, problems, required=False):
         if not isinstance(e, dict):
             problems.append(f"{path}[{i}]: expected a mapping")
         else:
+            _check_keys(e, key, f"{path}[{i}]", problems)
             out.append((i, e))
     return out
 
@@ -244,11 +269,13 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     path = resolve_case_path(str(path))
     doc = _read_yaml(path)
     problems: list[str] = []
+    _check_keys(doc, "case", "case", problems)
 
     units = doc.get("units")
     if not isinstance(units, dict):
         problems.append("units: required mapping declaring the file's units")
     else:
+        _check_keys(units, "units", "units", problems)
         for key, want in CANONICAL_UNITS.items():
             got = units.get(key)
             if got != want:
@@ -258,6 +285,7 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     if not isinstance(market, dict):
         problems.append("market: expected a mapping")
         market = {}
+    _check_keys(market, "market", "market", problems)
     tau = _num(market, "tau", "market", problems, default=1.0)
     kappa = _num(market, "kappa", "market", problems, default=0.05)
     epsilon = _num(market, "epsilon", "market", problems, default=1e-4)
@@ -313,10 +341,8 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
         here = f"storages[{i}]"
         name = _str(entry, "name", here, problems, required=True)
         bus = _int(entry, "bus", here, problems, required=True)
-        fields = {}
-        for key in ("p_max", "eta_c", "eta_d", "e_min", "e_max", "e_init",
-                    "gamma_lo", "gamma_hi"):
-            fields[key] = _num(entry, key, here, problems, required=True)
+        fields = {key: _num(entry, key, here, problems, required=True)
+                  for key in STORAGE_FIELDS}
         n_segments = _int(entry, "n_segments", here, problems, default=50)
         if name is not None and bus is not None and None not in fields.values():
             storages.append(StorageUnit(name=name, bus=bus,
@@ -328,6 +354,7 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     if not isinstance(series, dict):
         problems.append("series: required mapping with a loads entry")
     else:
+        _check_keys(series, "series", "series", problems)
         loads_rel = _str(series, "loads", "series", problems, required=True)
         if loads_rel is not None and buses:
             cols = _read_series_csv(path.parent / loads_rel, "bus_",

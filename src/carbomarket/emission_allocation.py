@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg import lu_factor  # noqa: F401  unused; perfbench/tracing.py wraps it
 
 from .lp_core import (
     EmptyIntervalError,
     LpProblem,
     LpSolution,
     LpStatus,
-    SimplexNumericalError,
     feasibility_interval,
     solve,
     solve_with_basis,
@@ -73,6 +72,8 @@ class FeasibleStart:
     storage_share: dict[str, float]
     load_share: np.ndarray
     price_addon: float
+    # the dispatch LP solved at zeta; the sweep starts from its basis
+    solution: LpSolution
 
 
 @dataclass
@@ -122,17 +123,9 @@ def _problem_at(form: CompactAllocationForm, y: float) -> LpProblem:
     return LpProblem(cost=form.c, constraint_matrix=form.a, rhs=rhs, upper=form.upper)
 
 
-def partial_derivative(form: CompactAllocationForm, basis: np.ndarray) -> np.ndarray:
-    """Marginal emission cost per bus, in $ per MW of net demand, one basis."""
-    a_b = form.a[:, basis]
-    try:
-        lu = lu_factor(a_b)
-    except (LinAlgError, ValueError) as exc:
-        raise SimplexNumericalError(f"singular allocation basis: {exc}") from exc
-    z = lu_solve(lu, form.k[basis], trans=1)
-    if not np.all(np.isfinite(z)):
-        raise SimplexNumericalError("singular allocation basis")
-    return z @ form.g
+def partial_derivative(form: CompactAllocationForm, sol: LpSolution) -> np.ndarray:
+    """Marginal emission cost per bus, in $ per MW of net demand, on sol's basis."""
+    return (sol.basis_inverse.T @ form.k[sol.basis]) @ form.g
 
 
 def _emission_cost(form: CompactAllocationForm, y: float) -> tuple[float, LpSolution]:
@@ -149,13 +142,11 @@ def aumann_shapley_prices(
     start: FeasibleStart | None = None,
 ) -> AllocationResult:
     tau = form.tau
-    y0 = start.zeta if start is not None else 0.0
-    try:
+    if start is None:
+        y0 = 0.0
         e_start, sol = _emission_cost(form, y0)
-    except InfeasibleAtOriginError:
-        if start is None:
-            raise
-        raise NonProgressError("start point infeasible despite feasible_start")
+    else:
+        y0, e_start, sol = start.zeta, start.emission_cost, start.solution
 
     ray = form.net_demand_star
     grad_accum = np.zeros(form.g.shape[1])
@@ -163,7 +154,6 @@ def aumann_shapley_prices(
     y_prev = y0
     iterations = 0
     max_iter = 16 * int(np.ceil(1.0 / SWEEP_STEP)) + 400
-    last_basis, last_upper = sol.basis, sol.at_upper
     # E at the last region's probe, and its slope along the ray there
     e_probe, y_probe, slope = e_start, y0, 0.0
     step = SWEEP_STEP
@@ -172,14 +162,11 @@ def aumann_shapley_prices(
         if iterations > max_iter:
             raise NonProgressError(f"sweep exceeded {max_iter} iterations")
         probe = min(y_prev + step, 1.0)
-        sol = solve_with_basis(_problem_at(form, probe), last_basis, last_upper)
+        sol = solve_with_basis(_problem_at(form, probe), sol.basis, sol.at_upper)
         if sol.status is not LpStatus.OPTIMAL:
             raise NonProgressError(f"dispatch infeasible at ray point y={probe:g}")
-        last_basis, last_upper = sol.basis, sol.at_upper
         try:
-            lo, hi = feasibility_interval(
-                last_basis, form.a, form.g, form.h, ray, form.upper, last_upper
-            )
+            lo, hi = feasibility_interval(sol, form.a, form.g, form.h, ray, form.upper)
         except EmptyIntervalError:
             lo = hi = probe  # basis optimal only at the probe point itself
         y_next = min(hi, 1.0)
@@ -192,9 +179,9 @@ def aumann_shapley_prices(
             continue
         if y_next <= y_prev + 1e-15:
             raise NonProgressError(f"no progress past y={y_prev:g}")
-        grad = partial_derivative(form, last_basis)
+        grad = partial_derivative(form, sol)
         grad_accum += (y_next - y_prev) * grad
-        breakpoints.append((float(y_next), tuple(int(i) for i in last_basis)))
+        breakpoints.append((float(y_next), tuple(int(i) for i in sol.basis)))
         e_probe = float(form.k @ sol.primal) + form.k_offset
         y_probe, slope = probe, float(grad @ ray)
         y_prev = y_next
@@ -234,7 +221,10 @@ def feasible_start(case: NetworkCase, form: CompactAllocationForm) -> FeasibleSt
     if sol.status is not LpStatus.OPTIMAL:
         raise NonProgressError("no feasible point on the demand ray")
     zeta = float(sol.primal[n])
-    e0, _ = _emission_cost(form, zeta)
+    try:
+        e0, start_sol = _emission_cost(form, zeta)
+    except InfeasibleAtOriginError:
+        raise NonProgressError("start point infeasible despite feasible_start")
     d0 = zeta * form.demand_star
     p0 = {name: zeta * p for name, p in form.storage_power.items()}
     # proportional shares D_i^0 E^0 / (zeta sum(net)) reduce to D_i* E^0 / sum(net)
@@ -252,6 +242,7 @@ def feasible_start(case: NetworkCase, form: CompactAllocationForm) -> FeasibleSt
     return FeasibleStart(
         zeta=zeta, storage_power=p0, demand=d0, emission_cost=e0,
         storage_share=storage_share, load_share=load_share, price_addon=addon,
+        solution=start_sol,
     )
 
 

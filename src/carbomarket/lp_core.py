@@ -7,9 +7,9 @@ bound ``u`` is finite. The bounds are handled implicitly (Dantzig 1955,
 *Linear Programming*, ch. 8): a nonbasic column sits at either bound, and a
 step that only moves a column from one bound to the other is a bound flip,
 which changes no basis and needs no factorization. The optimal basis index
-set, the set of nonbasic columns at their upper bound, and the dual vector
-are first-class outputs because the emission-price sweep and the
-locational-price extraction are built on them.
+set, the set of nonbasic columns at their upper bound, the dual vector and
+the basis inverse are first-class outputs because the emission-price sweep
+and the locational-price extraction are built on them.
 """
 
 from __future__ import annotations
@@ -111,6 +111,9 @@ class LpSolution:
     # nonbasic columns at their upper bound, ascending
     at_upper: np.ndarray | None = None
     bound_flips: int = 0
+    # (basis size) x (rows): the engine's final inverse of A[kept_rows, basis],
+    # zero in the columns of dropped rows, so it maps any rhs to x_B
+    basis_inverse: np.ndarray | None = None
 
     @property
     def warm_started(self) -> bool:
@@ -442,17 +445,15 @@ def _finish(
     ub = upper[engine.basis]
     primal = np.where(engine.at_upper, upper, 0.0)
     primal[engine.basis] = np.clip(xb, 0.0, ub)
-    duals_local = engine.duals_for(c)
+    binv = engine.binv
     if kept_rows is not None:
-        duals = np.zeros(problem.constraint_count)
-        duals[kept_rows] = duals_local
-    else:
-        duals = duals_local
+        binv = np.zeros((engine.m, problem.constraint_count))
+        binv[:, kept_rows] = engine.binv
     return LpSolution(
         status=LpStatus.OPTIMAL,
         primal=primal,
         basis=engine.basis.copy(),
-        duals=duals,
+        duals=binv.T @ c[engine.basis],
         objective=float(c @ primal),
         iterations=engine.pivots,
         bound_flips=engine.flips,
@@ -461,6 +462,7 @@ def _finish(
         kept_rows=kept_rows,
         outcome=outcome,
         at_upper=np.flatnonzero(engine.at_upper),
+        basis_inverse=binv,
     )
 
 
@@ -520,35 +522,22 @@ def _warm_attempt(problem: LpProblem, basis: np.ndarray,
     return _finish(problem, engine, None, "warm")
 
 
-def feasibility_interval(basis, a, g, h, ray, upper=None, at_upper=()) -> tuple[float, float]:
-    """Interval of y keeping basis feasible for rhs = G (y ray) + H.
+def feasibility_interval(sol: LpSolution, a, g, h, ray, upper) -> tuple[float, float]:
+    """Interval of y keeping ``sol``'s basis feasible for rhs = G (y ray) + H.
 
     The basic solution is affine in y: x_B(y) = y u + v with
     u = A_B^{-1} G ray and v = A_B^{-1} (H - A_U upper_U), where U holds the
-    nonbasic columns at their upper bounds. Every component must stay
-    within [-FEASIBILITY_TOL, upper_B + FEASIBILITY_TOL]; ``upper`` defaults
-    to +inf. The result is the maximal closed interval, possibly unbounded
-    on either side.
+    nonbasic columns at their upper bounds and A_B^{-1} is the solve's own
+    ``basis_inverse``. Every component must stay within
+    [-FEASIBILITY_TOL, upper_B + FEASIBILITY_TOL]. The result is the maximal
+    closed interval, possibly unbounded on either side.
     """
-    basis = np.asarray(basis, dtype=int).ravel()
     a = np.asarray(a, dtype=float)
-    bmat = a[:, basis]
-    lu, piv = lu_factor(bmat, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if not np.isfinite(lu).all() or diag.min(initial=np.inf) <= 1e-13 * max(1.0, np.abs(bmat).max()):
-        raise EmptyIntervalError("singular basis matrix")
-    direction = np.asarray(g, dtype=float) @ np.asarray(ray, dtype=float)
-    offset = np.asarray(h, dtype=float)
-    at_upper = np.asarray(at_upper, dtype=int).ravel()
-    if upper is None:
-        ub = np.full(basis.size, np.inf)
-    else:
-        upper = np.asarray(upper, dtype=float)
-        ub = upper[basis]
-        if at_upper.size:
-            offset = offset - a[:, at_upper] @ upper[at_upper]
-    u = lu_solve((lu, piv), direction, check_finite=False)
-    v = lu_solve((lu, piv), offset, check_finite=False)
+    upper = np.asarray(upper, dtype=float)
+    ub = upper[sol.basis]
+    offset = np.asarray(h, dtype=float) - a[:, sol.at_upper] @ upper[sol.at_upper]
+    u = sol.basis_inverse @ (np.asarray(g, dtype=float) @ np.asarray(ray, dtype=float))
+    v = sol.basis_inverse @ offset
     lo, hi = -np.inf, np.inf
     for uk, vk, bk in zip(u, v, ub):
         if uk > 1e-11:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,26 @@ def test_a_retired_market_delta_still_loads(tmp_path):
     text = text.replace("epsilon: 0.0001,", "epsilon: 0.0001, delta: 0.01,")
     (tmp_path / "c.yaml").write_text(text)
     assert_cases_equal(load_case(tmp_path / "c.yaml"), case)
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("kappa: 0.05,", "kapa: 0.5,", "market.kapa: unknown field"),
+    ("  p_min: 0.0\n  p_max: 30.0", "  pmin: 30.0\n  p_max: 30.0",
+     "generators[0].pmin: unknown field"),
+], ids=["market-kapa", "generator-pmin"])
+def test_unknown_case_keys_exit_3_and_name_the_field(tmp_path, capsys, old, new, field):
+    # a misspelt key would otherwise run silently with the field's default
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    path = tmp_path / "c.yaml"
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(CaseSchemaError, match=re.escape(field)):
+        load_case(path)
+    assert main(["clear", "--case", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error code=3 kind=data" in err
+    assert field in err
 
 
 def test_round_trip_survives_a_second_pass(tmp_path):

@@ -130,7 +130,7 @@ def test_partial_derivative_single_and_two_generator():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, 0.5)], [7.0])
     sol = solve(form.market.problem)
-    grad = partial_derivative(form, sol.basis)
+    grad = partial_derivative(form, sol)
     np.testing.assert_allclose(grad, KAPPA * 0.5 * 1000 * case.tau / 2, atol=1e-9)
 
     # cheap unit pinned at capacity: the expensive unit's slope prices every bus
@@ -141,7 +141,7 @@ def test_partial_derivative_single_and_two_generator():
     agents = [gen_bid("cheap", 1, 10.0, 5.0, 0.9), gen_bid("dear", 1, 30.0, 20.0, 0.2)]
     _, form2 = cleared_form(two_bus, agents, [3.1, 4.2])
     sol2 = solve(form2.market.problem)
-    grad2 = partial_derivative(form2, sol2.basis)
+    grad2 = partial_derivative(form2, sol2)
     np.testing.assert_allclose(grad2, KAPPA * 0.2 * 1000 / 2, atol=1e-9)
 
 
@@ -150,7 +150,7 @@ def test_partial_derivative_matches_finite_difference():
     agents = [gen_bid("a", 1, 10.0, 5.0, 0.9), gen_bid("b", 1, 30.0, 20.0, 0.2)]
     _, form = cleared_form(case, agents, [7.3])
     sol = solve(form.market.problem)
-    grad = partial_derivative(form, sol.basis)
+    grad = partial_derivative(form, sol)
     h = 1e-5
     from carbomarket.market_clearing import assemble_market_lp
     base, _ = _emission_cost(form, 1.0)

@@ -11,6 +11,7 @@ from carbomarket import lp_core
 from carbomarket.lp_core import (
     EmptyIntervalError,
     LpProblem,
+    LpSolution,
     LpStatus,
     feasibility_interval,
     solve,
@@ -321,15 +322,25 @@ def test_infeasible_problem_on_the_warm_path_reports_row_violations(move_cost):
     assert warm.row_violations[2] > 0.0
 
 
+def basis_solution(a, basis, at_upper=()):
+    """An optimal-looking solution on a hand-made basis, with its inverse."""
+    basis = np.asarray(basis, dtype=int)
+    return LpSolution(status=LpStatus.OPTIMAL, basis=basis,
+                      at_upper=np.asarray(at_upper, dtype=int),
+                      basis_inverse=np.linalg.inv(np.asarray(a, dtype=float)[:, basis]))
+
+
 def test_feasibility_interval_parameter_free():
     a = np.eye(2)
-    interval = feasibility_interval([0, 1], a, np.zeros((2, 1)), [1.0, 2.0], [1.0])
+    interval = feasibility_interval(basis_solution(a, [0, 1]), a, np.zeros((2, 1)),
+                                    [1.0, 2.0], [1.0], np.full(2, 10.0))
     assert interval == (-np.inf, np.inf)
 
 
 def test_feasibility_interval_single_root():
     a = np.array([[1.0]])
-    lo, hi = feasibility_interval([0], a, np.array([[-1.0]]), [1.0], [1.0])
+    lo, hi = feasibility_interval(basis_solution(a, [0]), a, np.array([[-1.0]]), [1.0],
+                                  [1.0], [np.inf])
     assert lo == -np.inf
     assert hi == pytest.approx(1.0, abs=1e-8)
 
@@ -337,7 +348,8 @@ def test_feasibility_interval_single_root():
 def test_feasibility_interval_empty_raises():
     a = np.array([[1.0]])
     with pytest.raises(EmptyIntervalError):
-        feasibility_interval([0], a, np.array([[0.0]]), [-1.0], [1.0])
+        feasibility_interval(basis_solution(a, [0]), a, np.array([[0.0]]), [-1.0], [1.0],
+                             [10.0])
 
 
 def test_parametric_breakpoints_match_grid_scan():
@@ -370,7 +382,7 @@ def test_parametric_breakpoints_match_grid_scan():
         prev_basis = key
 
     sol_low = solve_at(0.2)
-    lo, hi = feasibility_interval(sol_low.basis, a, g, h, ray)
+    lo, hi = feasibility_interval(sol_low, a, g, h, ray, np.full(4, 20.0))
     assert lo <= 0.2 <= hi
     assert hi == pytest.approx(0.4, abs=1e-6)
     assert len(scan_breaks) == 1
@@ -491,6 +503,59 @@ def test_bounded_warm_start_after_rhs_change_reports_warm():
     assert dual_steps >= 20
 
 
+def interval_by_solve(sol, a, g, h, ray, upper):
+    """Reference for ``feasibility_interval``: factor A_B with np.linalg.solve."""
+    a_b = a[:, sol.basis]
+    u = np.linalg.solve(a_b, g @ ray)
+    v = np.linalg.solve(a_b, h - a[:, sol.at_upper] @ upper[sol.at_upper])
+    ub, tol = upper[sol.basis], lp_core.FEASIBILITY_TOL
+    rising, falling = u > 1e-11, u < -1e-11
+    lo = max(((-tol - v) / u)[rising].max(initial=-np.inf),
+             ((ub + tol - v) / u)[falling].max(initial=-np.inf))
+    hi = min(((ub + tol - v) / u)[rising].min(initial=np.inf),
+             ((-tol - v) / u)[falling].min(initial=np.inf))
+    return lo, hi
+
+
+def test_basis_inverse_inverts_the_basis_and_gives_the_intervals():
+    # rhs(y) = A (x0 + y (x1 - x0)): solved cold at y = 0, warm at y = 1
+    rng = np.random.default_rng(2718)
+    eta_updated = 0
+    for _ in range(40):
+        prob = random_bounded_lp(rng)
+        a, upper = prob.constraint_matrix, prob.upper
+        x0, x1 = (rng.uniform(0.1, 0.9, size=(2, prob.variable_count))
+                  * np.minimum(upper, 2.0))
+        g, h, ray = (a @ (x1 - x0))[:, None], a @ x0, np.array([1.0])
+        cold = solve(LpProblem(cost=np.abs(prob.cost), constraint_matrix=a, rhs=h,
+                               upper=upper))
+        warm = solve_with_basis(LpProblem(cost=np.abs(prob.cost), constraint_matrix=a,
+                                          rhs=g @ ray + h, upper=upper),
+                                cold.basis, cold.at_upper)
+        assert cold.outcome == "cold" and warm.outcome == "warm"
+        eta_updated += warm.iterations > 0
+        for sol in (cold, warm):
+            eye = sol.basis_inverse @ a[:, sol.basis]
+            assert np.abs(eye - np.eye(prob.constraint_count)).max() <= 1e-9
+            got = feasibility_interval(sol, a, g, h, ray, upper)
+            want = interval_by_solve(sol, a, g, h, ray, upper)
+            for x, ref in zip(got, want):
+                assert x == ref or abs(x - ref) <= 1e-9 * max(1.0, abs(ref))
+        assert feasibility_interval(cold, a, g, h, ray, upper)[0] <= 0.0
+        assert feasibility_interval(warm, a, g, h, ray, upper)[1] >= 1.0
+    assert eta_updated >= 30
+
+
+def test_basis_inverse_spans_dropped_rows_with_zero_columns():
+    a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    sol = solve(LpProblem(cost=np.array([1.0, 2.0, 0.5]), constraint_matrix=a,
+                          rhs=np.array([1.0, 2.0, 1.5]), upper=np.full(3, 2.0)))
+    assert sol.basis_inverse.shape == (2, 3)
+    dropped = np.setdiff1d(np.arange(3), sol.kept_rows)
+    assert not sol.basis_inverse[:, dropped].any()
+    np.testing.assert_allclose(sol.basis_inverse @ a[:, sol.basis], np.eye(2), atol=1e-12)
+
+
 def test_feasibility_interval_is_cut_off_by_a_basic_upper_bound():
     # the cheap unit (cap 4) and the dear one (cap 8) fill a demand of 10 y
     a = np.array([[1.0, 1.0]])
@@ -505,14 +570,14 @@ def test_feasibility_interval_is_cut_off_by_a_basic_upper_bound():
 
     low = solve_at(0.2)
     assert list(low.basis) == [0] and low.at_upper.size == 0
-    lo, hi = feasibility_interval(low.basis, a, g, h, ray, upper, low.at_upper)
+    lo, hi = feasibility_interval(low, a, g, h, ray, upper)
     assert lo == pytest.approx(0.0, abs=1e-8)
     assert hi == pytest.approx(0.4, abs=1e-8)  # column 0 reaches its bound 4
     # without the bound the same basis would look feasible for every y >= 0
-    assert feasibility_interval(low.basis, a, g, h, ray)[1] == np.inf
+    assert feasibility_interval(low, a, g, h, ray, np.full(2, np.inf))[1] == np.inf
 
     high = solve_at(0.9)
     assert list(high.basis) == [1] and list(high.at_upper) == [0]
-    lo, hi = feasibility_interval(high.basis, a, g, h, ray, upper, high.at_upper)
+    lo, hi = feasibility_interval(high, a, g, h, ray, upper)
     assert lo == pytest.approx(0.4, abs=1e-8)
     assert hi == pytest.approx(1.2, abs=1e-8)

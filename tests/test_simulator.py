@@ -7,8 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carbomarket import simulator
-from carbomarket.market_clearing import BidSet, clear_market
+from carbomarket import emission_allocation, lp_core, simulator
+from carbomarket.market_clearing import BidSet, MarketInfeasibleError, clear_market
 from carbomarket.network_model import (
     Branch,
     Bus,
@@ -209,11 +209,21 @@ def test_doctored_duals_fail_the_balance():
         settle(clearing, None, case, 0)
 
 
-def test_forced_minimum_output_starts_the_sweep_inside():
+def test_forced_minimum_output_starts_the_sweep_inside(monkeypatch):
     case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5, p_min=5.0)],
                         kappa=0.05)
+    solves = []
+
+    def counted(problem):
+        solves.append(problem)
+        return lp_core.solve(problem)
+
+    monkeypatch.setattr(emission_allocation, "solve", counted)
     record, clearing, allocation = run_period(
         case, ScenarioConfig.proposed(), 0, {}, {})
+    # the origin, the closest feasible point, and E at it; the sweep starts
+    # from that last solution instead of solving it again
+    assert len(solves) == 3
     assert allocation.start_point is not None
     assert record.start_used
     # the uniform start share folds the pre-start emission into the price
@@ -339,6 +349,23 @@ def test_abort_preserves_the_finished_rows():
         run_horizon(case, ScenarioConfig.proposed())
     assert len(err.value.report.records) == 1
     assert err.value.report.records[0].t == 0
+
+
+@pytest.mark.parametrize("seed, name, period, violated", [
+    (1, "proposed", 15, "branch 15-18 upper (short by 0.927714)"),
+    (1, "a2", 15, "balance (short by 10.5034)"),
+    (2, "proposed", 39, "balance (short by 6.5617)"),
+    (4, "a2", 13, "balance (short by 15.2393)"),
+    (20, "a2", 41, "balance (short by 1.349)"),
+])
+def test_replica30_infeasibility_reports_name_the_row_and_gap(seed, name, period, violated):
+    # phase 1 puts artificials only on rows without a fitting slack; its
+    # least infeasible point decides which row these reports name
+    with pytest.raises(SimulationAbort) as err:
+        run_horizon(replica30_case(seed=seed), getattr(ScenarioConfig, name)())
+    assert str(err.value) == (f"period {period}: market infeasible; "
+                              f"most violated: {violated}")
+    assert isinstance(err.value.__cause__, MarketInfeasibleError)
 
 
 def test_aggregates_equal_recomputation_from_rows():
