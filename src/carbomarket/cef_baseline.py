@@ -54,8 +54,7 @@ class FlowGraph:
         bus_index = case.bus_index
         n = case.n_buses
         bids = clearing.bids
-        demand = case.demand(clearing.period) if bids.demand is None else bids.demand
-        demand = demand.astype(float).copy()
+        demand = bids.demand.copy()
         generation: list[list[tuple[float, float]]] = [[] for _ in range(n)]
         sigma_by_agent = dict(zip(clearing.sigma_agents, clearing.sigma))
         for idx, agent in enumerate(bids.agents):

@@ -606,8 +606,7 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir,
-                        extra_meta: dict | None = None) -> list[Path]:
+def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "periods.csv", PERIOD_COLUMNS, period_rows(report, case))
@@ -628,7 +627,6 @@ def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir,
             "python": platform.python_version(),
         },
     }
-    meta.update(extra_meta or {})
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return [out / n for n in ("periods.csv", "summary.csv", "trace.csv", "meta.json")]
 

@@ -29,7 +29,7 @@ from .lp_core import (
     solve,
     solve_with_basis,
 )
-from .market_clearing import AssembledMarket, ClearingResult, assemble_market_lp
+from .market_clearing import ClearingResult, assemble_market_lp
 from .network_model import NetworkCase
 
 
@@ -56,7 +56,6 @@ class CompactAllocationForm:
     # emission cost E(y) = k.x + k_offset
     k_offset: float
     net_demand_star: np.ndarray
-    market: AssembledMarket
     tau: float
     demand_star: np.ndarray
     storage_power: dict[str, float]
@@ -66,11 +65,8 @@ class CompactAllocationForm:
 @dataclass
 class FeasibleStart:
     zeta: float
-    storage_power: dict[str, float]
-    demand: np.ndarray
     emission_cost: float
-    storage_share: dict[str, float]
-    load_share: np.ndarray
+    # $/kWh at every bus: the emission cost at zeta split in proportion to net demand
     price_addon: float
     # the dispatch LP solved at zeta; the sweep starts from its basis
     solution: LpSolution
@@ -89,12 +85,9 @@ class AllocationResult:
     iterations: int
 
 
-def build_compact_form(
-    case: NetworkCase, clearing: ClearingResult, period: int = 0,
-) -> CompactAllocationForm:
+def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> CompactAllocationForm:
     bids = clearing.bids
-    demand = case.demand(period) if bids.demand is None else bids.demand
-    net_demand = demand.astype(float).copy()
+    net_demand = bids.demand.copy()
     storage_power: dict[str, float] = {}
     storage_bus: dict[str, int] = {}
     generators = []
@@ -113,8 +106,8 @@ def build_compact_form(
         a=market.problem.constraint_matrix, c=market.problem.cost,
         g=market.g, h=market.h, k=market.k,
         upper=market.problem.upper, k_offset=market.k_offset,
-        net_demand_star=net_demand, market=market, tau=case.tau,
-        demand_star=demand, storage_power=storage_power, storage_bus=storage_bus,
+        net_demand_star=net_demand, tau=case.tau,
+        demand_star=bids.demand, storage_power=storage_power, storage_bus=storage_bus,
     )
 
 
@@ -209,7 +202,7 @@ def aumann_shapley_prices(
     )
 
 
-def feasible_start(case: NetworkCase, form: CompactAllocationForm) -> FeasibleStart:
+def feasible_start(form: CompactAllocationForm) -> FeasibleStart:
     """Closest feasible point to the origin on the ray, with its proportional split."""
     n = form.a.shape[1]
     ray = form.g @ form.net_demand_star
@@ -225,33 +218,17 @@ def feasible_start(case: NetworkCase, form: CompactAllocationForm) -> FeasibleSt
         e0, start_sol = _emission_cost(form, zeta)
     except InfeasibleAtOriginError:
         raise NonProgressError("start point infeasible despite feasible_start")
-    d0 = zeta * form.demand_star
-    p0 = {name: zeta * p for name, p in form.storage_power.items()}
-    # proportional shares D_i^0 E^0 / (zeta sum(net)) reduce to D_i* E^0 / sum(net)
+    # proportional shares D_i^0 E^0 / (zeta sum(net)) reduce to D_i* E^0 / sum(net),
+    # the same price at every bus
     total_net = float(form.net_demand_star.sum())
-    if abs(total_net) < 1e-12:
-        load_share = np.zeros_like(d0)
-        storage_share = {name: 0.0 for name in p0}
-        addon = 0.0
-    else:
-        load_share = form.demand_star * e0 / total_net
-        storage_share = {
-            name: -p * e0 / total_net for name, p in form.storage_power.items()
-        }
-        addon = e0 / (form.tau * 1000.0 * total_net)
-    return FeasibleStart(
-        zeta=zeta, storage_power=p0, demand=d0, emission_cost=e0,
-        storage_share=storage_share, load_share=load_share, price_addon=addon,
-        solution=start_sol,
-    )
+    addon = 0.0 if abs(total_net) < 1e-12 else e0 / (form.tau * 1000.0 * total_net)
+    return FeasibleStart(zeta=zeta, emission_cost=e0, price_addon=addon, solution=start_sol)
 
 
-def allocate_period(
-    case: NetworkCase, clearing: ClearingResult, period: int = 0,
-) -> AllocationResult:
+def allocate_period(case: NetworkCase, clearing: ClearingResult) -> AllocationResult:
     """Build the compact form and run the sweep, falling back to a feasible start."""
-    form = build_compact_form(case, clearing, period)
+    form = build_compact_form(case, clearing)
     try:
         return aumann_shapley_prices(form)
     except InfeasibleAtOriginError:
-        return aumann_shapley_prices(form, start=feasible_start(case, form))
+        return aumann_shapley_prices(form, start=feasible_start(form))

@@ -102,8 +102,6 @@ class LpSolution:
     # When infeasible: per row (original order), the row activity minus its
     # rhs at the least infeasible point phase 1 found; 0 on satisfied rows.
     row_violations: np.ndarray | None = None
-    # Rows kept after redundant-equality elimination; None when all kept.
-    kept_rows: np.ndarray | None = None
     # How the solve started: "cold", "warm" (it finished from the given
     # basis), or why a warm start fell back to a cold solve: "size",
     # "singular" or "infeasible".
@@ -111,8 +109,9 @@ class LpSolution:
     # nonbasic columns at their upper bound, ascending
     at_upper: np.ndarray | None = None
     bound_flips: int = 0
-    # (basis size) x (rows): the engine's final inverse of A[kept_rows, basis],
-    # zero in the columns of dropped rows, so it maps any rhs to x_B
+    # (basis size) x (rows): the engine's final inverse of the basis over the
+    # rows kept after redundant-equality elimination, zero in the columns of
+    # dropped rows, so it maps any rhs to x_B
     basis_inverse: np.ndarray | None = None
 
     @property
@@ -459,7 +458,6 @@ def _finish(
         bound_flips=engine.flips,
         degenerate=bool(((np.abs(xb) <= FEASIBILITY_TOL)
                          | (np.abs(xb - ub) <= FEASIBILITY_TOL)).any()),
-        kept_rows=kept_rows,
         outcome=outcome,
         at_upper=np.flatnonzero(engine.at_upper),
         basis_inverse=binv,

@@ -39,6 +39,9 @@ from scipy.linalg import qr
 from .lp_core import LpProblem, LpSolution, LpStatus, solve, solve_with_basis
 from .network_model import NetworkCase, PiecewiseLinearCurve
 
+# clearings a loss-direction-dependent case may take before it stops unconverged
+LOSS_ITERATIONS = 10
+
 
 class MarketInfeasibleError(RuntimeError):
     """No dispatch satisfies balance, branch, and bound constraints."""
@@ -71,11 +74,10 @@ class AgentBid:
 @dataclass
 class BidSet:
     agents: list[AgentBid]
-    demand: np.ndarray | None = None
+    demand: np.ndarray  # MW per bus
 
     def __post_init__(self) -> None:
-        if self.demand is not None:
-            self.demand = np.asarray(self.demand, dtype=float)
+        self.demand = np.asarray(self.demand, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ class AssembledMarket:
     k_offset: float
     demand: np.ndarray
     n_agents: int
-    n_buses: int
     n_branches: int
     p_shift: np.ndarray
     # per segment column: its agent, cost-curve slope and emission-curve slope
@@ -134,9 +135,7 @@ class ClearingResult:
     flows: np.ndarray
     total_cost: float
     total_emission: float
-    status: LpStatus
     bids: BidSet
-    period: int = 0
     degenerate: bool = False
     # optimal basis, and the nonbasic columns at their upper bounds, as
     # column keys (see the module docstring)
@@ -229,7 +228,7 @@ def assemble_market_lp(
         problem=problem, g=g, h=h,
         k=np.concatenate([k_scale * emission_slope, np.zeros(n_br)]),
         k_offset=k_scale * float(emission_at_min.sum()),
-        demand=demand, n_agents=n_agents, n_buses=n_buses, n_branches=n_br,
+        demand=demand, n_agents=n_agents, n_branches=n_br,
         p_shift=p_shift, column_agent=col_agent, cost_slope=cost_slope,
         emission_slope=emission_slope,
         cost_at_min=cost_at_min, emission_at_min=emission_at_min,
@@ -239,11 +238,9 @@ def assemble_market_lp(
 
 
 def assemble_clearing_lp(
-    case: NetworkCase, bids: BidSet, period: int = 0,
-    loss: np.ndarray | None = None,
+    case: NetworkCase, bids: BidSet, loss: np.ndarray | None = None,
 ) -> tuple[LpProblem, AssembledMarket]:
-    demand = case.demand(period) if bids.demand is None else bids.demand
-    form = assemble_market_lp(case, bids.agents, demand, loss=loss)
+    form = assemble_market_lp(case, bids.agents, bids.demand, loss=loss)
     return form.problem, form
 
 
@@ -259,9 +256,16 @@ def compute_lmps(
     return lambda_bar * (1.0 - np.asarray(loss)) + spread
 
 
+def _injection(case: NetworkCase, bids: BidSet, dispatch: np.ndarray) -> np.ndarray:
+    """Power each bus's agents put in, MW."""
+    injection = np.zeros(case.n_buses)
+    for k, a in enumerate(bids.agents):
+        injection[case.bus_index[a.bus]] += dispatch[k]
+    return injection
+
+
 def extract_result(
-    case: NetworkCase, form: AssembledMarket, sol: LpSolution,
-    bids: BidSet, period: int,
+    case: NetworkCase, form: AssembledMarket, sol: LpSolution, bids: BidSet,
 ) -> ClearingResult:
     n_br = form.n_branches
     x = sol.primal
@@ -272,11 +276,7 @@ def extract_result(
     mu_plus = np.maximum(-y[1 : 1 + n_br], 0.0)
     mu_minus = np.maximum(y[1 : 1 + n_br], 0.0)
     lmp = compute_lmps(lambda_bar, mu_minus, mu_plus, form.loss, case.ptdf)
-    injection = np.zeros(form.n_buses)
-    bus_index = case.bus_index
-    for k, a in enumerate(bids.agents):
-        injection[bus_index[a.bus]] += p[k]
-    flows = case.ptdf @ (injection - form.demand) if n_br else np.zeros(0)
+    flows = case.ptdf @ (_injection(case, bids, p) - form.demand) if n_br else np.zeros(0)
     sigma = form.sigma_values(x)
     return ClearingResult(
         dispatch=p,
@@ -285,8 +285,7 @@ def extract_result(
         lmp=lmp, flows=flows,
         total_cost=float(form.cost_values(x).sum()),
         total_emission=float(sigma.sum()),
-        status=sol.status, bids=bids, period=period,
-        degenerate=sol.degenerate,
+        bids=bids, degenerate=sol.degenerate,
         basis=tuple(form.column_keys[j] for j in sol.basis),
         at_upper=tuple(form.column_keys[j] for j in sol.at_upper),
         sigma=sigma, sigma_agents=form.sigma_agents, loss=form.loss,
@@ -353,68 +352,51 @@ def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, lis
 
 
 def clear_market(
-    case: NetworkCase, bids: BidSet, period: int = 0,
-    loss: np.ndarray | None = None,
-    warm_basis=None,
-    warm_upper=(),
+    case: NetworkCase, bids: BidSet, warm_basis=None, warm_upper=(),
 ) -> ClearingResult:
     """Clear one period; ``warm_basis`` and ``warm_upper`` are a previous
-    ``ClearingResult.basis`` and ``ClearingResult.at_upper``."""
-    problem, form = assemble_clearing_lp(case, bids, period, loss=loss)
-    if warm_basis is not None:
-        sol = solve_with_basis(problem, *_map_start(form, warm_basis, warm_upper))
-    else:
-        sol = solve(problem)
-    if sol.status is LpStatus.INFEASIBLE:
-        worst = int(np.argmax(np.abs(sol.row_violations)))
-        excess = float(sol.row_violations[worst])
-        label = form.row_labels[worst]
-        if worst > 0:
-            # flow above +cap leaves the row's activity above its rhs
-            label += " upper" if excess > 0.0 else " lower"
-        gap = abs(excess)
-        raise MarketInfeasibleError(
-            f"market infeasible; most violated: {label} (short by {gap:.6g})",
-            row_label=label, violation=gap,
-        )
-    return extract_result(case, form, sol, bids, period)
+    ``ClearingResult.basis`` and ``ClearingResult.at_upper``.
 
-
-def loss_direction_iterate(
-    case: NetworkCase, bids: BidSet, period: int = 0, max_iters: int = 10,
-    warm_basis=None,
-    warm_upper=(),
-) -> ClearingResult:
-    """Re-clear until assumed per-bus flow directions match the dispatch.
-
-    The per-bus loss sensitivity takes the sign of the bus's net injection;
-    a lossless or fixed-coefficient case converges on the first pass. The
-    first clear starts from ``warm_basis`` and ``warm_upper``, each re-clear
-    from the final basis of the clear before it.
+    When ``case.loss_direction_dependent``, each bus's loss sensitivity takes
+    the sign of its net injection: the market re-clears, each time from the
+    previous clearing's basis, until the signs the clearing assumed match its
+    dispatch, for at most ``LOSS_ITERATIONS`` clearings. Any other case
+    clears once with its fixed loss vector.
     """
     base = np.abs(case.loss_vector())
-    signs = np.ones(case.n_buses)
-    loss = base * signs if case.loss_direction_dependent else case.loss_vector()
-    demand = case.demand(period) if bids.demand is None else bids.demand
-    result = None
-    for it in range(1, max_iters + 1):
-        result = clear_market(case, bids, period, loss=loss,
-                              warm_basis=warm_basis, warm_upper=warm_upper)
-        warm_basis, warm_upper = result.basis, result.at_upper
+    loss = base if case.loss_direction_dependent else None
+    for it in range(1, LOSS_ITERATIONS + 1):
+        problem, form = assemble_clearing_lp(case, bids, loss=loss)
+        if warm_basis is not None:
+            sol = solve_with_basis(problem, *_map_start(form, warm_basis, warm_upper))
+        else:
+            sol = solve(problem)
+        if sol.status is LpStatus.INFEASIBLE:
+            raise _infeasible(form, sol)
+        result = extract_result(case, form, sol, bids)
+        result.loss_iterations = it
         if not case.loss_direction_dependent:
-            result.loss_converged = True
-            result.loss_iterations = it
             return result
-        injection = np.zeros(case.n_buses)
-        for k, a in enumerate(bids.agents):
-            injection[case.bus_index[a.bus]] += result.dispatch[k]
-        new_signs = np.where(injection - demand >= 0.0, 1.0, -1.0)
-        new_loss = base * new_signs
+        net = _injection(case, bids, result.dispatch) - bids.demand
+        new_loss = base * np.where(net >= 0.0, 1.0, -1.0)
         if np.array_equal(new_loss, loss):
-            result.loss_converged = True
-            result.loss_iterations = it
             return result
         loss = new_loss
+        warm_basis, warm_upper = result.basis, result.at_upper
     result.loss_converged = False
-    result.loss_iterations = max_iters
     return result
+
+
+def _infeasible(form: AssembledMarket, sol: LpSolution) -> MarketInfeasibleError:
+    """The error naming the most violated row of an infeasible clearing."""
+    worst = int(np.argmax(np.abs(sol.row_violations)))
+    excess = float(sol.row_violations[worst])
+    label = form.row_labels[worst]
+    if worst > 0:
+        # flow above +cap leaves the row's activity above its rhs
+        label += " upper" if excess > 0.0 else " lower"
+    gap = abs(excess)
+    return MarketInfeasibleError(
+        f"market infeasible; most violated: {label} (short by {gap:.6g})",
+        row_label=label, violation=gap,
+    )

@@ -58,11 +58,6 @@ class PiecewiseLinearCurve:
         vals = np.max(p[..., None] * slopes + intercepts, axis=-1)
         return float(vals) if vals.ndim == 0 else vals
 
-    def subgradient_range(self, p: float) -> tuple[float, float]:
-        v = self.value(p)
-        active = [s for s, b in self.segments if s * p + b >= v - 1e-9 * max(1.0, abs(v))]
-        return min(active), max(active)
-
     def breakpoints(self) -> list[float]:
         """Abscissae inside the open domain where the active segment changes."""
         lo, hi = self.domain

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emission_allocation import AllocationResult, allocate_period
-from .market_clearing import (
-    AgentBid,
-    BidSet,
-    ClearingResult,
-    clear_market,
-    loss_direction_iterate,
-)
+from .market_clearing import AgentBid, BidSet, ClearingResult, clear_market
 from .network_model import NetworkCase, PiecewiseLinearCurve, StorageUnit, sum_curves
 from .storage_policy import (
     PolicyParams,
@@ -158,8 +152,6 @@ def settle(
     clearing: ClearingResult,
     allocation: AllocationResult | None,
     case: NetworkCase,
-    period: int,
-    rtol: float = SETTLEMENT_RTOL,
 ) -> SettlementLedger:
     """Money flow for one period; raises if it fails to balance.
 
@@ -171,7 +163,7 @@ def settle(
     inconsistent duals or a sweep that failed to share the whole cost.
     """
     bids = clearing.bids
-    demand = case.demand(period) if bids.demand is None else bids.demand
+    demand = bids.demand
     tau = case.tau
     bus_index = case.bus_index
     psi = allocation.psi if allocation is not None else np.zeros(case.n_buses)
@@ -209,9 +201,9 @@ def settle(
         congestion_rent=rent, loss_payment=loss_payment, emission_pot=pot,
         residual=residual, residual_rel=abs(residual) / scale,
     )
-    if ledger.residual_rel > rtol:
+    if ledger.residual_rel > SETTLEMENT_RTOL:
         raise SettlementImbalanceError(
-            f"period {period}: settlement off by {residual:.6g} $ "
+            f"settlement off by {residual:.6g} $ "
             f"({ledger.residual_rel:.3g} relative)"
         )
     return ledger
@@ -302,15 +294,11 @@ def run_period(
                 p_min=lo, p_max=hi, is_storage=True,
             ))
     bids = BidSet(agents=agents, demand=case.demand(t))
-    if case.loss_direction_dependent:
-        clearing = loss_direction_iterate(case, bids, t, warm_basis=warm_basis,
-                                          warm_upper=warm_upper)
-    else:
-        clearing = clear_market(case, bids, t, warm_basis=warm_basis, warm_upper=warm_upper)
+    clearing = clear_market(case, bids, warm_basis=warm_basis, warm_upper=warm_upper)
     allocation = None
     if scenario.enable_allocation and case.kappa > 0:
-        allocation = allocate_period(case, clearing, t)
-    ledger = settle(clearing, allocation, case, t)
+        allocation = allocate_period(case, clearing)
+    ledger = settle(clearing, allocation, case)
 
     fuel_cost = 0.0
     renewable_available = 0.0
@@ -412,8 +400,6 @@ def replay_storage(
     tau: float,
     method: str = "proposed",
     params: PolicyParams | None = None,
-    lo_threshold: float = 0.02,
-    hi_threshold: float = 0.05,
 ) -> ReplayResult:
     """Price-taker replay of one storage on a recorded combined-price path.
 
@@ -440,8 +426,7 @@ def replay_storage(
         elif method == "b1":
             p = b1_power(q, gamma, params, unit, tau)
         elif method == "b2":
-            p = b2_power(gamma, StorageState(e=e, q=q), unit, tau,
-                         lo_threshold=lo_threshold, hi_threshold=hi_threshold)
+            p = b2_power(gamma, StorageState(e=e, q=q), unit, tau)
         else:
             raise ValueError(f"unknown replay method {method!r}")
         lo, hi = feasible_power_range(e, unit, tau)

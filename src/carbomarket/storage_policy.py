@@ -19,6 +19,9 @@ import numpy as np
 from .network_model import PiecewiseLinearCurve, StorageUnit, curve_from_points, zero_curve
 
 SOC_TOL = 1e-7
+# b2 baseline: charge fully below the first price, discharge fully above the
+# second, $/kWh
+B2_THRESHOLDS = (0.02, 0.05)
 
 
 class PolicyAssumptionError(ValueError):
@@ -44,14 +47,9 @@ class StorageState:
     psi_prev: float = 0.0  # $/kWh emission price seen last period
 
 
-def choose_parameters(
-    unit: StorageUnit,
-    gamma_lo: float | None = None,
-    gamma_hi: float | None = None,
-) -> PolicyParams:
+def choose_parameters(unit: StorageUnit) -> PolicyParams:
     """Largest penalty weight that still keeps the SoC range invariant."""
-    lo = unit.gamma_lo if gamma_lo is None else gamma_lo
-    hi = unit.gamma_hi if gamma_hi is None else gamma_hi
+    lo, hi = unit.gamma_lo, unit.gamma_hi
     product = hi * unit.eta_c * unit.eta_d
     if lo < 0 or lo >= product:
         raise PolicyAssumptionError(
@@ -92,34 +90,23 @@ def initial_state(unit: StorageUnit, params: PolicyParams) -> StorageState:
     return StorageState(e=unit.e_init, q=unit.e_init - params.e_s)
 
 
-def optimal_power(q, gamma, params: PolicyParams, unit: StorageUnit, tau: float):
+def optimal_power(q: float, gamma: float, params: PolicyParams, unit: StorageUnit,
+                  tau: float) -> float:
     """Exact minimizer of the drift-plus-penalty; negative means charging.
 
-    Accepts scalars or same-shape arrays for q and gamma.  When the charge
-    and discharge parabolas tie below zero the discharge arm wins; when
-    neither is profitable the unit idles.
+    When the charge and discharge parabolas tie below zero the discharge arm
+    wins; when neither is profitable the unit idles.
     """
     v, ec, ed, pmax = params.v_s, unit.eta_c, unit.eta_d, unit.p_max
-    if not isinstance(q, np.ndarray) and not isinstance(gamma, np.ndarray):
-        q = float(q)
-        gamma = float(gamma)
-        p_c = -(ec * q + v * gamma) / (tau * ec * ec)
-        p_c = 0.0 if p_c < 0.0 else (pmax if p_c > pmax else p_c)
-        val_c = (p_c * tau * ec) ** 2 / 2 + p_c * tau * ec * q + v * gamma * p_c * tau
-        p_d = (q * ed + v * gamma * ed * ed) / tau
-        p_d = 0.0 if p_d < 0.0 else (pmax if p_d > pmax else p_d)
-        val_d = (p_d * tau / ed) ** 2 / 2 - p_d * tau * q / ed - v * gamma * p_d * tau
-        return -p_c if val_c < val_d else p_d
-    q = np.asarray(q, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    p_c = np.clip(-(ec * q + v * gamma) / (tau * ec * ec), 0.0, pmax)
+    q = float(q)
+    gamma = float(gamma)
+    p_c = -(ec * q + v * gamma) / (tau * ec * ec)
+    p_c = 0.0 if p_c < 0.0 else (pmax if p_c > pmax else p_c)
     val_c = (p_c * tau * ec) ** 2 / 2 + p_c * tau * ec * q + v * gamma * p_c * tau
-    p_d = np.clip((q * ed + v * gamma * ed * ed) / tau, 0.0, pmax)
+    p_d = (q * ed + v * gamma * ed * ed) / tau
+    p_d = 0.0 if p_d < 0.0 else (pmax if p_d > pmax else p_d)
     val_d = (p_d * tau / ed) ** 2 / 2 - p_d * tau * q / ed - v * gamma * p_d * tau
-    p = np.where(val_c < val_d, -p_c, p_d)
-    if p.ndim == 0:
-        return float(p)
-    return p
+    return -p_c if val_c < val_d else p_d
 
 
 def power_bounds(
@@ -146,10 +133,9 @@ def bid_curve(
     params: PolicyParams,
     unit: StorageUnit,
     tau: float,
-    n_points: int | None = None,
 ) -> PiecewiseLinearCurve:
     """Sampled convex bid in market units ($/h versus MW), zero at rest."""
-    n = unit.n_segments if n_points is None else n_points
+    n = unit.n_segments
     if n < 2:
         raise ValueError(f"need at least 2 sample points, got {n}")
     lo, hi = power_bounds(q, params, unit, tau)
@@ -248,15 +234,9 @@ def offline_optimal(prices, unit: StorageUnit, tau: float) -> OfflineSchedule:
                            complementarity_violations=violations)
 
 
-def b1_parameters(
-    unit: StorageUnit,
-    tau: float,
-    gamma_lo: float | None = None,
-    gamma_hi: float | None = None,
-) -> PolicyParams:
+def b1_parameters(unit: StorageUnit, tau: float) -> PolicyParams:
     """Tuning for the linear-surrogate policy; needs headroom for full swings."""
-    lo = unit.gamma_lo if gamma_lo is None else gamma_lo
-    hi = unit.gamma_hi if gamma_hi is None else gamma_hi
+    lo, hi = unit.gamma_lo, unit.gamma_hi
     num = unit.e_max - unit.e_min - unit.p_max * tau * unit.eta_c - unit.p_max * tau / unit.eta_d
     den = hi * unit.eta_d - lo / unit.eta_c
     if den <= 0 or num <= 0:
@@ -280,20 +260,12 @@ def b1_power(q: float, gamma: float, params: PolicyParams, unit: StorageUnit, ta
     return best
 
 
-def b2_power(
-    gamma: float,
-    state: StorageState,
-    unit: StorageUnit,
-    tau: float,
-    lo_threshold: float = 0.02,
-    hi_threshold: float = 0.05,
-) -> float:
-    """Threshold rule: full feasible charge below lo, discharge above hi."""
-    if lo_threshold >= hi_threshold:
-        raise ValueError("lower threshold must sit below the upper one")
+def b2_power(gamma: float, state: StorageState, unit: StorageUnit, tau: float) -> float:
+    """Threshold rule: full feasible charge below ``B2_THRESHOLDS[0]``,
+    full feasible discharge above ``B2_THRESHOLDS[1]``."""
     lo_p, hi_p = feasible_power_range(state.e, unit, tau)
-    if gamma < lo_threshold:
+    if gamma < B2_THRESHOLDS[0]:
         return lo_p
-    if gamma > hi_threshold:
+    if gamma > B2_THRESHOLDS[1]:
         return hi_p
     return 0.0

@@ -9,6 +9,24 @@ from __future__ import annotations
 import numpy as np
 
 
+def subgradient_range(curve, p):
+    """Smallest and largest slope of the segments of ``curve`` active at ``p``."""
+    v = curve.value(p)
+    active = [s for s, b in curve.segments if s * p + b >= v - 1e-9 * max(1.0, abs(v))]
+    return min(active), max(active)
+
+
+def highs_solve(problem):
+    """``problem`` (an ``lp_core.LpProblem``) solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    res = linprog(problem.cost, A_eq=problem.constraint_matrix, b_eq=problem.rhs,
+                  bounds=list(zip(np.zeros(problem.variable_count), problem.upper)),
+                  method="highs")
+    assert res.status == 0, res.message
+    return res
+
+
 def tableau_simplex(cost, a, rhs, tol=1e-9, max_iter=50000):
     """Two-phase full-tableau simplex, Bland's rule throughout.
 

@@ -13,9 +13,10 @@ from carbomarket.emission_allocation import (
     feasible_start,
     partial_derivative,
     _emission_cost,
+    _problem_at,
 )
 from carbomarket.lp_core import LpStatus, solve
-from carbomarket.market_clearing import AgentBid, BidSet, clear_market, loss_direction_iterate
+from carbomarket.market_clearing import AgentBid, BidSet, clear_market
 from carbomarket.network_model import (
     Branch,
     Bus,
@@ -23,7 +24,7 @@ from carbomarket.network_model import (
     PiecewiseLinearCurve,
     curve_from_points,
 )
-from oracles import c2_psi, random_small_case, scan_basis_regions
+from oracles import c2_psi, highs_solve, random_small_case, scan_basis_regions
 
 KAPPA = 0.05
 
@@ -53,10 +54,10 @@ def storage_bid(name, bus, lo, hi, p_max=3.0):
     )
 
 
-def cleared_form(case, agents, demand, period=0):
+def cleared_form(case, agents, demand):
     bids = BidSet(agents=agents, demand=np.asarray(demand, dtype=float))
-    clearing = clear_market(case, bids, period)
-    return clearing, build_compact_form(case, clearing, period)
+    clearing = clear_market(case, bids)
+    return clearing, build_compact_form(case, clearing)
 
 
 def test_single_generator_emission_cost_is_linear_in_demand():
@@ -100,8 +101,8 @@ def test_form_reproduces_clearing_emission_on_replica():
             is_renewable=g.is_renewable,
         ))
     bids = BidSet(agents=agents, demand=case.demand(5))
-    clearing = clear_market(case, bids, 5)
-    form = build_compact_form(case, clearing, 5)
+    clearing = clear_market(case, bids)
+    form = build_compact_form(case, clearing)
     e_star, _ = _emission_cost(form, 1.0)
     expected = clearing.total_emission * case.kappa * case.tau / 2
     assert e_star == pytest.approx(expected, rel=1e-7)
@@ -118,7 +119,7 @@ def test_sweep_prices_the_loss_vector_the_clearing_converged_to():
         loss_direction_dependent=True,
     )
     agents = [gen_bid("cheap", 1, 20.0, 50.0, 0.5), gen_bid("dear", 2, 40.0, 50.0, 0.5)]
-    clearing = loss_direction_iterate(case, BidSet(agents=agents, demand=np.array([0.0, 10.0])))
+    clearing = clear_market(case, BidSet(agents=agents, demand=np.array([0.0, 10.0])))
     np.testing.assert_array_equal(clearing.loss, [0.05, -0.03])
     res = allocate_period(case, clearing)
     expected = KAPPA * case.tau / 2 * clearing.total_emission
@@ -129,7 +130,7 @@ def test_sweep_prices_the_loss_vector_the_clearing_converged_to():
 def test_partial_derivative_single_and_two_generator():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, 0.5)], [7.0])
-    sol = solve(form.market.problem)
+    sol = solve(_problem_at(form, 1.0))
     grad = partial_derivative(form, sol)
     np.testing.assert_allclose(grad, KAPPA * 0.5 * 1000 * case.tau / 2, atol=1e-9)
 
@@ -140,7 +141,7 @@ def test_partial_derivative_single_and_two_generator():
     )
     agents = [gen_bid("cheap", 1, 10.0, 5.0, 0.9), gen_bid("dear", 1, 30.0, 20.0, 0.2)]
     _, form2 = cleared_form(two_bus, agents, [3.1, 4.2])
-    sol2 = solve(form2.market.problem)
+    sol2 = solve(_problem_at(form2, 1.0))
     grad2 = partial_derivative(form2, sol2)
     np.testing.assert_allclose(grad2, KAPPA * 0.2 * 1000 / 2, atol=1e-9)
 
@@ -149,7 +150,7 @@ def test_partial_derivative_matches_finite_difference():
     case = single_bus_case()
     agents = [gen_bid("a", 1, 10.0, 5.0, 0.9), gen_bid("b", 1, 30.0, 20.0, 0.2)]
     _, form = cleared_form(case, agents, [7.3])
-    sol = solve(form.market.problem)
+    sol = solve(_problem_at(form, 1.0))
     grad = partial_derivative(form, sol)
     h = 1e-5
     from carbomarket.market_clearing import assemble_market_lp
@@ -230,6 +231,62 @@ def test_cost_sharing_on_random_cases():
         done += 1
 
 
+def highs_at(form, y):
+    """Objective and emission cost E = k.x + k_offset of the compact LP at ray
+    point y, solved by HiGHS instead."""
+    res = highs_solve(_problem_at(form, y))
+    return res.fun, float(form.k @ res.x) + form.k_offset
+
+
+def assert_close(got, want, rtol=1e-9):
+    assert abs(got - want) <= rtol * max(1.0, abs(want)), (got, want)
+
+
+def test_compact_form_matches_highs_at_region_midpoints_and_the_end(monkeypatch):
+    from carbomarket import simulator
+    from carbomarket.market_clearing import MarketInfeasibleError
+    from carbomarket.simulator import ScenarioConfig, run_horizon
+    from carbomarket.synthetic import replica30_case
+
+    swept = []
+
+    def recording(case, clearing):
+        swept.append((case, clearing, allocate_period(case, clearing)))
+        return swept[-1][2]
+
+    monkeypatch.setattr(simulator, "allocate_period", recording)
+    run_horizon(replica30_case(seed=7), ScenarioConfig.proposed(horizon=6))
+    monkeypatch.undo()
+    rng = np.random.default_rng(31)
+    drawn = 0
+    while drawn < 10:
+        case, bids = random_small_case(rng, min_output_prob=0.3)
+        try:
+            clearing = clear_market(case, bids)
+        except MarketInfeasibleError:
+            continue
+        swept.append((case, clearing, allocate_period(case, clearing)))
+        drawn += 1
+    assert len(swept) == 16
+    regions = 0
+    for case, clearing, res in swept:
+        form = build_compact_form(case, clearing)
+        y_prev = res.start_point.zeta if res.start_point is not None else 0.0
+        ys = []
+        for y_next, _ in res.breakpoints:
+            ys.append((y_prev + y_next) / 2.0)
+            y_prev = y_next
+        regions += len(ys)
+        for y in ys + [1.0]:
+            sol = solve(_problem_at(form, y))
+            assert sol.status is LpStatus.OPTIMAL
+            fun, e_highs = highs_at(form, y)
+            assert_close(sol.objective, fun)
+            assert_close(float(form.k @ sol.primal) + form.k_offset, e_highs)
+        assert_close(res.emission_cost_at_star, e_highs)
+    assert regions > len(swept)  # some sweep crosses a breakpoint
+
+
 def test_storage_and_load_share_one_bus_price():
     case = single_bus_case()
     agents = [gen_bid("g", 1, 30.0, 20.0, 0.5), storage_bid("es", 1, lo=50.0, hi=90.0)]
@@ -244,17 +301,15 @@ def test_storage_and_load_share_one_bus_price():
 def test_feasible_start_zeta_values():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 50.0, 0.5)], [40.0])
-    start = feasible_start(case, form)
+    start = feasible_start(form)
     assert start.zeta == pytest.approx(0.0, abs=1e-9)
 
     agents = [gen_bid("g", 1, 30.0, 50.0, 0.5, p_min=10.0)]
     clearing, form2 = cleared_form(case, agents, [40.0])
     with pytest.raises(InfeasibleAtOriginError):
         aumann_shapley_prices(form2)
-    start2 = feasible_start(case, form2)
+    start2 = feasible_start(form2)
     assert start2.zeta == pytest.approx(0.25, abs=1e-9)
-    share_total = sum(start2.storage_share.values()) + float(start2.load_share.sum())
-    assert share_total == pytest.approx(start2.emission_cost, rel=1e-12)
 
     res = aumann_shapley_prices(form2, start=start2)
     assert res.cost_sharing_error <= 1e-9

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from carbomarket import simulator
+from carbomarket import market_clearing, simulator
 from carbomarket.lp_core import LpStatus, solve as lp_solve
 from carbomarket.market_clearing import (
     AgentBid,
@@ -15,12 +15,11 @@ from carbomarket.market_clearing import (
     assemble_market_lp,
     clear_market,
     compute_lmps,
-    loss_direction_iterate,
 )
 from carbomarket.network_model import Branch, Bus, NetworkCase, curve_from_points
 from carbomarket.simulator import ScenarioConfig, run_horizon
 from carbomarket.synthetic import replica30_case
-from oracles import random_small_case
+from oracles import highs_solve, random_small_case
 
 
 def linear_bid(name, bus, slope, cap, psi=None, p_min=0.0, renewable=False):
@@ -195,40 +194,45 @@ def test_lexicographic_fidelity_against_greedy_two_stage():
         np.testing.assert_allclose(res.dispatch, p, atol=1e-7)
 
 
-def test_loss_direction_iteration():
+def test_loss_direction_iteration(monkeypatch):
     lossless = make_case()
     bids = BidSet(agents=[linear_bid("g", 1, 30.0, 10.0, psi=0.5)], demand=np.array([7.0]))
-    res = loss_direction_iterate(lossless, bids)
+    res = clear_market(lossless, bids)
     assert res.loss_converged and res.loss_iterations == 1
 
     fixed = make_case(loss=[0.05])
-    res = loss_direction_iterate(fixed, bids)
+    res = clear_market(fixed, bids)
     assert res.loss_converged and res.loss_iterations == 1
     assert res.dispatch[0] == pytest.approx(0.95 * 7.0 / 0.95, abs=1e-8)
 
-    flip = make_case(
-        n_buses=2, branches=[Branch(1, 2, capacity=50.0, reactance=0.1)],
-        loss=[0.05, 0.03], loss_direction_dependent=True,
-    )
+    line = [Branch(1, 2, capacity=50.0, reactance=0.1)]
+    flip = make_case(n_buses=2, branches=line, loss=[0.05, 0.03],
+                     loss_direction_dependent=True)
     bids2 = BidSet(agents=[linear_bid("g", 1, 20.0, 50.0, psi=0.5)],
                    demand=np.array([0.0, 10.0]))
-    res2 = loss_direction_iterate(flip, bids2)
+    res2 = clear_market(flip, bids2)
     assert res2.loss_converged
     assert res2.loss_iterations == 2
+    np.testing.assert_array_equal(res2.loss, [0.05, -0.03])
     # final pass used L = (+0.05, -0.03): 0.95 p = 1.03 * 10
     assert res2.dispatch[0] == pytest.approx(10.3 / 0.95, abs=1e-8)
     # the re-clear started from the first pass's basis and lands where a
-    # cold clear with the final loss vector does
+    # cold clear with the final loss vector fixed does
     assert res2.outcome == "warm"
-    cold = clear_market(flip, bids2, loss=np.array([0.05, -0.03]))
-    assert cold.outcome == "cold"
+    cold = clear_market(make_case(n_buses=2, branches=line, loss=[0.05, -0.03]), bids2)
+    assert cold.outcome == "cold" and cold.loss_iterations == 1
     np.testing.assert_allclose(res2.dispatch, cold.dispatch, rtol=0, atol=1e-9)
     np.testing.assert_allclose(res2.lmp, cold.lmp, rtol=0, atol=1e-9)
     # a later period starts from the previous period's basis
-    nxt = loss_direction_iterate(flip, bids2, warm_basis=res2.basis)
+    nxt = clear_market(flip, bids2, warm_basis=res2.basis)
     assert nxt.outcome == "warm" and nxt.loss_iterations == 2
     np.testing.assert_allclose(nxt.dispatch, cold.dispatch, rtol=0, atol=1e-9)
     np.testing.assert_allclose(nxt.lmp, cold.lmp, rtol=0, atol=1e-9)
+    # out of clearings before the signs settle: the last one, flagged
+    monkeypatch.setattr(market_clearing, "LOSS_ITERATIONS", 1)
+    capped = clear_market(flip, bids2)
+    assert not capped.loss_converged and capped.loss_iterations == 1
+    np.testing.assert_array_equal(capped.loss, [0.05, 0.03])
 
 
 def test_warm_basis_reclear_is_cheap_and_identical():
@@ -305,15 +309,10 @@ def test_segments_fill_in_order_and_emissions_are_exact():
         assert res.total_cost == pytest.approx(want_cost, rel=1e-12, abs=1e-9)
 
 
-def highs_prices(case, bids, period):
+def highs_prices(case, bids):
     """Objective and LMPs of the clearing LP solved by HiGHS instead."""
-    from scipy.optimize import linprog
-
-    problem, form = assemble_clearing_lp(case, bids, period)
-    bounds = [(0.0, u if np.isfinite(u) else None) for u in problem.upper]
-    res = linprog(problem.cost, A_eq=problem.constraint_matrix, b_eq=problem.rhs,
-                  bounds=bounds, method="highs")
-    assert res.status == 0, res.message
+    problem, form = assemble_clearing_lp(case, bids)
+    res = highs_solve(problem)
     y = res.eqlin.marginals
     n_br = form.n_branches
     lmp = compute_lmps(y[0], np.maximum(y[1:1 + n_br], 0.0), np.maximum(-y[1:1 + n_br], 0.0),
@@ -321,10 +320,10 @@ def highs_prices(case, bids, period):
     return res.fun, y, lmp
 
 
-def assert_matches_highs(case, bids, period, result):
-    problem, _ = assemble_clearing_lp(case, bids, period)
+def assert_matches_highs(case, bids, result):
+    problem, _ = assemble_clearing_lp(case, bids)
     ours = lp_solve(problem)
-    fun, y, lmp = highs_prices(case, bids, period)
+    fun, y, lmp = highs_prices(case, bids)
     assert abs(ours.objective - fun) <= 1e-9 * max(1.0, abs(fun))
     # balance and branch duals; the bounds' duals are degenerate and not compared
     scale = max(1.0, np.abs(y).max())
@@ -336,18 +335,18 @@ def test_clearing_matches_highs_on_replica30_and_random_networks(monkeypatch):
     case = replica30_case(seed=7)
     seen = []
 
-    def recording(case, bids, period, **kwargs):
-        seen.append((bids, period, clear_market(case, bids, period, **kwargs)))
-        return seen[-1][2]
+    def recording(case, bids, **kwargs):
+        seen.append((bids, clear_market(case, bids, **kwargs)))
+        return seen[-1][1]
 
     monkeypatch.setattr(simulator, "clear_market", recording)
     run_horizon(case, ScenarioConfig.a1(horizon=24))
     monkeypatch.undo()
-    assert len(seen) == 24 and all(r.outcome == "warm" for _, _, r in seen[1:])
-    for bids, period, result in seen:
-        assert_matches_highs(case, bids, period, result)
+    assert len(seen) == 24 and all(r.outcome == "warm" for _, r in seen[1:])
+    for bids, result in seen:
+        assert_matches_highs(case, bids, result)
 
     rng = np.random.default_rng(2718)
     for _ in range(15):
         small, bids = random_small_case(rng, min_output_prob=0.3)
-        assert_matches_highs(small, bids, 0, clear_market(small, bids))
+        assert_matches_highs(small, bids, clear_market(small, bids))

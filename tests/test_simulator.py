@@ -39,6 +39,7 @@ from carbomarket.storage_policy import (
     update_state,
 )
 from carbomarket.synthetic import replica30_case
+from oracles import subgradient_range
 
 
 def linear_gen(name, bus, slope, cap, rate, p_min=0.0, renewable=False):
@@ -115,7 +116,7 @@ def test_linear_bid_slope_is_fuel_plus_half_priced_emission():
     case = one_bus_case([7.0], [linear_gen("g", 1, 47.0, 10.0, 0.9)], kappa=0.05)
     (bid,) = plant_bids(case, 0)
     # 47 $/MWh fuel plus 0.05/2 $/kg on 900 kg/h per MW
-    lo, hi = bid.cost_curve.subgradient_range(5.0)
+    lo, hi = subgradient_range(bid.cost_curve, 5.0)
     assert lo == pytest.approx(69.5, abs=1e-12)
     assert hi == pytest.approx(69.5, abs=1e-12)
 
@@ -153,7 +154,7 @@ def test_renewable_bids_track_the_series():
 def test_single_bus_books_balance_exactly():
     case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.0)
     clearing = clear_market(case, BidSet(agents=plant_bids(case, 0), demand=case.demand(0)))
-    ledger = settle(clearing, None, case, 0)
+    ledger = settle(clearing, None, case)
     assert ledger.load_energy.sum() == pytest.approx(ledger.generator_revenue["g"], abs=1e-9)
     assert ledger.congestion_rent == pytest.approx(0.0, abs=1e-12)
     assert ledger.emission_pot == 0.0
@@ -164,7 +165,7 @@ def test_linear_emission_charge_is_half_kappa_intensity_times_load():
     case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.05)
     record, clearing, allocation = run_period(
         case, ScenarioConfig.proposed(), 0, {}, {})
-    ledger = settle(clearing, allocation, case, 0)
+    ledger = settle(clearing, allocation, case)
     # psi = kappa * rate / 2 in $/kWh, so the charge is kappa/2 * 500 kg/h * tau
     assert allocation.psi[0] == pytest.approx(0.0125, abs=1e-12)
     assert ledger.load_emission[0] == pytest.approx(87.5, abs=1e-6)
@@ -184,7 +185,7 @@ def test_congested_books_close_against_the_rent():
     )
     record, clearing, allocation = run_period(
         case, ScenarioConfig.proposed(), 0, {}, {})
-    ledger = settle(clearing, allocation, case, 0)
+    ledger = settle(clearing, allocation, case)
     rent = float(case.branch_capacities() @ (clearing.mu_plus + clearing.mu_minus))
     assert rent > 1.0  # the 30 MW line binds
     energy_gap = float(ledger.load_energy.sum()) - sum(ledger.generator_revenue.values())
@@ -203,10 +204,10 @@ def test_doctored_duals_fail_the_balance():
         storages=[], load_series=np.array([[0.0, 0.0, 60.0]]), kappa=0.0,
     )
     clearing = clear_market(case, BidSet(agents=plant_bids(case, 0), demand=case.demand(0)))
-    settle(clearing, None, case, 0)  # honest duals balance
+    settle(clearing, None, case)  # honest duals balance
     clearing.mu_plus = clearing.mu_plus + 0.1  # phantom rent with no payer
-    with pytest.raises(SettlementImbalanceError, match="period 0"):
-        settle(clearing, None, case, 0)
+    with pytest.raises(SettlementImbalanceError, match="settlement off by"):
+        settle(clearing, None, case)
 
 
 def test_forced_minimum_output_starts_the_sweep_inside(monkeypatch):
@@ -349,6 +350,58 @@ def test_abort_preserves_the_finished_rows():
         run_horizon(case, ScenarioConfig.proposed())
     assert len(err.value.report.records) == 1
     assert err.value.report.records[0].t == 0
+
+
+def test_settlement_abort_names_its_period_once(monkeypatch):
+    case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.0)
+    monkeypatch.setattr(simulator, "SETTLEMENT_RTOL", -1.0)  # even 0 $ is off
+    with pytest.raises(SimulationAbort) as err:
+        run_horizon(case, ScenarioConfig.proposed())
+    message = str(err.value)
+    assert message.startswith("period 0: settlement off by")
+    assert message.count("period 0:") == 1
+    assert isinstance(err.value.__cause__, SettlementImbalanceError)
+
+
+def export_import_case(horizon=48):
+    """Two buses with direction-dependent losses: both plants sit at bus 1,
+    and a daily load cycle plus a storage that never covers it sit at bus 2,
+    so bus 1 always exports and bus 2 always imports."""
+    hours = np.arange(horizon)
+    loads = np.zeros((horizon, 2))
+    loads[:, 1] = 12.0 + 4.0 * np.sin(2 * np.pi * hours / 24)
+    return NetworkCase(
+        buses=[Bus(1, loss_sensitivity=0.05), Bus(2, loss_sensitivity=0.03)],
+        branches=[Branch(1, 2, capacity=50.0, reactance=0.1)],
+        generators=[linear_gen("coal", 1, 20.0, 12.0, 0.9),
+                    linear_gen("gas", 1, 50.0, 30.0, 0.1)],
+        storages=[es_unit(bus=2, e_min=2.0, e_max=18.0, e_init=10.0,
+                          gamma_lo=0.04, gamma_hi=0.09)],
+        load_series=loads, kappa=0.05, loss_direction_dependent=True,
+    )
+
+
+@pytest.mark.parametrize("name", ["proposed", "a1", "a2"])
+def test_loss_direction_dependent_horizon_settles_on_the_signed_losses(monkeypatch, name):
+    case = export_import_case()
+    clearings = []
+
+    def recording(*args, **kwargs):
+        clearings.append(clear_market(*args, **kwargs))
+        return clearings[-1]
+
+    monkeypatch.setattr(simulator, "clear_market", recording)
+    report = run_horizon(case, getattr(ScenarioConfig, name)())
+    assert len(report.records) == len(clearings) == 48
+    for clearing in clearings:
+        assert clearing.loss_converged
+        np.testing.assert_array_equal(clearing.loss, [0.05, -0.03])
+    assert report.max_settlement_residual <= 1e-6
+    assert report.max_cost_sharing_error <= 1e-9
+    if name != "a2":
+        # the storage trades both ways, so its columns shape the clearings
+        powers = [r.storage["es"].p for r in report.records]
+        assert min(powers) < -0.5 and max(powers) > 0.5
 
 
 @pytest.mark.parametrize("seed, name, period, violated", [

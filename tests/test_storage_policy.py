@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from carbomarket.storage_policy import (
     update_state,
     StorageState,
 )
+from oracles import subgradient_range
 
 
 def make_unit(**kw):
@@ -184,15 +187,15 @@ def test_bid_curve_dead_band_spans_inverse_policy_gap():
     psi_prev = 0.015
     exact_lo = 1000.0 * (-q * unit.eta_c / params.v_s - psi_prev)
     exact_hi = 1000.0 * (-q / (params.v_s * unit.eta_d) - psi_prev)
-    fine = bid_curve(q, psi_prev, params, unit, tau, n_points=4001)
+    fine = bid_curve(q, psi_prev, params, dataclasses.replace(unit, n_segments=4001), tau)
     lo_bounds = power_bounds(q, params, unit, tau)
     h = (lo_bounds[1] - lo_bounds[0]) / 4000
     curvature = 1000.0 * tau * max(unit.eta_c ** 2, 1 / unit.eta_d ** 2) / params.v_s
-    sub = fine.subgradient_range(0.0)
+    sub = subgradient_range(fine, 0.0)
     assert sub[0] == pytest.approx(exact_lo, abs=curvature * h)
     assert sub[1] == pytest.approx(exact_hi, abs=curvature * h)
     # the sampled dead band always contains the exact one
-    coarse = bid_curve(q, psi_prev, params, unit, tau).subgradient_range(0.0)
+    coarse = subgradient_range(bid_curve(q, psi_prev, params, unit, tau), 0.0)
     assert coarse[0] <= exact_lo + 1e-9
     assert coarse[1] >= exact_hi - 1e-9
 
@@ -360,8 +363,6 @@ def test_threshold_policy_and_its_soc_clip():
     nearly_empty = StorageState(e=unit.e_min + 0.5, q=0.0)
     assert b2_power(0.06, nearly_empty, unit, 1.0) \
         == pytest.approx(0.5 * unit.eta_d, abs=1e-12)
-    with pytest.raises(ValueError):
-        b2_power(0.03, mid, unit, 1.0, lo_threshold=0.05, hi_threshold=0.02)
 
 
 def test_scaled_parameters_reclamp_the_queue_offset():
