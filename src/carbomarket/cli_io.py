@@ -71,15 +71,14 @@ SUMMARY_COLUMNS = ["metric", "agent", "value"]
 TRACE_COLUMNS = ["period", "index", "y", "iterations", "start_used",
                  "cost_sharing_error"]
 
-SCENARIO_KEYS = {
-    "name", "enable_storage", "enable_allocation", "kappa_override",
-    "epsilon", "horizon",
-}
+SCENARIO_KEYS = {"name", "enable_storage", "enable_allocation", "horizon"}
 
 STORAGE_FIELDS = ("p_max", "eta_c", "eta_d", "e_min", "e_max", "e_init",
                   "gamma_lo", "gamma_hi")
 # Keys each case-file mapping may hold; any other key is reported. The
-# retired market.delta (the sweep step, now a constant) loads and is ignored.
+# retired market.delta (the sweep step, now a constant) and
+# generators[i].unit_emission (the emission curve carries the rate) load and
+# are ignored.
 CASE_KEYS = {
     "case": {"name", "units", "market", "buses", "branches", "generators",
              "storages", "series", "scenario"},
@@ -328,13 +327,11 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
         p_max = _num(entry, "p_max", here, problems, required=True)
         fuel = _parse_curve(entry, "fuel", here, problems)
         emission = _parse_curve(entry, "emission", here, problems)
-        unit_emission = _num(entry, "unit_emission", here, problems, default=None)
         renewable = _bool(entry, "renewable", here, problems)
         if None not in (name, bus, p_max) and fuel and emission:
             generators.append(Generator(
                 name=name, bus=bus, fuel_curve=fuel, emission_curve=emission,
-                p_min=p_min, p_max=p_max, unit_emission=unit_emission,
-                is_renewable=renewable))
+                p_min=p_min, p_max=p_max, is_renewable=renewable))
 
     storages = []
     for i, entry in _maplist(doc, "storages", "storages", problems):
@@ -409,9 +406,6 @@ def _check_scenario_fields(data: dict, path: str, problems: list[str]) -> None:
     for key in ("enable_storage", "enable_allocation"):
         if key in data and not isinstance(data[key], bool):
             problems.append(f"{path}.{key}: expected true/false")
-    for key in ("kappa_override", "epsilon"):
-        if key in data and data[key] is not None:
-            _num(data, key, path, problems)
     if data.get("horizon") is not None:
         _int(data, "horizon", path, problems)
 
@@ -477,8 +471,6 @@ def write_case(case: NetworkCase, path, scenario_defaults: dict | None = None) -
             {
                 "name": g.name, "bus": int(g.bus),
                 "p_min": float(g.p_min), "p_max": float(g.p_max),
-                **({"unit_emission": float(g.unit_emission)}
-                   if g.unit_emission is not None else {}),
                 **({"renewable": True} if g.is_renewable else {}),
                 "fuel_curve": _curve_doc(g.fuel_curve),
                 "emission_curve": _curve_doc(g.emission_curve),
@@ -583,6 +575,7 @@ def summary_rows(report: SimulationReport):
     yield ["max_cost_sharing_error", "", report.max_cost_sharing_error]
     yield ["periods_started_from_interior", "",
            report.periods_started_from_interior]
+    yield ["periods_loss_unconverged", "", report.periods_loss_unconverged]
     for name in sorted(report.storage_revenue_total):
         yield ["revenue_total_usd", name, report.storage_revenue_total[name]]
     for name in sorted(report.storage_revenue_rate):
@@ -634,13 +627,6 @@ def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir) ->
 # ------------------------------------------------------------ subcommands
 
 
-def _case_with_overrides(args) -> NetworkCase:
-    case, _ = load_case_document(args.case)
-    if args.epsilon is not None:
-        case = dataclasses.replace(case, epsilon=args.epsilon)
-    return case
-
-
 def _single_period(case: NetworkCase, period: int):
     if not 0 <= period < case.horizon:
         raise CaseSchemaError([f"period: {period} outside horizon 0..{case.horizon - 1}"])
@@ -653,7 +639,7 @@ def _single_period(case: NetworkCase, period: int):
 
 
 def _cmd_clear(args) -> int:
-    case = _case_with_overrides(args)
+    case = load_case(args.case)
     record, clearing, _ = _single_period(case, args.period)
     print(f"period={record.t} lambda_bar={clearing.lambda_bar:.6f} "
           f"bid_cost_usd_per_h={clearing.total_cost:.6f} "
@@ -672,16 +658,18 @@ def _cmd_clear(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    case = _case_with_overrides(args)
+    case = load_case(args.case)
     record, clearing, allocation = _single_period(case, args.period)
     if allocation is None:
         print(f"period={record.t} kappa={case.kappa} allocation=disabled")
         return EXIT_OK
+    demand = clearing.bids.demand
     for b, bus in enumerate(case.buses):
+        load_cost = allocation.psi[b] * demand[b] * case.tau * 1000.0
         print(f"psi bus={bus.id} usd_per_kwh={allocation.psi[b]:.10f} "
-              f"load_cost_usd={allocation.load_cost[b]:.6f}")
-    for name, cost in sorted(allocation.storage_cost.items()):
-        print(f"storage_cost agent={name} usd={cost:.6f}")
+              f"load_cost_usd={load_cost:.6f}")
+    for name, row in sorted(record.storage.items()):
+        print(f"storage_cost agent={name} usd={row.emission_charge:.6f}")
     for k, (y, basis) in enumerate(allocation.breakpoints):
         print(f"trace index={k} y={y:.10f} basis_size={len(basis)}")
     print(f"iterations={allocation.iterations} "
@@ -691,7 +679,7 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_cef(args) -> int:
-    case = _case_with_overrides(args)
+    case = load_case(args.case)
     record, clearing, allocation = _single_period(case, args.period)
     graph = FlowGraph.from_clearing(case, clearing)
     rho = cef_solve(graph)
@@ -705,11 +693,7 @@ def _cmd_cef(args) -> int:
 
 
 def _merged_scenario(args, defaults: dict) -> ScenarioConfig:
-    overlay: dict = {}
-    if args.scenario:
-        overlay.update(_read_yaml(Path(args.scenario)))
-    if args.epsilon is not None:
-        overlay["epsilon"] = args.epsilon
+    overlay = _read_yaml(Path(args.scenario)) if args.scenario else None
     return build_scenario(defaults, overlay)
 
 
@@ -791,8 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--scenario", help="scenario YAML file")
         if out is not None:
             sp.add_argument("--out", required=out, help="output directory")
-        sp.add_argument("--epsilon", type=float, default=None,
-                        help="emission tie-break weight override")
 
     sp = sub.add_parser("clear", help="clear one period and print the dispatch")
     add_common(sp, period=True)

@@ -15,7 +15,7 @@ price increment at every bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_factor  # noqa: F401  unused; perfbench/tracing.py wraps it
@@ -29,7 +29,7 @@ from .lp_core import (
     solve,
     solve_with_basis,
 )
-from .market_clearing import ClearingResult, assemble_market_lp
+from .market_clearing import AssembledMarket, BidSet, ClearingResult, assemble_clearing_lp
 from .network_model import NetworkCase
 
 
@@ -46,23 +46,6 @@ class NonProgressError(RuntimeError):
 
 
 @dataclass
-class CompactAllocationForm:
-    a: np.ndarray
-    c: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
-    upper: np.ndarray
-    # emission cost E(y) = k.x + k_offset
-    k_offset: float
-    net_demand_star: np.ndarray
-    tau: float
-    demand_star: np.ndarray
-    storage_power: dict[str, float]
-    storage_bus: dict[str, int]
-
-
-@dataclass
 class FeasibleStart:
     zeta: float
     emission_cost: float
@@ -75,8 +58,6 @@ class FeasibleStart:
 @dataclass
 class AllocationResult:
     psi: np.ndarray
-    storage_cost: dict[str, float]
-    load_cost: np.ndarray
     breakpoints: list[tuple[float, tuple[int, ...]]]
     start_point: FeasibleStart | None
     cost_sharing_error: float
@@ -85,43 +66,33 @@ class AllocationResult:
     iterations: int
 
 
-def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> CompactAllocationForm:
+def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> AssembledMarket:
+    """The clearing LP of the plants' bids at net demand: each storage's
+    cleared power moves into its bus's demand, and the loss vector is the
+    one the clearing converged to. Its ``demand`` is the sweep's ray."""
     bids = clearing.bids
     net_demand = bids.demand.copy()
-    storage_power: dict[str, float] = {}
-    storage_bus: dict[str, int] = {}
-    generators = []
+    plants = []
     for idx, agent in enumerate(bids.agents):
         if agent.is_storage:
-            if agent.bus not in case.bus_index:
-                raise ValueError(f"storage {agent.name} sits on unknown bus {agent.bus}")
-            p = float(clearing.dispatch[idx])
-            storage_power[agent.name] = p
-            storage_bus[agent.name] = case.bus_index[agent.bus]
-            net_demand[case.bus_index[agent.bus]] -= p
+            net_demand[case.bus_index[agent.bus]] -= float(clearing.dispatch[idx])
         else:
-            generators.append(agent)
-    market = assemble_market_lp(case, generators, net_demand, loss=clearing.loss)
-    return CompactAllocationForm(
-        a=market.problem.constraint_matrix, c=market.problem.cost,
-        g=market.g, h=market.h, k=market.k,
-        upper=market.problem.upper, k_offset=market.k_offset,
-        net_demand_star=net_demand, tau=case.tau,
-        demand_star=bids.demand, storage_power=storage_power, storage_bus=storage_bus,
-    )
+            plants.append(agent)
+    _, form = assemble_clearing_lp(case, BidSet(agents=plants, demand=net_demand),
+                                   loss=clearing.loss)
+    return form
 
 
-def _problem_at(form: CompactAllocationForm, y: float) -> LpProblem:
-    rhs = form.g @ (y * form.net_demand_star) + form.h
-    return LpProblem(cost=form.c, constraint_matrix=form.a, rhs=rhs, upper=form.upper)
+def _problem_at(form: AssembledMarket, y: float) -> LpProblem:
+    return replace(form.problem, rhs=form.g @ (y * form.demand) + form.h)
 
 
-def partial_derivative(form: CompactAllocationForm, sol: LpSolution) -> np.ndarray:
+def partial_derivative(form: AssembledMarket, sol: LpSolution) -> np.ndarray:
     """Marginal emission cost per bus, in $ per MW of net demand, on sol's basis."""
     return (sol.basis_inverse.T @ form.k[sol.basis]) @ form.g
 
 
-def _emission_cost(form: CompactAllocationForm, y: float) -> tuple[float, LpSolution]:
+def _emission_cost(form: AssembledMarket, y: float) -> tuple[float, LpSolution]:
     sol = solve(_problem_at(form, y))
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleAtOriginError(
@@ -131,17 +102,17 @@ def _emission_cost(form: CompactAllocationForm, y: float) -> tuple[float, LpSolu
 
 
 def aumann_shapley_prices(
-    form: CompactAllocationForm,
+    form: AssembledMarket,
     start: FeasibleStart | None = None,
 ) -> AllocationResult:
-    tau = form.tau
     if start is None:
         y0 = 0.0
         e_start, sol = _emission_cost(form, y0)
     else:
         y0, e_start, sol = start.zeta, start.emission_cost, start.solution
 
-    ray = form.net_demand_star
+    ray = form.demand
+    a, upper = form.problem.constraint_matrix, form.problem.upper
     grad_accum = np.zeros(form.g.shape[1])
     breakpoints: list[tuple[float, tuple[int, ...]]] = []
     y_prev = y0
@@ -159,7 +130,7 @@ def aumann_shapley_prices(
         if sol.status is not LpStatus.OPTIMAL:
             raise NonProgressError(f"dispatch infeasible at ray point y={probe:g}")
         try:
-            lo, hi = feasibility_interval(sol, form.a, form.g, form.h, ray, form.upper)
+            lo, hi = feasibility_interval(sol, a, form.g, form.h, ray, upper)
         except EmptyIntervalError:
             lo = hi = probe  # basis optimal only at the probe point itself
         y_next = min(hi, 1.0)
@@ -185,32 +156,28 @@ def aumann_shapley_prices(
     allocated = float(grad_accum @ ray)
     sharing_err = abs(allocated - (e_star - e_start)) / max(abs(e_star), 1e-12)
 
-    psi = grad_accum / (tau * 1000.0)
+    psi = grad_accum / (form.tau * 1000.0)
     if start is not None:
         psi = psi + start.price_addon
-    load_cost = psi * form.demand_star * tau * 1000.0
-    storage_cost = {
-        name: float(-psi[form.storage_bus[name]] * p * tau * 1000.0)
-        for name, p in form.storage_power.items()
-    }
     return AllocationResult(
-        psi=psi, storage_cost=storage_cost, load_cost=load_cost,
-        breakpoints=breakpoints, start_point=start,
+        psi=psi, breakpoints=breakpoints, start_point=start,
         cost_sharing_error=float(sharing_err),
         emission_cost_at_star=e_star, emission_cost_at_start=e_start,
         iterations=iterations,
     )
 
 
-def feasible_start(form: CompactAllocationForm) -> FeasibleStart:
+def feasible_start(form: AssembledMarket) -> FeasibleStart:
     """Closest feasible point to the origin on the ray, with its proportional split."""
-    n = form.a.shape[1]
-    ray = form.g @ form.net_demand_star
+    problem = form.problem
+    n = problem.variable_count
+    ray = form.g @ form.demand
     # min zeta s.t. A x - zeta * ray = H, 0 <= x <= upper, 0 <= zeta <= 1
     cost = np.zeros(n + 1)
     cost[n] = 1.0
-    sol = solve(LpProblem(cost=cost, constraint_matrix=np.column_stack([form.a, -ray]),
-                          rhs=form.h, upper=np.append(form.upper, 1.0)))
+    sol = solve(LpProblem(cost=cost,
+                          constraint_matrix=np.column_stack([problem.constraint_matrix, -ray]),
+                          rhs=form.h, upper=np.append(problem.upper, 1.0)))
     if sol.status is not LpStatus.OPTIMAL:
         raise NonProgressError("no feasible point on the demand ray")
     zeta = float(sol.primal[n])
@@ -220,7 +187,7 @@ def feasible_start(form: CompactAllocationForm) -> FeasibleStart:
         raise NonProgressError("start point infeasible despite feasible_start")
     # proportional shares D_i^0 E^0 / (zeta sum(net)) reduce to D_i* E^0 / sum(net),
     # the same price at every bus
-    total_net = float(form.net_demand_star.sum())
+    total_net = float(form.demand.sum())
     addon = 0.0 if abs(total_net) < 1e-12 else e0 / (form.tau * 1000.0 * total_net)
     return FeasibleStart(zeta=zeta, emission_cost=e0, price_addon=addon, solution=start_sol)
 

@@ -91,6 +91,7 @@ class AssembledMarket:
     # emission cost at every agent's p_min: E = k.x + k_offset
     k_offset: float
     demand: np.ndarray
+    tau: float
     n_agents: int
     n_branches: int
     p_shift: np.ndarray
@@ -170,13 +171,10 @@ def _pieces(agent: AgentBid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
     return np.diff(xs), slopes[0], slopes[1], at_min[0], at_min[1]
 
 
-def assemble_market_lp(
-    case: NetworkCase,
-    agents: list[AgentBid],
-    demand: np.ndarray,
-    loss: np.ndarray | None = None,
-) -> AssembledMarket:
-    demand = np.asarray(demand, dtype=float)
+def assemble_clearing_lp(
+    case: NetworkCase, bids: BidSet, loss: np.ndarray | None = None,
+) -> tuple[LpProblem, AssembledMarket]:
+    agents, demand = bids.agents, bids.demand
     n_buses = case.n_buses
     if demand.shape != (n_buses,):
         raise ValueError(f"demand has shape {demand.shape}, case has {n_buses} buses")
@@ -224,24 +222,17 @@ def assemble_market_lp(
         constraint_matrix=a_mat, rhs=g @ demand + h,
         upper=np.concatenate([width, 2.0 * caps]),
     )
-    return AssembledMarket(
+    return problem, AssembledMarket(
         problem=problem, g=g, h=h,
         k=np.concatenate([k_scale * emission_slope, np.zeros(n_br)]),
         k_offset=k_scale * float(emission_at_min.sum()),
-        demand=demand, n_agents=n_agents, n_branches=n_br,
+        demand=demand, tau=case.tau, n_agents=n_agents, n_branches=n_br,
         p_shift=p_shift, column_agent=col_agent, cost_slope=cost_slope,
         emission_slope=emission_slope,
         cost_at_min=cost_at_min, emission_at_min=emission_at_min,
         sigma_agents=sigma_agents, row_labels=tuple(labels), loss=loss,
         column_keys=tuple(keys), row_slack=np.concatenate([[-1], n_seg + np.arange(n_br)]),
     )
-
-
-def assemble_clearing_lp(
-    case: NetworkCase, bids: BidSet, loss: np.ndarray | None = None,
-) -> tuple[LpProblem, AssembledMarket]:
-    form = assemble_market_lp(case, bids.agents, bids.demand, loss=loss)
-    return form.problem, form
 
 
 def compute_lmps(

@@ -135,7 +135,6 @@ class Generator:
     emission_curve: PiecewiseLinearCurve
     p_min: float
     p_max: float
-    unit_emission: float | None = None  # kgCO2/kWh, for linear-emission plants
     is_renewable: bool = False
 
 
@@ -317,7 +316,7 @@ def validate_case(case: NetworkCase) -> list[str]:
         problems += _non_finite(f"branch {br.from_bus}-{br.to_bus}", br,
                                 ("capacity", "reactance", "ptdf_row"))
     for g in case.generators:
-        problems += _non_finite(f"generator {g.name}", g, ("p_min", "p_max", "unit_emission"))
+        problems += _non_finite(f"generator {g.name}", g, ("p_min", "p_max"))
         for curve in ("fuel_curve", "emission_curve"):
             problems += _non_finite(f"generator {g.name} {curve}", getattr(g, curve), ("domain",))
     for s in case.storages:

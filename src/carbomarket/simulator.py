@@ -53,8 +53,6 @@ class ScenarioConfig:
     name: str = "proposed"
     enable_storage: bool = True
     enable_allocation: bool = True
-    kappa_override: float | None = None
-    epsilon: float | None = None
     horizon: int | None = None
 
     @classmethod
@@ -99,10 +97,7 @@ class PeriodRecord:
     renewable_available: float  # MW
     renewable_dispatched: float  # MW
     storage: dict[str, StorageRow]
-    load_payment: float  # $ energy plus emission
-    generator_revenue: float  # $
     congestion_rent: float  # $
-    loss_payment: float  # $ collected for the fixed loss offset
     emission_pot: float  # $ collected emission charges
     settlement_residual: float  # relative
     sigma: dict[str, float] = field(default_factory=dict)  # kg/h per agent
@@ -111,6 +106,9 @@ class PeriodRecord:
     start_used: bool = False
     cost_sharing_error: float = 0.0
     degenerate: bool = False
+    # false when a loss-direction-dependent clearing stopped before its
+    # loss signs matched its dispatch
+    loss_converged: bool = True
 
 
 @dataclass
@@ -233,6 +231,7 @@ class SimulationReport:
     max_settlement_residual: float = 0.0
     max_cost_sharing_error: float = 0.0
     periods_started_from_interior: int = 0
+    periods_loss_unconverged: int = 0
 
     @classmethod
     def from_records(
@@ -258,16 +257,8 @@ class SimulationReport:
         report.max_settlement_residual = max(r.settlement_residual for r in records)
         report.max_cost_sharing_error = max(r.cost_sharing_error for r in records)
         report.periods_started_from_interior = sum(1 for r in records if r.start_used)
+        report.periods_loss_unconverged = sum(1 for r in records if not r.loss_converged)
         return report
-
-
-def _effective_case(case: NetworkCase, scenario: ScenarioConfig) -> NetworkCase:
-    changes = {}
-    if scenario.kappa_override is not None:
-        changes["kappa"] = scenario.kappa_override
-    if scenario.epsilon is not None:
-        changes["epsilon"] = scenario.epsilon
-    return dataclasses.replace(case, **changes) if changes else case
 
 
 def run_period(
@@ -333,10 +324,7 @@ def run_period(
         renewable_available=renewable_available,
         renewable_dispatched=renewable_dispatched,
         storage=storage_rows,
-        load_payment=float(ledger.load_energy.sum() + ledger.load_emission.sum()),
-        generator_revenue=sum(ledger.generator_revenue.values()),
         congestion_rent=ledger.congestion_rent,
-        loss_payment=ledger.loss_payment,
         emission_pot=ledger.emission_pot,
         settlement_residual=ledger.residual_rel,
         sigma={clearing.agent_names[k]: float(s)
@@ -347,13 +335,13 @@ def run_period(
         start_used=allocation.start_point is not None if allocation else False,
         cost_sharing_error=allocation.cost_sharing_error if allocation else 0.0,
         degenerate=clearing.degenerate,
+        loss_converged=clearing.loss_converged,
     )
     return record, clearing, allocation
 
 
 def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport:
     """Roll the market over the horizon; deterministic for a given case."""
-    case = _effective_case(case, scenario)
     t_end = case.horizon if scenario.horizon is None else scenario.horizon
     if t_end > case.horizon:
         raise ValueError(f"horizon {t_end} exceeds series length {case.horizon}")

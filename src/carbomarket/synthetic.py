@@ -78,14 +78,14 @@ def linear_plant(name: str, bus: int, unit_cost: float, unit_emission: float,
     emission = PiecewiseLinearCurve(
         segments=((unit_emission * 1000.0, 0.0),), domain=(p_min, p_max))
     return Generator(name=name, bus=bus, fuel_curve=fuel, emission_curve=emission,
-                     p_min=p_min, p_max=p_max, unit_emission=unit_emission)
+                     p_min=p_min, p_max=p_max)
 
 
 def renewable_plant(name: str, bus: int, p_max: float) -> Generator:
     return Generator(name=name, bus=bus,
                      fuel_curve=zero_curve(0.0, p_max),
                      emission_curve=zero_curve(0.0, p_max),
-                     p_min=0.0, p_max=p_max, unit_emission=0.0, is_renewable=True)
+                     p_min=0.0, p_max=p_max, is_renewable=True)
 
 
 def synthesize_series(horizon: int, seed: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:

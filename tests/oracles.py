@@ -113,12 +113,13 @@ def _inside_region(form, sol, ys):
     basic solution, with the nonbasic columns of ``sol.at_upper`` held at their
     upper bounds, stays within [0, upper] (dual feasibility is independent of
     the ray point)."""
-    a_b = form.a[:, sol.basis]
+    a, upper = form.problem.constraint_matrix, form.problem.upper
+    a_b = a[:, sol.basis]
     at = sol.at_upper
-    u = np.linalg.solve(a_b, form.g @ form.net_demand_star)
-    v = np.linalg.solve(a_b, form.h - form.a[:, at] @ form.upper[at])
+    u = np.linalg.solve(a_b, form.g @ form.demand)
+    v = np.linalg.solve(a_b, form.h - a[:, at] @ upper[at])
     xb = np.outer(ys, u) + v
-    return ((xb >= -1e-7) & (xb <= form.upper[sol.basis] + 1e-7)).all(axis=1)
+    return ((xb >= -1e-7) & (xb <= upper[sol.basis] + 1e-7)).all(axis=1)
 
 
 def c2_psi(form, n_samples):
@@ -146,7 +147,8 @@ def c2_psi(form, n_samples):
         feas = _inside_region(form, sol, ys[idx])
         if not feas.any():
             raise RuntimeError("sampled point escaped its own basis region")
-        grad = np.linalg.solve(form.a[:, sol.basis].T, form.k[sol.basis]) @ form.g
+        grad = np.linalg.solve(form.problem.constraint_matrix[:, sol.basis].T,
+                               form.k[sol.basis]) @ form.g
         psi += feas.sum() / n_samples * grad
         uncovered[idx[feas]] = False
     return psi / (form.tau * 1000.0)

@@ -42,14 +42,14 @@ def linear_gen(name, bus, slope, cap, rate, p_min=0.0):
         fuel_curve=PiecewiseLinearCurve(segments=((slope, 0.0),), domain=domain),
         emission_curve=PiecewiseLinearCurve(
             segments=((1000.0 * rate, 0.0),), domain=domain),
-        p_min=p_min, p_max=cap, unit_emission=rate)
+        p_min=p_min, p_max=cap)
 
 
 def wind_gen(name, bus, cap):
     return Generator(
         name=name, bus=bus, fuel_curve=zero_curve(0.0, cap),
         emission_curve=zero_curve(0.0, cap), p_min=0.0, p_max=cap,
-        unit_emission=0.0, is_renewable=True)
+        is_renewable=True)
 
 
 def two_bus_case(loss_offset=0.0):
@@ -59,7 +59,7 @@ def two_bus_case(loss_offset=0.0):
             segments=((47.0, 0.0), (52.0, -80.0)), domain=(0.0, 30.0)),
         emission_curve=PiecewiseLinearCurve(
             segments=((400.0, 0.0),), domain=(0.0, 30.0)),
-        p_min=0.0, p_max=30.0, unit_emission=0.4)
+        p_min=0.0, p_max=30.0)
     wind = wind_gen("wind2", 2, 12.0)
     es = StorageUnit(name="es2", bus=2, p_max=4.0, eta_c=0.95, eta_d=0.9,
                      e_min=2.0, e_max=18.0, e_init=10.0,
@@ -115,6 +115,19 @@ def test_a_retired_market_delta_still_loads(tmp_path):
     text = (tmp_path / "c.yaml").read_text()
     assert "epsilon: 0.0001," in text
     text = text.replace("epsilon: 0.0001,", "epsilon: 0.0001, delta: 0.01,")
+    (tmp_path / "c.yaml").write_text(text)
+    assert_cases_equal(load_case(tmp_path / "c.yaml"), case)
+
+
+def test_a_retired_generator_unit_emission_still_loads(tmp_path):
+    # the emission curve carries the rate; files written with the old
+    # nameplate entry still load, and it is ignored
+    case = two_bus_case()
+    write_case(case, tmp_path / "c.yaml")
+    text = (tmp_path / "c.yaml").read_text()
+    assert "unit_emission" not in text
+    assert "  p_max: 30.0\n" in text
+    text = text.replace("  p_max: 30.0\n", "  p_max: 30.0\n  unit_emission: 0.4\n")
     (tmp_path / "c.yaml").write_text(text)
     assert_cases_equal(load_case(tmp_path / "c.yaml"), case)
 
@@ -264,13 +277,14 @@ def test_case_document_carries_scenario_defaults(tmp_path):
 
 def test_scenario_file_loads_and_rejects_unknowns(tmp_path):
     good = tmp_path / "s.yaml"
-    good.write_text("horizon: 3\nenable_allocation: false\nepsilon: 0.0002\n")
+    good.write_text("horizon: 3\nenable_allocation: false\n")
     scenario = load_scenario(good)
-    assert (scenario.horizon, scenario.enable_allocation, scenario.epsilon) == \
-        (3, False, 2e-4)
+    assert (scenario.horizon, scenario.enable_allocation) == (3, False)
     bad = tmp_path / "t.yaml"
-    # a misspelt key, and the retired seed and delta settings
-    for doc in ("horizont: 3\n", "seed: 5\n", "delta: 0.01\n"):
+    # a misspelt key, the retired seed and delta settings, and the market
+    # parameters, which live only in the case
+    for doc in ("horizont: 3\n", "seed: 5\n", "delta: 0.01\n",
+                "epsilon: 0.0002\n", "kappa_override: 0.2\n"):
         bad.write_text(doc)
         with pytest.raises(CaseSchemaError, match="unknown scenario field"):
             load_scenario(bad)
@@ -306,7 +320,7 @@ def test_bundle_has_all_four_files(simulated_bundle):
     assert meta["case"] == "two_bus"
     assert meta["periods"] == 4
     assert set(meta["scenario"]) == {"name", "enable_storage", "enable_allocation",
-                                     "kappa_override", "epsilon", "horizon"}
+                                     "horizon"}
     assert set(meta["versions"]) == {"carbomarket", "numpy", "scipy", "python"}
 
 
@@ -470,13 +484,16 @@ def test_flag_overrides_reach_the_solver(tmp_path, capsys):
     scenario.write_text("horizon: 2\n")
     command = ["simulate", "--case", str(tmp_path / "c.yaml"),
                "--scenario", str(scenario), "--out", str(out)]
-    assert main(command + ["--epsilon", "1e-5"]) == EXIT_OK
+    assert main(command) == EXIT_OK
     meta = json.loads((out / "meta.json").read_text())
     assert meta["periods"] == 2
-    assert meta["scenario"]["epsilon"] == 1e-5
-    # the sweep step and the seed are no longer settings
+    # the sweep step and the seed are no longer settings, and the tie-break
+    # weight lives only in the case
+    assert main(command + ["--epsilon", "1e-5"]) == EXIT_USAGE
     assert main(command + ["--delta", "0.2"]) == EXIT_USAGE
     assert main(command + ["--seed", "3"]) == EXIT_USAGE
+    for sub in ("clear", "allocate", "cef", "compare"):
+        assert main([sub, "--case", str(tmp_path / "c.yaml"), "--epsilon", "1e-5"]) == EXIT_USAGE
     capsys.readouterr()
     trace = read_csv(out / "trace.csv")
     assert max(int(r["index"]) for r in trace) <= 6

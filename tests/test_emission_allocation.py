@@ -16,7 +16,7 @@ from carbomarket.emission_allocation import (
     _problem_at,
 )
 from carbomarket.lp_core import LpStatus, solve
-from carbomarket.market_clearing import AgentBid, BidSet, clear_market
+from carbomarket.market_clearing import AgentBid, BidSet, assemble_clearing_lp, clear_market
 from carbomarket.network_model import (
     Branch,
     Bus,
@@ -24,6 +24,7 @@ from carbomarket.network_model import (
     PiecewiseLinearCurve,
     curve_from_points,
 )
+from carbomarket.simulator import settle
 from oracles import c2_psi, highs_solve, random_small_case, scan_basis_regions
 
 KAPPA = 0.05
@@ -78,7 +79,7 @@ def test_net_demand_folds_storage_power_in():
     # the storage pays up to 50 $/MWh to charge and energy costs 30, so it
     # charges at full power and the bus's net demand is 3 - (-3) = 6
     assert clearing.power("es") == pytest.approx(-3.0, abs=1e-8)
-    assert form.net_demand_star[0] == pytest.approx(6.0, abs=1e-8)
+    assert form.demand[0] == pytest.approx(6.0, abs=1e-8)
 
 
 def test_form_reproduces_clearing_emission_on_replica():
@@ -153,13 +154,12 @@ def test_partial_derivative_matches_finite_difference():
     sol = solve(_problem_at(form, 1.0))
     grad = partial_derivative(form, sol)
     h = 1e-5
-    from carbomarket.market_clearing import assemble_market_lp
     base, _ = _emission_cost(form, 1.0)
     for i in range(1):
-        bumped = form.net_demand_star.copy()
+        bumped = form.demand.copy()
         bumped[i] += h
-        market = assemble_market_lp(case, agents, bumped)
-        sol_b = solve(market.problem)
+        problem, market = assemble_clearing_lp(case, BidSet(agents=agents, demand=bumped))
+        sol_b = solve(problem)
         fd = (float(market.k @ sol_b.primal) - base) / h
         assert grad[i] == pytest.approx(fd, rel=1e-4)
 
@@ -225,7 +225,8 @@ def test_cost_sharing_on_random_cases():
             continue
         res = allocate_period(case, clearing)
         assert res.cost_sharing_error <= 1e-9
-        total = sum(res.storage_cost.values()) + float(res.load_cost.sum())
+        ledger = settle(clearing, res, case)
+        total = sum(ledger.storage_emission_charge.values()) + float(ledger.load_emission.sum())
         if res.start_point is not None:
             assert total == pytest.approx(res.emission_cost_at_star, abs=1e-7)
         done += 1
@@ -287,15 +288,57 @@ def test_compact_form_matches_highs_at_region_midpoints_and_the_end(monkeypatch)
     assert regions > len(swept)  # some sweep crosses a breakpoint
 
 
+def test_compact_form_is_the_clearing_lp_on_the_plant_columns(monkeypatch):
+    from carbomarket import simulator
+    from carbomarket.market_clearing import MarketInfeasibleError
+    from carbomarket.simulator import ScenarioConfig, run_horizon
+    from carbomarket.synthetic import replica30_case
+
+    cleared = []
+
+    def recording(*args, **kwargs):
+        cleared.append((args[0], clear_market(*args, **kwargs)))
+        return cleared[-1][1]
+
+    monkeypatch.setattr(simulator, "clear_market", recording)
+    run_horizon(replica30_case(seed=7), ScenarioConfig.proposed(horizon=24))
+    monkeypatch.undo()
+    rng = np.random.default_rng(37)
+    drawn = 0
+    while drawn < 10:
+        case, bids = random_small_case(rng, n_storages=2)
+        try:
+            cleared.append((case, clear_market(case, bids)))
+        except MarketInfeasibleError:
+            continue
+        drawn += 1
+    assert len(cleared) == 34
+    for case, clearing in cleared:
+        _, full = assemble_clearing_lp(case, clearing.bids, loss=clearing.loss)
+        form = build_compact_form(case, clearing)
+        storage = np.array([a.is_storage for a in clearing.bids.agents])
+        assert storage.any()
+        keep = np.concatenate([~storage[full.column_agent], np.ones(full.n_branches, bool)])
+        assert keep.sum() < keep.size
+        assert np.array_equal(form.problem.constraint_matrix,
+                              full.problem.constraint_matrix[:, keep])
+        assert np.array_equal(form.problem.cost, full.problem.cost[keep])
+        assert np.array_equal(form.problem.upper, full.problem.upper[keep])
+        assert np.array_equal(form.k, full.k[keep])
+        assert np.array_equal(form.g, full.g)
+
+
 def test_storage_and_load_share_one_bus_price():
     case = single_bus_case()
     agents = [gen_bid("g", 1, 30.0, 20.0, 0.5), storage_bid("es", 1, lo=50.0, hi=90.0)]
     clearing, form = cleared_form(case, agents, [3.0])
     res = aumann_shapley_prices(form)
+    ledger = settle(clearing, res, case)
     psi_bus = res.psi[0]
     p_es = clearing.power("es")
-    assert res.storage_cost["es"] == pytest.approx(-psi_bus * p_es * 1000.0, rel=1e-12)
-    assert res.load_cost[0] == pytest.approx(psi_bus * 3.0 * 1000.0, rel=1e-12)
+    assert ledger.storage_emission_charge["es"] == pytest.approx(
+        -psi_bus * p_es * 1000.0, rel=1e-12)
+    assert ledger.load_emission[0] == pytest.approx(psi_bus * 3.0 * 1000.0, rel=1e-12)
 
 
 def test_feasible_start_zeta_values():
@@ -314,7 +357,8 @@ def test_feasible_start_zeta_values():
     res = aumann_shapley_prices(form2, start=start2)
     assert res.cost_sharing_error <= 1e-9
     # with the start share folded into psi, everything allocated adds to E*
-    total = sum(res.storage_cost.values()) + float(res.load_cost.sum())
+    ledger = settle(clearing, res, case)
+    total = sum(ledger.storage_emission_charge.values()) + float(ledger.load_emission.sum())
     assert total == pytest.approx(res.emission_cost_at_star, rel=1e-9)
 
 
@@ -356,11 +400,12 @@ def test_allocated_dollars_do_not_move_when_the_case_is_restated_in_kw():
     two, _ = cleared_form(
         case, [gen_bid("b", 1, 20.0, 5.0, 0.2), gen_bid("a", 1, 40.0, 20.0, 0.8)], [10.0])
     for clearing in (one, two):
-        base = aumann_shapley_prices(build_compact_form(case, clearing))
+        base = settle(clearing, aumann_shapley_prices(build_compact_form(case, clearing)), case)
         scaled_case, scaled_clearing = _rescaled(case, clearing, factor=1000.0)
-        scaled = aumann_shapley_prices(build_compact_form(scaled_case, scaled_clearing))
-        assert base.load_cost.sum() > 0.0
-        denom = np.maximum(np.abs(base.load_cost), 1.0)
-        assert np.max(np.abs(scaled.load_cost - base.load_cost) / denom) <= 1e-8
-        for name, cost in base.storage_cost.items():
-            assert abs(scaled.storage_cost[name] - cost) <= 1e-8 * max(abs(cost), 1.0)
+        scaled = settle(scaled_clearing, aumann_shapley_prices(
+            build_compact_form(scaled_case, scaled_clearing)), scaled_case)
+        assert base.load_emission.sum() > 0.0
+        denom = np.maximum(np.abs(base.load_emission), 1.0)
+        assert np.max(np.abs(scaled.load_emission - base.load_emission) / denom) <= 1e-8
+        for name, cost in base.storage_emission_charge.items():
+            assert abs(scaled.storage_emission_charge[name] - cost) <= 1e-8 * max(abs(cost), 1.0)

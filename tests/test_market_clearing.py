@@ -12,7 +12,6 @@ from carbomarket.market_clearing import (
     BidSet,
     MarketInfeasibleError,
     assemble_clearing_lp,
-    assemble_market_lp,
     clear_market,
     compute_lmps,
 )
@@ -42,8 +41,8 @@ def make_case(n_buses=1, branches=(), epsilon=1e-4, loss=None, **kw):
 
 
 def objective_at(case, agents, demand):
-    form = assemble_market_lp(case, agents, np.asarray(demand, dtype=float))
-    sol = lp_solve(form.problem)
+    problem, _ = assemble_clearing_lp(case, BidSet(agents=agents, demand=demand))
+    sol = lp_solve(problem)
     assert sol.status is LpStatus.OPTIMAL
     return sol.objective
 

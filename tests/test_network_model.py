@@ -167,7 +167,7 @@ def _small_case() -> NetworkCase:
         name="g1", bus=1,
         fuel_curve=curve_from_points([(0.0, 0.0), (10.0, 500.0)]),
         emission_curve=curve_from_points([(0.0, 0.0), (10.0, 3000.0)]),
-        p_min=0.0, p_max=10.0, unit_emission=0.3,
+        p_min=0.0, p_max=10.0,
     )
     storage = StorageUnit(
         name="s1", bus=2, p_max=2.0, eta_c=0.95, eta_d=0.95,

@@ -7,7 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carbomarket import emission_allocation, lp_core, simulator
+from carbomarket import emission_allocation, lp_core, market_clearing, simulator
+from carbomarket.cli_io import summary_rows
 from carbomarket.market_clearing import BidSet, MarketInfeasibleError, clear_market
 from carbomarket.network_model import (
     Branch,
@@ -48,7 +49,7 @@ def linear_gen(name, bus, slope, cap, rate, p_min=0.0, renewable=False):
     fuel = curve_from_points([(lo, slope * lo), (cap, slope * cap)])
     emis = curve_from_points([(lo, 1000 * rate * lo), (cap, 1000 * rate * cap)])
     return Generator(name=name, bus=bus, fuel_curve=fuel, emission_curve=emis,
-                     p_min=p_min, p_max=cap, unit_emission=rate, is_renewable=renewable)
+                     p_min=p_min, p_max=cap, is_renewable=renewable)
 
 
 def wind_gen(name, bus, cap):
@@ -404,6 +405,21 @@ def test_loss_direction_dependent_horizon_settles_on_the_signed_losses(monkeypat
         assert min(powers) < -0.5 and max(powers) > 0.5
 
 
+def test_unconverged_loss_directions_are_counted(monkeypatch):
+    case = export_import_case()
+    report = run_horizon(case, ScenarioConfig.proposed())
+    assert report.periods_loss_unconverged == 0
+    assert all(r.loss_converged for r in report.records)
+    # one clearing per period: each clears on the unsigned losses while bus 2
+    # imports, so no period's loss signs match its dispatch
+    monkeypatch.setattr(market_clearing, "LOSS_ITERATIONS", 1)
+    report = run_horizon(case, ScenarioConfig.proposed())
+    assert len(report.records) == 48
+    assert report.periods_loss_unconverged == 48
+    assert not any(r.loss_converged for r in report.records)
+    assert ["periods_loss_unconverged", "", 48] in list(summary_rows(report))
+
+
 @pytest.mark.parametrize("seed, name, period, violated", [
     (1, "proposed", 15, "branch 15-18 upper (short by 0.927714)"),
     (1, "a2", 15, "balance (short by 10.5034)"),
@@ -455,15 +471,6 @@ def test_scenario_grid_orders_emission_cost_and_curtailment():
     # pricing off means no emission money anywhere in the books
     assert all(r.emission_pot == 0.0 for r in a1.records)
     assert runs["a3"].curtailment >= proposed.curtailment - 1e-12
-
-
-def test_scenario_overrides_reach_the_case():
-    case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.05)
-    scenario = ScenarioConfig.proposed(kappa_override=0.2)
-    report = run_horizon(case, scenario)
-    # psi = kappa * rate / 2 doubles four-fold with kappa
-    assert report.records[0].psi[0] == pytest.approx(0.05, abs=1e-12)
-    assert case.kappa == 0.05  # the input case is untouched
 
 
 def test_horizon_beyond_the_series_is_rejected():
