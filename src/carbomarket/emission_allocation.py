@@ -51,7 +51,7 @@ class FeasibleStart:
     emission_cost: float
     # $/kWh at every bus: the emission cost at zeta split in proportion to net demand
     price_addon: float
-    # the dispatch LP solved at zeta; the sweep starts from its basis
+    # the dispatch LP solved at zeta; the sweep starts from its basis and inverse
     solution: LpSolution
 
 
@@ -126,7 +126,8 @@ def aumann_shapley_prices(
         if iterations > max_iter:
             raise NonProgressError(f"sweep exceeded {max_iter} iterations")
         probe = min(y_prev + step, 1.0)
-        sol = solve_with_basis(_problem_at(form, probe), sol.basis, sol.at_upper)
+        sol = solve_with_basis(_problem_at(form, probe), sol.basis, sol.at_upper,
+                               basis_inverse=sol.basis_inverse)
         if sol.status is not LpStatus.OPTIMAL:
             raise NonProgressError(f"dispatch infeasible at ray point y={probe:g}")
         try:

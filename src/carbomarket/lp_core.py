@@ -464,7 +464,8 @@ def _finish(
     )
 
 
-def solve_with_basis(problem: LpProblem, start_basis, at_upper=()) -> LpSolution:
+def solve_with_basis(problem: LpProblem, start_basis, at_upper=(),
+                     basis_inverse=None) -> LpSolution:
     """Solve re-using a prior basis and the nonbasic columns that sat at
     their upper bounds; falls back to a cold solve when unusable.
 
@@ -479,6 +480,12 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=()) -> LpSolution
     falls back to the cold path, and so does a problem the dual simplex
     proves infeasible, so that its row violations come from phase 1.
     ``outcome`` on the result says which of these happened.
+
+    ``basis_inverse``, a prior solve's inverse of this basis (as when only
+    the rhs moved), spares the factorization: a copy is adopted when it is
+    m x m and ``max|basis_inverse @ A_B - I| <= FEASIBILITY_TOL``, and the
+    basis is factored afresh otherwise. That check, not ``REFACTOR_PERIOD``,
+    bounds the eta-update drift an inverse carries from call to call.
     """
     basis = np.asarray(start_basis, dtype=int).ravel()
     if (basis.size != problem.constraint_count or np.unique(basis).size != basis.size
@@ -489,7 +496,7 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=()) -> LpSolution
     upper_set[cols[(cols >= 0) & (cols < problem.variable_count)]] = True
     upper_set[basis] = False
     try:
-        sol = _warm_attempt(problem, basis, upper_set)
+        sol = _warm_attempt(problem, basis, upper_set, basis_inverse)
         reason = "infeasible"
     except SimplexNumericalError:
         # warm start gone numerically bad; the cold path below retries
@@ -504,13 +511,18 @@ def _fallback(sol: LpSolution, reason: str) -> LpSolution:
     return sol
 
 
-def _warm_attempt(problem: LpProblem, basis: np.ndarray,
-                  at_upper: np.ndarray) -> LpSolution | None:
+def _warm_attempt(problem: LpProblem, basis: np.ndarray, at_upper: np.ndarray,
+                  basis_inverse: np.ndarray | None) -> LpSolution | None:
     """Finish from ``basis``; None when the dual simplex proves infeasibility."""
     engine = _Engine(problem.constraint_matrix, problem.rhs, problem.upper, basis,
                      at_upper=at_upper)
     logger.debug("warm m=%d n=%d", engine.m, engine.n)
-    engine.refactor()
+    binv = None if basis_inverse is None else np.array(basis_inverse, dtype=float)
+    if binv is not None and binv.shape == (engine.m, engine.m) and np.abs(
+            binv @ engine.a[:, basis] - np.eye(engine.m)).max() <= FEASIBILITY_TOL:
+        engine.binv = binv  # a copy: _pivot updates it in place
+    else:
+        engine.refactor()
     reduced = engine.reduced_costs(problem.cost)
     flip = np.where(engine.at_upper, reduced > OPTIMALITY_TOL, reduced < -OPTIMALITY_TOL)
     engine.at_upper ^= flip

@@ -409,3 +409,68 @@ def test_allocated_dollars_do_not_move_when_the_case_is_restated_in_kw():
         assert np.max(np.abs(scaled.load_emission - base.load_emission) / denom) <= 1e-8
         for name, cost in base.storage_emission_charge.items():
             assert abs(scaled.storage_emission_charge[name] - cost) <= 1e-8 * max(abs(cost), 1.0)
+
+
+@pytest.fixture(scope="module")
+def replica_spot_clearings():
+    """Cold proposed clearings of replica30 series 7, every 7th period of
+    its first week, each from the initial storage state."""
+    from carbomarket.simulator import ScenarioConfig, run_period
+    from carbomarket.storage_policy import choose_parameters, initial_state
+    from carbomarket.synthetic import replica30_case
+
+    case = replica30_case(seed=7)
+    params = {u.name: choose_parameters(u) for u in case.storages}
+    states = {u.name: initial_state(u, params[u.name]) for u in case.storages}
+    return case, [run_period(case, ScenarioConfig.proposed(), t, states, params)[1]
+                  for t in range(0, 168, 7)]
+
+
+def test_the_sweep_factors_no_basis_past_its_origin_solve(replica_spot_clearings, monkeypatch):
+    from carbomarket import emission_allocation, lp_core
+
+    case, clearings = replica_spot_clearings
+    calls = {"factor": 0, "origin": 0}
+    factor = lp_core.lu_factor
+
+    def counting(*args, **kwargs):
+        calls["factor"] += 1
+        return factor(*args, **kwargs)
+
+    def origin(problem):
+        before = calls["factor"]
+        sol = solve(problem)
+        calls["origin"] += calls["factor"] - before
+        return sol
+
+    monkeypatch.setattr(lp_core, "lu_factor", counting)
+    monkeypatch.setattr(emission_allocation, "solve", origin)
+    checked = breakpoints = 0
+    for clearing in clearings:
+        calls.update(factor=0, origin=0)
+        res = allocate_period(case, clearing)
+        if calls["origin"] == 0:
+            assert calls["factor"] == 0
+            checked += 1
+            breakpoints += len(res.breakpoints)
+    assert checked == len(clearings) == 24
+    assert breakpoints > 2 * checked  # the carried inverse crosses regions
+
+
+def test_carried_basis_inverse_leaves_psi_and_breakpoints_unchanged(replica_spot_clearings,
+                                                                    monkeypatch):
+    from carbomarket import emission_allocation, lp_core
+
+    case, clearings = replica_spot_clearings
+    carried = [allocate_period(case, clearing) for clearing in clearings]
+
+    def withheld(problem, basis, at_upper, basis_inverse=None):
+        return lp_core.solve_with_basis(problem, basis, at_upper)
+
+    monkeypatch.setattr(emission_allocation, "solve_with_basis", withheld)
+    for clearing, res in zip(clearings, carried):
+        ref = allocate_period(case, clearing)
+        assert np.abs(res.psi - ref.psi).max() <= 1e-12 * np.abs(ref.psi).max()
+        assert [basis for _, basis in res.breakpoints] == [basis for _, basis in ref.breakpoints]
+        ys = np.array([y for y, _ in res.breakpoints])
+        assert np.abs(ys - [y for y, _ in ref.breakpoints]).max() <= 1e-12

@@ -582,3 +582,46 @@ def test_feasibility_interval_is_cut_off_by_a_basic_upper_bound():
     lo, hi = feasibility_interval(high, a, g, h, ray, upper)
     assert lo == pytest.approx(0.4, abs=1e-8)
     assert hi == pytest.approx(1.2, abs=1e-8)
+
+
+def test_solve_with_basis_adopts_only_an_inverse_of_its_own_basis(monkeypatch):
+    rng = np.random.default_rng(5150)
+    prob = random_bounded_lp(rng)
+    cold = solve(prob)
+    point = rng.uniform(0.1, 0.9, size=prob.variable_count) * np.minimum(prob.upper, 2.0)
+    moved = LpProblem(cost=prob.cost, constraint_matrix=prob.constraint_matrix,
+                      rhs=prob.constraint_matrix @ point, upper=prob.upper)
+    factored = []
+    factor = lp_core.lu_factor
+
+    def counting(*args, **kwargs):
+        factored.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(lp_core, "lu_factor", counting)
+
+    def warm(basis_inverse):
+        factored.clear()
+        sol = solve_with_basis(moved, cold.basis, cold.at_upper, basis_inverse=basis_inverse)
+        assert sol.outcome == "warm"
+        return sol, len(factored)
+
+    ref, count = warm(None)
+    assert count == 1 and ref.iterations > 0
+    kept = cold.basis_inverse.copy()
+    exact, count = warm(cold.basis_inverse)
+    assert count == 0
+    # the pivots updated a copy; the cold solution keeps its own inverse
+    assert np.array_equal(cold.basis_inverse, kept)
+    assert np.array_equal(exact.basis, ref.basis)
+    np.testing.assert_allclose(exact.primal, ref.primal, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(exact.duals, ref.duals, rtol=0.0, atol=1e-12)
+
+    perturbed = cold.basis_inverse.copy()
+    perturbed[2, 3] += 1e-6
+    assert not np.array_equal(ref.basis, cold.basis)
+    for wrong in (perturbed, cold.basis_inverse[:-1], ref.basis_inverse):
+        sol, count = warm(wrong)
+        assert count == 1
+        for field in ("basis", "primal", "duals"):
+            assert np.array_equal(getattr(sol, field), getattr(ref, field))
