@@ -19,7 +19,6 @@ from importlib import metadata, resources
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from .cef_baseline import CefSingularError, FlowGraph, cef_emission_prices, cef_solve
@@ -616,7 +615,7 @@ def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir) ->
         "versions": {
             "carbomarket": version,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": metadata.version("scipy"),
             "python": platform.python_version(),
         },
     }

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor  # noqa: F401  unused; perfbench/tracing.py wraps it
 
 from .lp_core import (
     EmptyIntervalError,
@@ -29,6 +28,7 @@ from .lp_core import (
     solve,
     solve_with_basis,
 )
+from .lp_core import lu_factor  # noqa: F401  unused; perfbench/tracing.py wraps it
 from .market_clearing import AssembledMarket, BidSet, ClearingResult, assemble_clearing_lp
 from .network_model import NetworkCase
 

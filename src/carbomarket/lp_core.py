@@ -15,12 +15,10 @@ and the locational-price extraction are built on them.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
@@ -119,6 +117,27 @@ class LpSolution:
         return self.outcome == "warm"
 
 
+def _inverts(binv: np.ndarray, bmat: np.ndarray) -> bool:
+    """Whether ``binv`` is an inverse of the square ``bmat`` to within
+    FEASIBILITY_TOL in every entry of ``binv @ bmat - I``; False on NaN."""
+    if binv.shape != bmat.shape:
+        return False
+    with np.errstate(all="ignore"):  # a non-finite product fails the test below
+        return bool(np.abs(binv @ bmat - np.eye(len(bmat))).max() <= FEASIBILITY_TOL)
+
+
+def lu_factor(bmat: np.ndarray) -> np.ndarray:
+    """The explicit inverse of the basis matrix ``bmat`` (LAPACK's LU through
+    ``np.linalg.inv``); SimplexNumericalError when it fails ``_inverts``."""
+    try:
+        binv = np.linalg.inv(bmat)
+    except np.linalg.LinAlgError:
+        binv = None
+    if binv is None or not _inverts(binv, bmat):
+        raise SimplexNumericalError("singular basis matrix")
+    return binv
+
+
 class _Engine:
     """Bounded revised simplex over an explicit basis inverse with eta updates.
 
@@ -158,15 +177,7 @@ class _Engine:
         self.n = n
 
     def refactor(self) -> None:
-        bmat = self.a[:, self.basis]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # singularity is detected, then raised
-            lu, piv = lu_factor(bmat, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        scale = max(1.0, float(np.abs(bmat).max(initial=0.0)))
-        if not np.isfinite(lu).all() or diag.min(initial=np.inf) <= 1e-13 * scale:
-            raise SimplexNumericalError("singular basis matrix")
-        self.binv = lu_solve((lu, piv), np.eye(self.m), check_finite=False)
+        self.binv = lu_factor(self.a[:, self.basis])
         self.since_refactor = 0
 
     def _pivot(self, enter: int, leave_pos: int, direction: np.ndarray,
@@ -518,8 +529,7 @@ def _warm_attempt(problem: LpProblem, basis: np.ndarray, at_upper: np.ndarray,
                      at_upper=at_upper)
     logger.debug("warm m=%d n=%d", engine.m, engine.n)
     binv = None if basis_inverse is None else np.array(basis_inverse, dtype=float)
-    if binv is not None and binv.shape == (engine.m, engine.m) and np.abs(
-            binv @ engine.a[:, basis] - np.eye(engine.m)).max() <= FEASIBILITY_TOL:
+    if binv is not None and _inverts(binv, engine.a[:, basis]):
         engine.binv = binv  # a copy: _pivot updates it in place
     else:
         engine.refactor()

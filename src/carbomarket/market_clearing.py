@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
 
 from .lp_core import LpProblem, LpSolution, LpStatus, solve, solve_with_basis
 from .network_model import NetworkCase, PiecewiseLinearCurve
@@ -286,12 +285,22 @@ def extract_result(
 
 def _independent(mat: np.ndarray) -> np.ndarray:
     """Positions of a maximal set of linearly independent columns of ``mat``,
-    most independent first (QR with column pivoting)."""
-    if 0 in mat.shape:
-        return np.zeros(0, dtype=int)
-    r, perm = qr(mat, mode="r", pivoting=True, check_finite=False)
-    diag = np.abs(np.diag(r))
-    return perm[: int((diag > 1e-10 * diag[0]).sum())]
+    most independent first: column-pivoted modified Gram-Schmidt, which takes
+    the largest residual norm until it is 1e-10 of the first (geqp3's rule)."""
+    res = np.array(mat, dtype=float)
+    norms = np.linalg.norm(res, axis=0)
+    tol = 1e-10 * norms.max(initial=0.0)
+    chosen = []
+    for _ in range(min(res.shape)):
+        j = int(np.argmax(norms))
+        if norms[j] <= tol:
+            break
+        q = res[:, j] / norms[j]
+        res -= np.outer(q, q @ res)
+        res[:, j] = 0.0
+        norms = np.linalg.norm(res, axis=0)
+        chosen.append(j)
+    return np.array(chosen, dtype=int)
 
 
 def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, list[int]]:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 
 class NonConvexPointsError(ValueError):
@@ -213,8 +212,7 @@ def compute_ptdf(branches, bus_ids, slack_bus) -> np.ndarray:
         flow_sens[l, j] -= suscept
     keep = [k for k in range(n) if k != index[slack_bus]]
     reduced = b_mat[np.ix_(keep, keep)]
-    lu = lu_factor(reduced)
-    angles = lu_solve(lu, flow_sens[:, keep].T)  # (n-1, n_branch)
+    angles = np.linalg.solve(reduced, flow_sens[:, keep].T)  # (n-1, n_branch)
     ptdf = np.zeros((len(branches), n))
     ptdf[:, keep] = angles.T
     return ptdf

@@ -27,6 +27,42 @@ def highs_solve(problem):
     return res
 
 
+def pivoted_qr_independent(mat):
+    """Columns of ``mat`` kept by LAPACK's QR with column pivoting under the
+    rank rule |R_kk| > 1e-10 |R_00|, in pivot order."""
+    from scipy.linalg import qr
+
+    if 0 in mat.shape:
+        return np.zeros(0, dtype=int)
+    r, perm = qr(mat, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    return perm[: int((diag > 1e-10 * diag[0]).sum())]
+
+
+def lu_ptdf(branches, bus_ids, slack_bus):
+    """PTDF of a connected network by scipy's LU of the reduced B matrix,
+    assembled branch by branch."""
+    from scipy.linalg import lu_factor, lu_solve
+
+    index = {b: k for k, b in enumerate(bus_ids)}
+    n = len(index)
+    b_mat = np.zeros((n, n))
+    flow = np.zeros((len(branches), n))
+    for l, br in enumerate(branches):
+        i, j = index[br.from_bus], index[br.to_bus]
+        y = 1.0 / br.reactance
+        b_mat[i, i] += y
+        b_mat[j, j] += y
+        b_mat[i, j] -= y
+        b_mat[j, i] -= y
+        flow[l, i] = y
+        flow[l, j] = -y
+    keep = [k for k in range(n) if k != index[slack_bus]]
+    ptdf = np.zeros_like(flow)
+    ptdf[:, keep] = lu_solve(lu_factor(b_mat[np.ix_(keep, keep)]), flow[:, keep].T).T
+    return ptdf
+
+
 def tableau_simplex(cost, a, rhs, tol=1e-9, max_iter=50000):
     """Two-phase full-tableau simplex, Bland's rule throughout.
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +235,59 @@ def test_warm_start_equivalence_on_perturbed_rhs():
             assert abs(warm.objective - re_cold.objective) <= 1e-7 * max(
                 1.0, abs(re_cold.objective)
             )
+
+
+def test_lu_factor_rejects_singular_bases_and_inverts_regular_ones():
+    from scipy.linalg import lu_factor, lu_solve
+
+    with pytest.raises(lp_core.SimplexNumericalError, match="singular"):
+        lp_core.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    rng = np.random.default_rng(1414)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    with pytest.raises(lp_core.SimplexNumericalError, match="singular"):
+        lp_core.lu_factor(u @ np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 1e-14]) @ v.T)
+    prob = random_equality_lp(rng)
+    bmat = prob.constraint_matrix[:, solve(prob).basis]
+    expected = lu_solve(lu_factor(bmat), np.eye(len(bmat)))
+    np.testing.assert_allclose(lp_core.lu_factor(bmat), expected, rtol=0.0,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+def test_the_tracer_counts_every_factorization(monkeypatch):
+    """The benchmark's tracer counts LUs by wrapping ``lp_core.lu_factor``:
+    over 24 a1 periods it must see every inverse the solver computes."""
+    from carbomarket.simulator import ScenarioConfig, run_horizon
+    from carbomarket.synthetic import replica30_case
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    counts = {"inv": 0, "lu_factor": 0}
+    inv, factor = np.linalg.inv, lp_core.lu_factor
+
+    def counting_inv(bmat):
+        counts["inv"] += 1
+        return inv(bmat)
+
+    def counting_factor(bmat):
+        counts["lu_factor"] += 1
+        return factor(bmat)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(lp_core, "lu_factor", counting_factor)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, round_is_run_period=True)
+    try:
+        run_horizon(replica30_case(horizon=24, seed=7), ScenarioConfig.a1(horizon=24))
+    finally:
+        tracer.restore()
+    totals = tracing.summarize(tracer.spans)
+    assert totals["rounds"] == 24
+    assert counts["inv"] == counts["lu_factor"] == totals["lu_factor.calls"]
+    # a1 runs no sweep, and every warm clearing factors its start basis
+    assert totals["market_clearing.lu"] == counts["inv"] >= 23
 
 
 def test_warm_start_singular_fallback():

@@ -18,7 +18,7 @@ from carbomarket.market_clearing import (
 from carbomarket.network_model import Branch, Bus, NetworkCase, curve_from_points
 from carbomarket.simulator import ScenarioConfig, run_horizon
 from carbomarket.synthetic import replica30_case
-from oracles import highs_solve, random_small_case
+from oracles import highs_solve, pivoted_qr_independent, random_small_case
 
 
 def linear_bid(name, bus, slope, cap, psi=None, p_min=0.0, renewable=False):
@@ -349,3 +349,35 @@ def test_clearing_matches_highs_on_replica30_and_random_networks(monkeypatch):
     for _ in range(15):
         small, bids = random_small_case(rng, min_output_prob=0.3)
         assert_matches_highs(small, bids, clear_market(small, bids))
+
+
+def test_independent_columns_match_pivoted_qr_on_rank_deficient_matrices():
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        m, n = (int(k) for k in rng.integers(1, 13, size=2))
+        rank = int(rng.integers(0, min(m, n) + 1))
+        mat = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        got = market_clearing._independent(mat)
+        expected = pivoted_qr_independent(mat)
+        assert got.size == expected.size == rank
+        assert sorted(got) == sorted(expected)
+    for shape in ((3, 0), (0, 4), (3, 4)):
+        assert market_clearing._independent(np.zeros(shape)).size == 0
+
+
+def test_independent_columns_match_pivoted_qr_on_every_warm_start_of_a_week(monkeypatch):
+    seen = []
+    independent = market_clearing._independent
+
+    def recording(mat):
+        seen.append((mat.copy(), independent(mat)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(market_clearing, "_independent", recording)
+    case = replica30_case(horizon=168, seed=7)
+    for scenario in (ScenarioConfig.a1(horizon=168), ScenarioConfig.proposed(horizon=168)):
+        run_horizon(case, scenario)
+    monkeypatch.undo()
+    assert len(seen) >= 2 * 167
+    for mat, got in seen:
+        assert sorted(got) == sorted(pivoted_qr_independent(mat))

@@ -21,7 +21,7 @@ from carbomarket.network_model import (
     zero_curve,
 )
 from carbomarket.synthetic import replica30_topology
-from oracles import subgradient_range
+from oracles import lu_ptdf, random_small_case, subgradient_range
 
 
 def btheta_flows(branches, bus_ids, slack_bus, injection):
@@ -77,6 +77,19 @@ def test_ptdf_thirty_bus_matches_btheta_oracle():
         injection[slack_idx] = -injection.sum()
         expected = btheta_flows(branches, bus_ids, 1, injection)
         np.testing.assert_allclose(t @ injection, expected, atol=1e-8)
+
+
+def test_ptdf_matches_an_lu_oracle_on_replica30_and_random_networks():
+    buses, branches = replica30_topology()
+    networks = [(branches, [b.id for b in buses], 1)]
+    rng = np.random.default_rng(1212)
+    for _ in range(10):
+        case, _ = random_small_case(rng)
+        networks.append((case.branches, case.bus_ids, case.slack_bus))
+    for branches, bus_ids, slack in networks:
+        expected = lu_ptdf(branches, bus_ids, slack)
+        np.testing.assert_allclose(compute_ptdf(branches, bus_ids, slack), expected,
+                                   rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_ptdf_slack_column_and_reactance_scaling():
