@@ -15,7 +15,7 @@ import dataclasses
 import json
 import platform
 import sys
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,11 @@ class CaseSchemaError(ValueError):
 
 # ------------------------------------------------------------ YAML reading
 
+# libyaml's parser where PyYAML was built with it (PyPI's wheels are); the
+# constructor and resolver are PyYAML's own either way, so both give the same
+# document.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _read_yaml(path: Path):
     try:
@@ -114,7 +119,7 @@ def _read_yaml(path: Path):
     except OSError as exc:
         raise CaseFormatError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -220,24 +225,32 @@ def _read_series_csv(path: Path, prefix: str, wanted, problems, label):
     """Columns {prefix}{id} -> array, all the same length, full coverage."""
     try:
         with path.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            header = next(csv.reader(fh), [])
+            lines = fh.readlines()
     except OSError as exc:
         problems.append(f"{label}: cannot read {path} ({exc.strerror or exc})")
         return None
-    if not rows:
+    # checked here: loadtxt would only warn, and return an empty table
+    if not any(line.strip() for line in lines):
         problems.append(f"{label}: {path} has no data rows")
         return None
-    header = list(rows[0].keys())
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2, quotechar='"')
+    except ValueError as exc:
+        # numpy's reason names the row and column; drop its advice after ";"
+        reason = str(exc).split(";")[0].rstrip(".")
+        problems.append(f"{label}: bad data row in {path.name} ({reason})")
+        return None
+    if data.shape[1] != len(header):
+        problems.append(f"{label}: bad data row in {path.name} "
+                        f"({data.shape[1]} values under {len(header)} header columns)")
+        return None
     columns = {}
-    for col in header:
+    for col, values in zip(header, np.ascontiguousarray(data.T)):
         if not col.startswith(prefix):
             problems.append(f"{label}: unexpected column {col!r} in {path.name}")
             continue
-        key = col[len(prefix):]
-        try:
-            columns[key] = np.array([float(r[col]) for r in rows])
-        except (TypeError, ValueError):
-            problems.append(f"{label}: non-numeric value in column {col!r}")
+        columns[col[len(prefix):]] = values
     if wanted is not None:
         missing = [w for w in wanted if str(w) not in columns]
         if missing:
@@ -604,18 +617,24 @@ def write_report_bundle(report: SimulationReport, case: NetworkCase, out_dir) ->
     _write_csv(out / "periods.csv", PERIOD_COLUMNS, period_rows(report, case))
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows(report))
     _write_csv(out / "trace.csv", TRACE_COLUMNS, trace_rows(report))
-    try:
-        version = metadata.version("carbomarket")
-    except metadata.PackageNotFoundError:
-        version = "unknown"
+    # imported here: importlib.metadata loads email, socket and calendar,
+    # which only a bundle needs
+    from importlib import metadata
+
+    def version(package: str) -> str:
+        try:
+            return metadata.version(package)
+        except metadata.PackageNotFoundError:
+            return "unknown"
+
     meta = {
         "case": case.name,
         "periods": len(report.records),
         "scenario": dataclasses.asdict(report.scenario),
         "versions": {
-            "carbomarket": version,
+            "carbomarket": version("carbomarket"),
             "numpy": np.__version__,
-            "scipy": metadata.version("scipy"),
+            "scipy": version("scipy"),
             "python": platform.python_version(),
         },
     }

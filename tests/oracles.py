@@ -6,6 +6,8 @@ brute-force argmins. Slow and simple beats fast and shared-bug.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 
@@ -61,6 +63,15 @@ def lu_ptdf(branches, bus_ids, slack_bus):
     ptdf = np.zeros_like(flow)
     ptdf[:, keep] = lu_solve(lu_factor(b_mat[np.ix_(keep, keep)]), flow[:, keep].T).T
     return ptdf
+
+
+def dictreader_series(path, prefix):
+    """Columns ``{prefix}{id}`` of a series sidecar as ``{id: array}``, read
+    row by row with ``csv.DictReader`` and ``float`` per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {col[len(prefix):]: np.array([float(r[col]) for r in rows])
+            for col in rows[0]}
 
 
 def tableau_simplex(cost, a, rhs, tol=1e-9, max_iter=50000):

@@ -6,10 +6,15 @@ import csv
 import json
 import math
 import re
+import warnings
+from importlib import metadata, resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from carbomarket import cli_io
 from carbomarket.cli_io import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
@@ -33,6 +38,9 @@ from carbomarket.network_model import (
     StorageUnit,
     zero_curve,
 )
+from carbomarket.synthetic import replica30_case
+
+from oracles import dictreader_series
 
 
 def linear_gen(name, bus, slope, cap, rate, p_min=0.0):
@@ -264,6 +272,85 @@ def test_series_column_mismatches_are_reported(tmp_path):
         load_case(tmp_path / "c.yaml")
 
 
+@pytest.mark.parametrize("body, problem", [
+    ("bus_1,bus_2\n10.0,abc\n", "could not convert string 'abc'"),
+    ("bus_1,bus_2\n10.0,\n", "could not convert string ''"),
+    ("bus_1,bus_2\n10.0,3.0\n11.0\n", "number of columns changed"),
+    ("bus_1,bus_2\n10.0\n11.0\n", "1 values under 2 header columns"),
+    ("bus_1,bus_2\n", "has no data rows"),
+    ("bus_1,bus_2\n\n\n", "has no data rows"),
+    ("", "has no data rows"),
+    ("bus_1,bus_2,load_3\n10.0,3.0,1.0\n", "unexpected column 'load_3'"),
+], ids=["non-numeric", "empty-cell", "ragged-row", "short-rows", "header-only",
+        "blank-body", "empty-file", "unexpected-column"])
+def test_sidecar_data_errors_are_schema_errors(tmp_path, capsys, body, problem):
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    (tmp_path / "c_loads.csv").write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CaseSchemaError) as err:
+            load_case(tmp_path / "c.yaml")
+        assert main(["clear", "--case", str(tmp_path / "c.yaml")]) == EXIT_DATA
+    assert any(p.startswith("series.loads") and problem in p
+               for p in err.value.problems), err.value.problems
+    assert problem in capsys.readouterr().err
+
+
+def test_quoted_sidecar_numbers_read_as_numbers(tmp_path):
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    (tmp_path / "c_loads.csv").write_text(
+        '"bus_1","bus_2"\n"1.5",3.0\n\n11.0,"2.0"\r\n')
+    (tmp_path / "c_renewables.csv").write_text('plant_wind2\n"6.0"\n0.0\n')
+    case = load_case(tmp_path / "c.yaml")
+    assert np.array_equal(case.load_series, [[1.5, 3.0], [11.0, 2.0]])
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_series_load_as_the_per_cell_reader_reads_them(tmp_path, seed):
+    write_case(replica30_case(seed=seed), tmp_path / "c.yaml")
+    case = load_case(tmp_path / "c.yaml")
+    loads = dictreader_series(tmp_path / "c_loads.csv", "bus_")
+    assert np.array_equal(case.load_series,
+                          np.column_stack([loads[str(b.id)] for b in case.buses]))
+    renewables = dictreader_series(tmp_path / "c_renewables.csv", "plant_")
+    assert set(case.renewable_series) == set(renewables)
+    for name, values in renewables.items():
+        assert np.array_equal(case.renewable_series[name], values)
+        assert case.renewable_series[name].flags.c_contiguous
+
+
+def _documents_to_compare(tmp_path):
+    cases = resources.files("carbomarket") / "cases"
+    yield from (Path(str(f)) for f in cases.iterdir() if f.name.endswith(".yaml"))
+    write_case(replica30_case(seed=7), tmp_path / "r7.yaml",
+               scenario_defaults={"horizon": 24, "enable_allocation": False})
+    yield tmp_path / "r7.yaml"
+    write_case(two_bus_case(loss_offset=0.3), tmp_path / "two_bus.yaml")
+    yield tmp_path / "two_bus.yaml"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_loaders_give_equal_documents(tmp_path):
+    assert cli_io._YAML_LOADER is yaml.CSafeLoader
+    paths = list(_documents_to_compare(tmp_path))
+    assert len(paths) >= 3
+    for path in paths:
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader), path.name
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_parse_errors_give_line_and_column(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(cli_io, "_YAML_LOADER", getattr(yaml, loader))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: x\nmarket: {tau: 1.0}\nbuses: a: b\n")
+    with pytest.raises(CaseFormatError, match="at line 3, column 9"):
+        load_case(bad)
+
+
 def test_case_document_carries_scenario_defaults(tmp_path):
     write_case(two_bus_case(), tmp_path / "c.yaml",
                scenario_defaults={"horizon": 2, "enable_allocation": False})
@@ -322,6 +409,24 @@ def test_bundle_has_all_four_files(simulated_bundle):
     assert set(meta["scenario"]) == {"name", "enable_storage", "enable_allocation",
                                      "horizon"}
     assert set(meta["versions"]) == {"carbomarket", "numpy", "scipy", "python"}
+
+
+def test_meta_json_reads_unknown_for_an_absent_scipy(tmp_path, monkeypatch):
+    installed = metadata.version
+
+    def version(package):
+        if package == "scipy":
+            raise metadata.PackageNotFoundError(package)
+        return installed(package)
+
+    monkeypatch.setattr(metadata, "version", version)
+    write_case(two_bus_case(), tmp_path / "c.yaml",
+               scenario_defaults={"horizon": 1})
+    out = tmp_path / "report"
+    assert main(["simulate", "--case", str(tmp_path / "c.yaml"), "--out", str(out)]) == EXIT_OK
+    versions = json.loads((out / "meta.json").read_text())["versions"]
+    assert versions["scipy"] == "unknown"
+    assert versions["numpy"] == np.__version__
 
 
 def test_period_rows_cover_every_agent(simulated_bundle):

@@ -1,5 +1,6 @@
 """A market round imports no scipy: only storage_policy.offline_optimal's
-b3 baseline loads it, lazily."""
+b3 baseline loads it, lazily. Loading a case imports no importlib.metadata:
+only writing a report bundle reads package versions."""
 
 from __future__ import annotations
 
@@ -24,10 +25,33 @@ if loaded:
 """
 
 
-def test_import_and_single_period_commands_load_no_scipy():
+LOAD_SCRIPT = """
+import sys
+
+before = set(sys.modules)
+import carbomarket
+
+carbomarket.load_case("replica30")
+loaded = sorted(m for m in set(sys.modules) - before
+                if m == "importlib.metadata" or m.startswith("importlib.metadata."))
+if loaded:
+    sys.exit(f"loading a case imported {loaded}")
+"""
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
     src = str(Path(carbomarket.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_import_and_single_period_commands_load_no_scipy():
+    proc = _run_fresh(SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_case_load_leave_importlib_metadata_unloaded():
+    proc = _run_fresh(LOAD_SCRIPT)
     assert proc.returncode == 0, proc.stderr
