@@ -15,7 +15,6 @@ import dataclasses
 import json
 import platform
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +268,8 @@ def resolve_case_path(spec: str) -> Path:
     if direct.exists():
         return direct
     if direct.suffix == "" and direct.name == spec:
+        from importlib import resources  # only a bundled case name needs it
+
         bundled = Path(str(resources.files("carbomarket") / "cases" / f"{spec}.yaml"))
         if bundled.exists():
             return bundled

@@ -146,8 +146,9 @@ class ClearingResult:
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sigma_agents: tuple[int, ...] = ()
     loss: np.ndarray | None = None
-    # LpSolution.outcome of the final solve: cold, warm, or the
-    # reason a warm start fell back to cold (size, singular, infeasible)
+    # how the final solve started: crash (the merit-order crash basis), warm
+    # (a previous clearing's basis), cold (phase 1: no crash can be built),
+    # or why a crash or warm start fell back to phase 1 (size, singular, infeasible)
     outcome: str = "cold"
 
     def power(self, name: str) -> float:
@@ -351,11 +352,36 @@ def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, lis
     return np.concatenate([cols[keep], form.row_slack[extra_rows]]), at_upper
 
 
+def _merit_order_start(form: AssembledMarket):
+    """Merit-order crash basis of ``form`` (Bixby 1992, "Implementing the
+    simplex method: the initial basis"), its columns at upper bound and its
+    inverse; None when a segment's balance coefficient is not positive.
+
+    Segments fill the balance rhs in stable order of delivered cost c_j / a_0j.
+    The one where the fill reaches the rhs (else the last) is basic beside the
+    branch slacks, and the cheaper ones sit at their upper bounds. Its duals,
+    that delivered cost and zero congestion, are dual feasible, and
+    B = [[a_0j, 0], [t_j, I]] inverts to [[1/a_0j, 0], [-t_j/a_0j, I]]."""
+    a, n_seg = form.problem.constraint_matrix, form.column_agent.size
+    a0 = a[0, :n_seg]
+    if not n_seg or a0.min() <= 0.0:
+        return None
+    order = np.argsort(form.problem.cost[:n_seg] / a0, kind="stable")
+    fill = np.cumsum(a0[order] * form.problem.upper[order])
+    k = min(int(np.searchsorted(fill, form.problem.rhs[0])), n_seg - 1)
+    binv = np.eye(a.shape[0])
+    binv[:, 0] = -a[:, order[k]] / a0[order[k]]
+    binv[0, 0] = 1.0 / a0[order[k]]
+    return np.concatenate([[order[k]], form.row_slack[1:]]), order[:k], binv
+
+
 def clear_market(
     case: NetworkCase, bids: BidSet, warm_basis=None, warm_upper=(),
 ) -> ClearingResult:
     """Clear one period; ``warm_basis`` and ``warm_upper`` are a previous
-    ``ClearingResult.basis`` and ``ClearingResult.at_upper``.
+    ``ClearingResult.basis`` and ``ClearingResult.at_upper``; without them
+    the clearing starts from ``_merit_order_start``, and from phase 1 only
+    when no crash can be built.
 
     When ``case.loss_direction_dependent``, each bus's loss sensitivity takes
     the sign of its net injection: the market re-clears, each time from the
@@ -367,13 +393,14 @@ def clear_market(
     loss = base if case.loss_direction_dependent else None
     for it in range(1, LOSS_ITERATIONS + 1):
         problem, form = assemble_clearing_lp(case, bids, loss=loss)
-        if warm_basis is not None:
-            sol = solve_with_basis(problem, *_map_start(form, warm_basis, warm_upper))
-        else:
-            sol = solve(problem)
+        start = (_merit_order_start(form) if warm_basis is None
+                 else _map_start(form, warm_basis, warm_upper))
+        sol = solve(problem) if start is None else solve_with_basis(problem, *start)
         if sol.status is LpStatus.INFEASIBLE:
             raise _infeasible(form, sol)
         result = extract_result(case, form, sol, bids)
+        if warm_basis is None and sol.warm_started:
+            result.outcome = "crash"
         result.loss_iterations = it
         if not case.loss_direction_dependent:
             return result

@@ -272,3 +272,16 @@ def random_small_case(rng, min_output_prob=0.0, n_storages=None):
     weights = rng.uniform(0.1, 1.0, n_buses)
     demand = weights / weights.sum() * float(rng.uniform(0.4, 0.7)) * total_cap
     return case, BidSet(agents=agents, demand=demand)
+
+
+def phase_one_clearing(case, bids, loss=None):
+    """The clearing by the two-phase simplex from an all-slack start (the
+    cold path before the merit-order crash): ``assemble_clearing_lp``, then
+    ``lp_core.solve``, then ``extract_result``, with no loss iteration."""
+    from carbomarket.lp_core import LpStatus, solve
+    from carbomarket.market_clearing import assemble_clearing_lp, extract_result
+
+    problem, form = assemble_clearing_lp(case, bids, loss=loss)
+    sol = solve(problem)
+    assert sol.status is LpStatus.OPTIMAL and sol.outcome == "cold"
+    return extract_result(case, form, sol, bids)

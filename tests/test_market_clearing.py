@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from carbomarket import market_clearing, simulator
-from carbomarket.lp_core import LpStatus, solve as lp_solve
+from carbomarket import lp_core, market_clearing, simulator
+from carbomarket.lp_core import LpStatus, lu_factor, solve as lp_solve
 from carbomarket.market_clearing import (
     AgentBid,
     BidSet,
@@ -17,8 +20,9 @@ from carbomarket.market_clearing import (
 )
 from carbomarket.network_model import Branch, Bus, NetworkCase, curve_from_points
 from carbomarket.simulator import ScenarioConfig, run_horizon
+from carbomarket.storage_policy import choose_parameters, initial_state
 from carbomarket.synthetic import replica30_case
-from oracles import highs_solve, pivoted_qr_independent, random_small_case
+from oracles import highs_solve, phase_one_clearing, pivoted_qr_independent, random_small_case
 
 
 def linear_bid(name, bus, slope, cap, psi=None, p_min=0.0, renewable=False):
@@ -216,12 +220,15 @@ def test_loss_direction_iteration(monkeypatch):
     # final pass used L = (+0.05, -0.03): 0.95 p = 1.03 * 10
     assert res2.dispatch[0] == pytest.approx(10.3 / 0.95, abs=1e-8)
     # the re-clear started from the first pass's basis and lands where a
-    # cold clear with the final loss vector fixed does
+    # phase-1 clear with the final loss vector fixed does, as does a crash
     assert res2.outcome == "warm"
-    cold = clear_market(make_case(n_buses=2, branches=line, loss=[0.05, -0.03]), bids2)
-    assert cold.outcome == "cold" and cold.loss_iterations == 1
-    np.testing.assert_allclose(res2.dispatch, cold.dispatch, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(res2.lmp, cold.lmp, rtol=0, atol=1e-9)
+    settled = make_case(n_buses=2, branches=line, loss=[0.05, -0.03])
+    crash = clear_market(settled, bids2)
+    assert crash.outcome == "crash" and crash.loss_iterations == 1
+    cold = phase_one_clearing(settled, bids2)
+    for got in (res2, crash):
+        np.testing.assert_allclose(got.dispatch, cold.dispatch, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(got.lmp, cold.lmp, rtol=0, atol=1e-9)
     # a later period starts from the previous period's basis
     nxt = clear_market(flip, bids2, warm_basis=res2.basis)
     assert nxt.outcome == "warm" and nxt.loss_iterations == 2
@@ -254,17 +261,141 @@ def storage_bid(n_segments, shift=0.0):
 def test_warm_start_survives_a_storage_curve_gaining_and_losing_a_segment():
     case, agents, demand = congested_triangle()
     previous = clear_market(case, BidSet(agents=agents + [storage_bid(4)], demand=demand))
-    assert previous.outcome == "cold"
+    assert previous.outcome == "crash"
     for n_segments, shift in ((5, 0.7), (4, -0.4)):
         bids = BidSet(agents=agents + [storage_bid(n_segments, shift)], demand=demand)
         warm = clear_market(case, bids, warm_basis=previous.basis, warm_upper=previous.at_upper)
-        cold = clear_market(case, bids)
+        cold = phase_one_clearing(case, bids)
         # one balance row and one ranged row per branch, whatever the curve
         assert len(warm.basis) == len(previous.basis) == 1 + len(case.branches)
         assert warm.outcome == "warm"
         for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp)):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
         previous = warm
+
+
+def test_crash_clearing_matches_phase_one_on_replica30_series7(monkeypatch):
+    # every 7th period of the first two weeks, from the initial storage state
+    case = replica30_case(seed=7)
+    scenario = ScenarioConfig.proposed()
+    params = {u.name: choose_parameters(u) for u in case.storages}
+    states = {u.name: initial_state(u, params[u.name]) for u in case.storages}
+    factorizations, solves, clearings = [], [], []
+
+    def counting_lu(bmat):
+        factorizations.append(bmat.shape)
+        return lu_factor(bmat)
+
+    def recording_solve(*args, **kwargs):
+        before = len(factorizations)
+        solves.append(lp_core.solve_with_basis(*args, **kwargs))
+        solves[-1].lus = len(factorizations) - before
+        return solves[-1]
+
+    def recording_clear(*args, **kwargs):
+        clearings.append(clear_market(*args, **kwargs))
+        return clearings[-1]
+
+    monkeypatch.setattr(lp_core, "lu_factor", counting_lu)
+    monkeypatch.setattr(market_clearing, "solve_with_basis", recording_solve)
+    monkeypatch.setattr(simulator, "clear_market", recording_clear)
+    for t in range(0, 14 * 24, 7):
+        simulator.run_period(case, scenario, t, states, params)
+    monkeypatch.undo()
+    assert len(solves) == len(clearings) == 48
+    for sol, crash in zip(solves, clearings):
+        assert crash.outcome == "crash" and sol.bound_flips == 0
+        assert sol.iterations >= lp_core.REFACTOR_PERIOD or sol.lus == 0
+        cold = phase_one_clearing(case, crash.bids)
+        for got, want in ((crash.dispatch, cold.dispatch), (crash.lmp, cold.lmp)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_crash_clears_demand_at_the_floor_and_reports_demand_below_it():
+    line = [Branch(1, 2, capacity=50.0, reactance=0.1)]
+    case = make_case(n_buses=2, branches=line, loss=[0.02, 0.0])
+    agents = [linear_bid("a", 1, 20.0, 40.0, psi=0.5, p_min=10.0),
+              linear_bid("b", 2, 30.0, 40.0, psi=0.2, p_min=5.0)]
+    # the balance rhs sum (1-L_b) D_b - sum (1-L_i) p_min_i is 0 (to
+    # roundoff), then -2
+    for bus2, gap in ((14.8, None), (12.8, 2.0)):
+        bids = BidSet(agents=agents, demand=np.array([0.0, bus2]))
+        if gap is None:
+            res = clear_market(case, bids)
+            assert res.outcome == "crash"
+            np.testing.assert_allclose(res.dispatch, [10.0, 5.0], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(res.lmp, phase_one_clearing(case, bids).lmp,
+                                       rtol=0, atol=1e-9)
+            continue
+        with pytest.raises(MarketInfeasibleError, match="most violated: balance ") as err:
+            clear_market(case, bids)
+        assert err.value.row_label == "balance"
+        assert err.value.violation == pytest.approx(gap, abs=1e-9)
+
+
+def test_crash_with_tied_delivered_costs_reaches_the_phase_one_objective():
+    # "b" and "c" deliver at 20 $/MWh and 500 kg/MWh, as "a" does up to its kink
+    case = make_case(n_buses=3, branches=[Branch(1, 2, capacity=80.0, reactance=0.1),
+                                          Branch(2, 3, capacity=25.0, reactance=0.2)],
+                     loss=[0.0, 0.05, 0.0])
+    a = AgentBid(name="a", bus=1, p_min=0.0, p_max=60.0,
+                 cost_curve=curve_from_points([(0.0, 0.0), (30.0, 600.0), (60.0, 1500.0)]),
+                 emission_curve=curve_from_points([(0.0, 0.0), (60.0, 30000.0)]))
+    agents = [a, linear_bid("b", 2, 20.0 * 0.95, 30.0, psi=0.5 * 0.95),
+              linear_bid("c", 3, 20.0, 30.0, psi=0.5)]
+    for load in (10.0, 45.0, 70.0, 95.0):
+        bids = BidSet(agents=agents, demand=np.array([0.0, load / 2, load / 2]))
+        res, cold = clear_market(case, bids), phase_one_clearing(case, bids)
+        assert res.outcome == "crash"
+        got = res.total_cost + case.epsilon * res.total_emission
+        want = cold.total_cost + case.epsilon * cold.total_emission
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+        assert_matches_highs(case, bids, res)
+
+
+def test_crash_over_zero_width_segments():
+    # close some of the storage's segments: the crash must order, fill and
+    # price around columns whose box is a single point
+    case, agents, demand = congested_triangle()
+    bids = BidSet(agents=agents + [storage_bid(6)], demand=demand)
+    problem, form = assemble_clearing_lp(case, bids)
+    es = np.flatnonzero(form.column_agent == 2)
+    for closed in (es[:1], es[1::2], es[:-1], es):
+        upper = problem.upper.copy()
+        upper[closed] = 0.0
+        shut = dataclasses.replace(problem, upper=upper)
+        start = market_clearing._merit_order_start(dataclasses.replace(form, problem=shut))
+        sol, want = lp_core.solve_with_basis(shut, *start), lp_solve(shut)
+        assert sol.warm_started and sol.bound_flips == 0
+        assert sol.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-9)
+        assert np.abs(sol.duals - want.duals).max() <= 1e-9 * np.abs(want.duals).max()
+
+
+def test_demand_beyond_capacity_names_the_balance_gap():
+    case = make_case(n_buses=2, branches=[Branch(1, 2, capacity=100.0, reactance=0.1)])
+    bids = BidSet(agents=[linear_bid("a", 1, 20.0, 30.0, psi=0.5),
+                          linear_bid("b", 2, 40.0, 25.0, psi=0.3)],
+                  demand=np.array([10.0, 57.5]))
+    with pytest.raises(MarketInfeasibleError) as err:
+        clear_market(case, bids)
+    assert str(err.value) == "market infeasible; most violated: balance (short by 12.5)"
+    assert err.value.row_label == "balance"
+
+
+def test_a_bus_that_loses_everything_clears_by_phase_one():
+    # a unit at a bus with loss sensitivity 1 delivers nothing: no crash
+    line = [Branch(1, 2, capacity=100.0, reactance=0.1)]
+    case = make_case(n_buses=2, branches=line, loss=[1.0, 0.0])
+    bids = BidSet(agents=[linear_bid("lost", 1, 5.0, 50.0, psi=0.5),
+                          linear_bid("b", 2, 40.0, 50.0, psi=0.3)],
+                  demand=np.array([0.0, 30.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = clear_market(case, bids)
+    assert res.outcome == "cold"
+    cold = phase_one_clearing(case, bids)
+    np.testing.assert_allclose(res.dispatch, cold.dispatch, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.lmp, cold.lmp, rtol=0, atol=1e-9)
 
 
 def kinked_triangle_bids(demand):
@@ -282,6 +413,19 @@ def kinked_triangle_bids(demand):
     )
     es = storage_bid(6)
     return BidSet(agents=[cheap, dear, es], demand=np.asarray(demand, dtype=float))
+
+
+def test_uncongested_crash_is_optimal_as_it_starts():
+    # with no branch binding, the merit order alone is the optimum, losses
+    # and all: the dual simplex has nothing left to do
+    wide = [Branch(1, 2, capacity=1e3, reactance=0.1), Branch(2, 3, capacity=1e3, reactance=0.1),
+            Branch(1, 3, capacity=1e3, reactance=0.1)]
+    case = make_case(n_buses=3, branches=wide, loss=[0.0, 0.03, 0.05])
+    for load in (8.0, 30.0, 55.0, 90.0, 120.0):
+        problem, form = assemble_clearing_lp(case, kinked_triangle_bids([0.0, 0.0, load]))
+        sol = lp_core.solve_with_basis(problem, *market_clearing._merit_order_start(form))
+        assert sol.warm_started and sol.iterations == sol.bound_flips == 0
+        assert sol.objective == pytest.approx(lp_solve(problem).objective, rel=1e-12)
 
 
 def test_segments_fill_in_order_and_emissions_are_exact():

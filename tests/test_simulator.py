@@ -40,7 +40,7 @@ from carbomarket.storage_policy import (
     update_state,
 )
 from carbomarket.synthetic import replica30_case
-from oracles import subgradient_range
+from oracles import phase_one_clearing, subgradient_range
 
 
 def linear_gen(name, bus, slope, cap, rate, p_min=0.0, renewable=False):
@@ -567,7 +567,7 @@ def test_replica30_horizon_warm_starts_every_period_and_matches_cold(monkeypatch
     monkeypatch.setattr(simulator, "clear_market", recording)
     report = run_horizon(case, scenario)
     monkeypatch.undo()
-    assert clearings[0].outcome == "cold"
+    assert clearings[0].outcome == "crash"
     assert all(c.outcome == "warm" for c in clearings[1:])
     segments = [tuple(len(a.cost_curve.segments) for a in c.bids.agents if a.is_storage)
                 for c in clearings]
@@ -581,9 +581,11 @@ def test_replica30_horizon_warm_starts_every_period_and_matches_cold(monkeypatch
         states = {name: StorageState(e=row.e, q=row.q,
                                      psi_prev=float(psi_prev[case.bus_index[units[name].bus]]))
                   for name, row in record.storage.items()}
-        cold_record, cold, _ = run_period(case, scenario, t, states, params)
-        assert cold.outcome == "cold"
+        crash_record, crash, _ = run_period(case, scenario, t, states, params)
+        assert crash.outcome == "crash"
+        cold = phase_one_clearing(case, crash.bids)
         for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp),
-                          (record.psi, cold_record.psi)):
+                          (crash.dispatch, cold.dispatch), (crash.lmp, cold.lmp),
+                          (record.psi, crash_record.psi)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
         psi_prev = record.psi
