@@ -309,6 +309,9 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     for i, entry in _maplist(doc, "buses", "buses", problems, required=True):
         bus_id = _int(entry, "id", f"buses[{i}]", problems, required=True)
         sens = _num(entry, "loss_sensitivity", f"buses[{i}]", problems, default=0.0)
+        if np.isfinite(sens) and abs(sens) >= 1.0:
+            # the bus would deliver 1 - loss <= 0 of each MW at the loss's positive sign
+            problems.append(f"buses[{i}].loss_sensitivity: must lie in (-1, 1), got {sens!r}")
         if bus_id is not None:
             buses.append(Bus(id=bus_id, loss_sensitivity=sens))
 

@@ -7,6 +7,14 @@ region the emission cost is affine in demand, so the integral is a finite sum:
 walk the ray region by region, take the gradient from the basis, and weight it
 by the region's length.  The result is a per-bus price in $/kWh.
 
+The dispatch LP is the clearing's own, cut to the plants' columns and the
+branch slacks (``market_clearing.plant_form``), with each storage's cleared
+power moved into its bus's demand.  The origin starts from the clearing's
+merit-order crash basis (Bixby 1992) and finishes with the dual simplex;
+each region is then found by the parametric-rhs probe of Gal & Nedoma
+(1972): solve just past the last breakpoint from the previous basis and its
+inverse, and read the region's interval off that basis.
+
 When the dispatch problem is infeasible at zero demand (minimum-output floors),
 the walk starts from the closest feasible point on the ray instead and the
 emission cost there is split proportionally to net demand, which adds the same
@@ -29,7 +37,7 @@ from .lp_core import (
     solve_with_basis,
 )
 from .lp_core import lu_factor  # noqa: F401  unused; perfbench/tracing.py wraps it
-from .market_clearing import AssembledMarket, BidSet, ClearingResult, assemble_clearing_lp
+from .market_clearing import AssembledMarket, ClearingResult, _merit_order_start, plant_form
 from .network_model import NetworkCase
 
 
@@ -70,21 +78,11 @@ def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> Assembled
     """The clearing LP of the plants' bids at net demand: each storage's
     cleared power moves into its bus's demand, and the loss vector is the
     one the clearing converged to. Its ``demand`` is the sweep's ray."""
-    bids = clearing.bids
-    net_demand = bids.demand.copy()
-    plants = []
-    for idx, agent in enumerate(bids.agents):
-        if agent.is_storage:
-            net_demand[case.bus_index[agent.bus]] -= float(clearing.dispatch[idx])
-        else:
-            plants.append(agent)
-    _, form = assemble_clearing_lp(case, BidSet(agents=plants, demand=net_demand),
-                                   loss=clearing.loss)
-    return form
+    return plant_form(case, clearing)
 
 
 def _problem_at(form: AssembledMarket, y: float) -> LpProblem:
-    return replace(form.problem, rhs=form.g @ (y * form.demand) + form.h)
+    return form.problem.with_rhs(form.g @ (y * form.demand) + form.h)
 
 
 def partial_derivative(form: AssembledMarket, sol: LpSolution) -> np.ndarray:
@@ -93,7 +91,11 @@ def partial_derivative(form: AssembledMarket, sol: LpSolution) -> np.ndarray:
 
 
 def _emission_cost(form: AssembledMarket, y: float) -> tuple[float, LpSolution]:
-    sol = solve(_problem_at(form, y))
+    """E at ray point y, solved from the merit-order crash; phase 1 runs only
+    when no crash fits or, inside ``solve_with_basis``, to confirm infeasibility."""
+    problem = _problem_at(form, y)
+    start = _merit_order_start(replace(form, problem=problem))
+    sol = solve(problem) if start is None else solve_with_basis(problem, *start)
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleAtOriginError(
             f"dispatch infeasible at ray point y={y:g}; use feasible_start"
@@ -146,7 +148,7 @@ def aumann_shapley_prices(
             raise NonProgressError(f"no progress past y={y_prev:g}")
         grad = partial_derivative(form, sol)
         grad_accum += (y_next - y_prev) * grad
-        breakpoints.append((float(y_next), tuple(int(i) for i in sol.basis)))
+        breakpoints.append((float(y_next), tuple(sol.basis.tolist())))
         e_probe = float(form.k @ sol.primal) + form.k_offset
         y_probe, slope = probe, float(grad @ ray)
         y_prev = y_next

@@ -78,6 +78,18 @@ class LpProblem:
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "upper", u)
 
+    def with_rhs(self, rhs) -> LpProblem:
+        """This problem with ``rhs`` in place of its own; only ``rhs`` is
+        checked, since the other arrays were checked when this one was built."""
+        b = np.ascontiguousarray(np.asarray(rhs, dtype=float).ravel())
+        if b.size != self.rhs.size:
+            raise ValueError(f"{b.size} rhs entries for {self.rhs.size} rows")
+        if not np.isfinite(b).all():
+            raise ValueError("LP data must be finite")
+        derived = object.__new__(LpProblem)
+        derived.__dict__.update(self.__dict__, rhs=b)
+        return derived
+
     @property
     def variable_count(self) -> int:
         return self.cost.size
@@ -123,7 +135,9 @@ def _inverts(binv: np.ndarray, bmat: np.ndarray) -> bool:
     if binv.shape != bmat.shape:
         return False
     with np.errstate(all="ignore"):  # a non-finite product fails the test below
-        return bool(np.abs(binv @ bmat - np.eye(len(bmat))).max() <= FEASIBILITY_TOL)
+        gap = binv @ bmat
+        gap.flat[:: len(bmat) + 1] -= 1.0
+        return bool(np.abs(gap).max() <= FEASIBILITY_TOL)
 
 
 def lu_factor(bmat: np.ndarray) -> np.ndarray:
@@ -159,6 +173,8 @@ class _Engine:
         if at_upper is not None:
             self.at_upper[at_upper] = True
         self.binv: np.ndarray | None = None
+        # x_B at the last optimality check; _finish reads it
+        self.xb: np.ndarray | None = None
         self.pivots = 0
         self.flips = 0
         self.since_refactor = 0
@@ -231,11 +247,13 @@ class _Engine:
             if bland:
                 eligible = np.flatnonzero(gain > OPTIMALITY_TOL)
                 if eligible.size == 0:
+                    self.xb = xb
                     return
                 enter = int(eligible[0])
             else:
                 enter = int(np.argmax(gain))
                 if gain[enter] <= OPTIMALITY_TOL:
+                    self.xb = xb
                     return
             direction = self.binv @ self.a[:, enter]
             # x_B falls by step * move as the entering column moves off its bound
@@ -292,6 +310,7 @@ class _Engine:
             infeas = np.maximum(below, above)
             worst = int(np.argmax(infeas))
             if infeas[worst] <= FEASIBILITY_TOL:
+                self.xb = xb
                 return LpStatus.OPTIMAL
             if bland:
                 candidates_rows = np.flatnonzero(infeas > FEASIBILITY_TOL)
@@ -451,7 +470,7 @@ def _finish(
 ) -> LpSolution:
     c = problem.cost
     upper = problem.upper
-    xb = engine.basic_solution()
+    xb = engine.xb
     ub = upper[engine.basis]
     primal = np.where(engine.at_upper, upper, 0.0)
     primal[engine.basis] = np.clip(xb, 0.0, ub)
@@ -499,13 +518,18 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=(),
     bounds the eta-update drift an inverse carries from call to call.
     """
     basis = np.asarray(start_basis, dtype=int).ravel()
-    if (basis.size != problem.constraint_count or np.unique(basis).size != basis.size
-            or basis.min(initial=0) < 0 or basis.max(initial=-1) >= problem.variable_count):
+    n = problem.variable_count
+    if (basis.size != problem.constraint_count
+            or basis.min(initial=0) < 0 or basis.max(initial=-1) >= n):
         return _fallback(solve(problem), "size")
-    upper_set = np.zeros(problem.variable_count, dtype=bool)
+    is_basic = np.zeros(n, dtype=bool)
+    is_basic[basis] = True
+    if np.count_nonzero(is_basic) != basis.size:  # a column listed twice
+        return _fallback(solve(problem), "size")
+    upper_set = np.zeros(n, dtype=bool)
     cols = np.asarray(at_upper, dtype=int).ravel()
-    upper_set[cols[(cols >= 0) & (cols < problem.variable_count)]] = True
-    upper_set[basis] = False
+    upper_set[cols[(cols >= 0) & (cols < n)]] = True
+    upper_set &= ~is_basic
     try:
         sol = _warm_attempt(problem, basis, upper_set, basis_inverse)
         reason = "infeasible"
@@ -558,16 +582,16 @@ def feasibility_interval(sol: LpSolution, a, g, h, ray, upper) -> tuple[float, f
     offset = np.asarray(h, dtype=float) - a[:, sol.at_upper] @ upper[sol.at_upper]
     u = sol.basis_inverse @ (np.asarray(g, dtype=float) @ np.asarray(ray, dtype=float))
     v = sol.basis_inverse @ offset
-    lo, hi = -np.inf, np.inf
-    for uk, vk, bk in zip(u, v, ub):
-        if uk > 1e-11:
-            lo = max(lo, (-FEASIBILITY_TOL - vk) / uk)
-            hi = min(hi, (bk + FEASIBILITY_TOL - vk) / uk)
-        elif uk < -1e-11:
-            hi = min(hi, (-FEASIBILITY_TOL - vk) / uk)
-            lo = max(lo, (bk + FEASIBILITY_TOL - vk) / uk)
-        elif vk < -10 * FEASIBILITY_TOL or vk > bk + 10 * FEASIBILITY_TOL:
-            raise EmptyIntervalError("basis infeasible for every parameter value")
+    rises, falls = u > 1e-11, u < -1e-11
+    flat = ~(rises | falls)
+    if ((v[flat] < -10 * FEASIBILITY_TOL) | (v[flat] > ub[flat] + 10 * FEASIBILITY_TOL)).any():
+        raise EmptyIntervalError("basis infeasible for every parameter value")
+    # y where each basic variable reaches its lower and its upper limit
+    slope = np.where(flat, 1.0, u)
+    to_floor = (-FEASIBILITY_TOL - v) / slope
+    to_ceiling = (ub + FEASIBILITY_TOL - v) / slope
+    lo = max(to_floor[rises].max(initial=-np.inf), to_ceiling[falls].max(initial=-np.inf))
+    hi = min(to_ceiling[rises].min(initial=np.inf), to_floor[falls].min(initial=np.inf))
     if lo > hi:
         raise EmptyIntervalError("empty feasibility interval")
     return float(lo), float(hi)

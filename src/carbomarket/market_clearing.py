@@ -150,6 +150,9 @@ class ClearingResult:
     # (a previous clearing's basis), cold (phase 1: no crash can be built),
     # or why a crash or warm start fell back to phase 1 (size, singular, infeasible)
     outcome: str = "cold"
+    # the assembled LP of the final clearing, whose plant columns the
+    # emission-price sweep reuses
+    form: AssembledMarket | None = None
 
     def power(self, name: str) -> float:
         return float(self.dispatch[self.agent_names.index(name)])
@@ -169,6 +172,15 @@ def _pieces(agent: AgentBid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
         first = np.searchsorted(starts, lo, side="right") - 1
         at_min[j] = float(slope[first] * lo + intercept[first])
     return np.diff(xs), slopes[0], slopes[1], at_min[0], at_min[1]
+
+
+def _rhs_offset(case: NetworkCase, agent_loss, t_agent, p_shift, caps) -> np.ndarray:
+    """H of rhs = G @ demand + H: the loss offset and the branch capacities,
+    less what every agent's p_min already injects."""
+    return np.concatenate([
+        [case.loss_offset - float((1.0 - agent_loss) @ p_shift)],
+        caps - t_agent @ p_shift,
+    ])
 
 
 def assemble_clearing_lp(
@@ -210,10 +222,7 @@ def assemble_clearing_lp(
     a_mat[1:, :n_seg] = t_agent[:, col_agent]
     a_mat[1:, n_seg:] = np.eye(n_br)
     g = np.vstack([1.0 - loss, ptdf])
-    h = np.concatenate([
-        [case.loss_offset - float((1.0 - agent_loss) @ p_shift)],
-        caps - t_agent @ p_shift,
-    ])
+    h = _rhs_offset(case, agent_loss, t_agent, p_shift, caps)
     labels = ["balance"] + [f"branch {br.name or l}" for l, br in enumerate(case.branches)]
 
     k_scale = case.kappa * case.tau / 2.0
@@ -232,6 +241,50 @@ def assemble_clearing_lp(
         cost_at_min=cost_at_min, emission_at_min=emission_at_min,
         sigma_agents=sigma_agents, row_labels=tuple(labels), loss=loss,
         column_keys=tuple(keys), row_slack=np.concatenate([[-1], n_seg + np.arange(n_br)]),
+    )
+
+
+def plant_form(case: NetworkCase, clearing: ClearingResult) -> AssembledMarket:
+    """The LP of the plants' bids at net demand, cut from ``clearing.form``:
+    the plants' segment columns and the branch slacks, with each storage's
+    cleared power moved into its bus's demand. Every array equals what
+    ``assemble_clearing_lp`` gives for those plants, that net demand and
+    ``clearing.loss``; only the rhs and the per-agent parts are recomputed."""
+    full, bids = clearing.form, clearing.bids
+    net_demand = bids.demand.copy()
+    plants = []
+    for idx, agent in enumerate(bids.agents):
+        if agent.is_storage:
+            net_demand[case.bus_index[agent.bus]] -= float(clearing.dispatch[idx])
+        else:
+            plants.append(idx)
+    plants = np.array(plants, dtype=int)
+    renumber = np.full(full.n_agents, -1)
+    renumber[plants] = np.arange(plants.size)
+    is_plant = renumber[full.column_agent] >= 0
+    n_seg, n_br = int(is_plant.sum()), full.n_branches
+    cols = np.concatenate([np.flatnonzero(is_plant), full.column_agent.size + np.arange(n_br)])
+
+    agent_bus = np.array([case.bus_index[bids.agents[k].bus] for k in plants], dtype=int)
+    p_shift = full.p_shift[plants]
+    h = _rhs_offset(case, full.loss[agent_bus], case.ptdf[:, agent_bus], p_shift,
+                    case.branch_capacities())
+    emission_at_min = full.emission_at_min[plants]
+    problem = full.problem
+    return AssembledMarket(
+        problem=LpProblem(cost=problem.cost[cols], rhs=full.g @ net_demand + h,
+                          constraint_matrix=problem.constraint_matrix[:, cols],
+                          upper=problem.upper[cols]),
+        g=full.g, h=h, k=full.k[cols],
+        k_offset=case.kappa * case.tau / 2.0 * float(emission_at_min.sum()),
+        demand=net_demand, tau=full.tau, n_agents=plants.size, n_branches=n_br,
+        p_shift=p_shift, column_agent=renumber[full.column_agent[is_plant]],
+        cost_slope=full.cost_slope[is_plant], emission_slope=full.emission_slope[is_plant],
+        cost_at_min=full.cost_at_min[plants], emission_at_min=emission_at_min,
+        sigma_agents=tuple(int(renumber[k]) for k in full.sigma_agents if renumber[k] >= 0),
+        row_labels=full.row_labels, loss=full.loss,
+        column_keys=tuple(full.column_keys[j] for j in cols),
+        row_slack=np.concatenate([[-1], n_seg + np.arange(n_br)]),
     )
 
 
@@ -280,7 +333,7 @@ def extract_result(
         basis=tuple(form.column_keys[j] for j in sol.basis),
         at_upper=tuple(form.column_keys[j] for j in sol.at_upper),
         sigma=sigma, sigma_agents=form.sigma_agents, loss=form.loss,
-        outcome=sol.outcome,
+        outcome=sol.outcome, form=form,
     )
 
 

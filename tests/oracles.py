@@ -285,3 +285,86 @@ def phase_one_clearing(case, bids, loss=None):
     sol = solve(problem)
     assert sol.status is LpStatus.OPTIMAL and sol.outcome == "cold"
     return extract_result(case, form, sol, bids)
+
+
+def assembled_compact_form(case, clearing):
+    """The sweep's compact form assembled from scratch, as before it was cut
+    from the clearing's LP: ``assemble_clearing_lp`` of the plants' bids at
+    net demand (each storage's cleared power moved into its bus's demand) on
+    the loss vector the clearing converged to."""
+    from carbomarket.market_clearing import BidSet, assemble_clearing_lp
+
+    bids = clearing.bids
+    net_demand = bids.demand.copy()
+    plants = []
+    for idx, agent in enumerate(bids.agents):
+        if agent.is_storage:
+            net_demand[case.bus_index[agent.bus]] -= float(clearing.dispatch[idx])
+        else:
+            plants.append(agent)
+    _, form = assemble_clearing_lp(case, BidSet(agents=plants, demand=net_demand),
+                                   loss=clearing.loss)
+    return form
+
+
+def cold_origin_sweep(case, clearing):
+    """The emission-price sweep with its start solved by phase 1 on the
+    compact form assembled from scratch, as before the origin started from
+    the merit-order crash: the origin, or, when the origin is infeasible, the
+    closest feasible point zeta on the ray (the same augmented LP as
+    ``feasible_start``) and the dispatch at zeta, each by ``lp_core.solve``;
+    then the same region walk from that solution."""
+    from carbomarket.emission_allocation import (
+        FeasibleStart,
+        _problem_at,
+        aumann_shapley_prices,
+    )
+    from carbomarket.lp_core import LpProblem, LpStatus, solve
+
+    form = assembled_compact_form(case, clearing)
+    origin = solve(_problem_at(form, 0.0))
+    if origin.status is LpStatus.OPTIMAL:
+        e0 = float(form.k @ origin.primal) + form.k_offset
+        start = FeasibleStart(zeta=0.0, emission_cost=e0, price_addon=0.0, solution=origin)
+        return aumann_shapley_prices(form, start=start)
+    problem, n = form.problem, form.problem.variable_count
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    closest = solve(LpProblem(
+        cost=cost, rhs=form.h, upper=np.append(problem.upper, 1.0),
+        constraint_matrix=np.column_stack([problem.constraint_matrix, -form.g @ form.demand])))
+    assert closest.status is LpStatus.OPTIMAL, "no feasible point on the demand ray"
+    zeta = float(closest.primal[n])
+    at_zeta = solve(_problem_at(form, zeta))
+    assert at_zeta.status is LpStatus.OPTIMAL
+    e0 = float(form.k @ at_zeta.primal) + form.k_offset
+    total_net = float(form.demand.sum())
+    addon = 0.0 if abs(total_net) < 1e-12 else e0 / (form.tau * 1000.0 * total_net)
+    return aumann_shapley_prices(form, start=FeasibleStart(
+        zeta=zeta, emission_cost=e0, price_addon=addon, solution=at_zeta))
+
+
+def looped_feasibility_interval(sol, a, g, h, ray, upper):
+    """``lp_core.feasibility_interval`` as a loop over the basic variables,
+    with the same rules, tolerances and errors."""
+    from carbomarket.lp_core import FEASIBILITY_TOL, EmptyIntervalError
+
+    a = np.asarray(a, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    ub = upper[sol.basis]
+    offset = np.asarray(h, dtype=float) - a[:, sol.at_upper] @ upper[sol.at_upper]
+    u = sol.basis_inverse @ (np.asarray(g, dtype=float) @ np.asarray(ray, dtype=float))
+    v = sol.basis_inverse @ offset
+    lo, hi = -np.inf, np.inf
+    for uk, vk, bk in zip(u, v, ub):
+        if uk > 1e-11:
+            lo = max(lo, (-FEASIBILITY_TOL - vk) / uk)
+            hi = min(hi, (bk + FEASIBILITY_TOL - vk) / uk)
+        elif uk < -1e-11:
+            hi = min(hi, (-FEASIBILITY_TOL - vk) / uk)
+            lo = max(lo, (bk + FEASIBILITY_TOL - vk) / uk)
+        elif vk < -10 * FEASIBILITY_TOL or vk > bk + 10 * FEASIBILITY_TOL:
+            raise EmptyIntervalError("basis infeasible for every parameter value")
+    if lo > hi:
+        raise EmptyIntervalError("empty feasibility interval")
+    return float(lo), float(hi)

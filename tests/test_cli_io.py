@@ -256,6 +256,26 @@ def test_non_finite_numbers_exit_3_and_name_the_field(tmp_path, capsys, target, 
     assert field in err
 
 
+@pytest.mark.parametrize("value", ["1.0", "1.5", "-1.0", "-3.0"])
+def test_a_bus_loss_sensitivity_outside_minus_one_to_one_exits_3(tmp_path, capsys, value):
+    # a delivery factor 1 - |loss| <= 0 leaves nothing to deliver to the balance
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    path = tmp_path / "c.yaml"
+    text = path.read_text()
+    assert "loss_sensitivity: 0.02" in text
+    path.write_text(text.replace("loss_sensitivity: 0.02", f"loss_sensitivity: {value}"))
+    with pytest.raises(CaseSchemaError) as err:
+        load_case(path)
+    assert err.value.problems == [
+        f"buses[1].loss_sensitivity: must lie in (-1, 1), got {float(value)!r}"]
+    assert main(["clear", "--case", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error code=3 kind=data" in err
+    assert "buses[1].loss_sensitivity" in err
+    path.write_text(text.replace("loss_sensitivity: 0.02", "loss_sensitivity: -0.99"))
+    assert load_case(path).buses[1].loss_sensitivity == -0.99
+
+
 def test_series_column_mismatches_are_reported(tmp_path):
     write_case(two_bus_case(), tmp_path / "c.yaml")
     loads = tmp_path / "c_loads.csv"

@@ -25,7 +25,13 @@ from carbomarket.network_model import (
     curve_from_points,
 )
 from carbomarket.simulator import settle
-from oracles import c2_psi, highs_solve, random_small_case, scan_basis_regions
+from oracles import (
+    assembled_compact_form,
+    c2_psi,
+    highs_solve,
+    random_small_case,
+    scan_basis_regions,
+)
 
 KAPPA = 0.05
 
@@ -289,6 +295,8 @@ def test_compact_form_matches_highs_at_region_midpoints_and_the_end(monkeypatch)
 
 
 def test_compact_form_is_the_clearing_lp_on_the_plant_columns(monkeypatch):
+    from dataclasses import fields
+
     from carbomarket import simulator
     from carbomarket.market_clearing import MarketInfeasibleError
     from carbomarket.simulator import ScenarioConfig, run_horizon
@@ -301,7 +309,9 @@ def test_compact_form_is_the_clearing_lp_on_the_plant_columns(monkeypatch):
         return cleared[-1][1]
 
     monkeypatch.setattr(simulator, "clear_market", recording)
-    run_horizon(replica30_case(seed=7), ScenarioConfig.proposed(horizon=24))
+    case7 = replica30_case(seed=7)
+    run_horizon(case7, ScenarioConfig.proposed(horizon=24))
+    run_horizon(case7, ScenarioConfig.proposed(horizon=168))
     monkeypatch.undo()
     rng = np.random.default_rng(37)
     drawn = 0
@@ -312,7 +322,7 @@ def test_compact_form_is_the_clearing_lp_on_the_plant_columns(monkeypatch):
         except MarketInfeasibleError:
             continue
         drawn += 1
-    assert len(cleared) == 34
+    assert len(cleared) == 24 + 168 + 10
     for case, clearing in cleared:
         _, full = assemble_clearing_lp(case, clearing.bids, loss=clearing.loss)
         form = build_compact_form(case, clearing)
@@ -326,6 +336,17 @@ def test_compact_form_is_the_clearing_lp_on_the_plant_columns(monkeypatch):
         assert np.array_equal(form.problem.upper, full.problem.upper[keep])
         assert np.array_equal(form.k, full.k[keep])
         assert np.array_equal(form.g, full.g)
+        # and every field is the one the plants' own assembly gives
+        assembled = assembled_compact_form(case, clearing)
+        for name in (f.name for f in fields(form)):
+            got, want = getattr(form, name), getattr(assembled, name)
+            if name == "problem":
+                for part in ("cost", "constraint_matrix", "rhs", "upper"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part)), part
+            elif isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            else:
+                assert got == want, name
 
 
 def test_storage_and_load_share_one_bus_price():
@@ -426,35 +447,32 @@ def replica_spot_clearings():
                   for t in range(0, 168, 7)]
 
 
-def test_the_sweep_factors_no_basis_past_its_origin_solve(replica_spot_clearings, monkeypatch):
+def test_the_sweep_factors_no_basis(replica_spot_clearings, monkeypatch):
     from carbomarket import emission_allocation, lp_core
 
     case, clearings = replica_spot_clearings
-    calls = {"factor": 0, "origin": 0}
+    factored = []
     factor = lp_core.lu_factor
 
     def counting(*args, **kwargs):
-        calls["factor"] += 1
+        factored.append(1)
         return factor(*args, **kwargs)
 
-    def origin(problem):
-        before = calls["factor"]
-        sol = solve(problem)
-        calls["origin"] += calls["factor"] - before
-        return sol
+    def phase_one(problem):
+        raise AssertionError("the origin ran phase 1")
 
     monkeypatch.setattr(lp_core, "lu_factor", counting)
-    monkeypatch.setattr(emission_allocation, "solve", origin)
-    checked = breakpoints = 0
+    monkeypatch.setattr(emission_allocation, "solve", phase_one)
+    breakpoints = 0
     for clearing in clearings:
-        calls.update(factor=0, origin=0)
         res = allocate_period(case, clearing)
-        if calls["origin"] == 0:
-            assert calls["factor"] == 0
-            checked += 1
-            breakpoints += len(res.breakpoints)
-    assert checked == len(clearings) == 24
-    assert breakpoints > 2 * checked  # the carried inverse crosses regions
+        assert res.start_point is None
+        breakpoints += len(res.breakpoints)
+    # the origin adopts the crash's closed-form inverse, each region the
+    # previous solve's
+    assert not factored
+    assert len(clearings) == 24
+    assert breakpoints > 2 * len(clearings)  # the carried inverse crosses regions
 
 
 def test_carried_basis_inverse_leaves_psi_and_breakpoints_unchanged(replica_spot_clearings,

@@ -19,7 +19,7 @@ from carbomarket.lp_core import (
     solve,
     solve_with_basis,
 )
-from oracles import tableau_simplex
+from oracles import looped_feasibility_interval, tableau_simplex
 
 
 def random_equality_lp(rng, m=10, n=20):
@@ -304,6 +304,25 @@ def test_warm_start_singular_fallback():
     short = solve_with_basis(prob, [3])
     assert short.outcome == "size" and not short.warm_started
     assert short.objective == pytest.approx(cold.objective, abs=1e-9)
+    for basis in ([3, 3], [0, 4], [-1, 3]):  # a column twice, or one out of range
+        unusable = solve_with_basis(prob, basis)
+        assert unusable.outcome == "size"
+        assert unusable.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_a_problem_with_a_new_rhs_checks_only_the_rhs():
+    prob = LpProblem(cost=[1.0, 2.0], constraint_matrix=[[1.0, 1.0]], rhs=[1.0],
+                     upper=[5.0, 5.0])
+    moved = prob.with_rhs(np.array([[3.0]]))
+    assert moved.rhs.shape == (1,) and moved.rhs[0] == 3.0 and prob.rhs[0] == 1.0
+    assert moved.constraint_matrix is prob.constraint_matrix
+    assert moved.cost is prob.cost and moved.upper is prob.upper
+    assert solve(moved).objective == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="2 rhs entries for 1 rows"):
+        prob.with_rhs([1.0, 2.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            prob.with_rhs([bad])
 
 
 def basic_solution_and_gains(prob, basis, at_upper=()):
@@ -405,6 +424,36 @@ def test_feasibility_interval_empty_raises():
     with pytest.raises(EmptyIntervalError):
         feasibility_interval(basis_solution(a, [0]), a, np.array([[0.0]]), [-1.0], [1.0],
                              [10.0])
+
+
+def test_feasibility_interval_equals_the_loop_over_basic_variables():
+    # x_B = y u + v with the identity as basis: u and v are drawn directly,
+    # with rows that do not move (u = 0 or within 1e-11 of it), infinite
+    # bounds, and rows outside their bounds, so every rule and both errors run
+    rng = np.random.default_rng(4242)
+    outcomes = {"interval": 0, "basis infeasible for every parameter value": 0,
+                "empty feasibility interval": 0}
+    for _ in range(600):
+        m = int(rng.integers(1, 7))
+        n_upper = int(rng.integers(0, 3))
+        a = np.hstack([np.eye(m), rng.uniform(-1.0, 1.0, (m, n_upper))])
+        upper = np.concatenate([rng.choice([2.0, 5.0, np.inf], m), rng.uniform(0.0, 2.0, n_upper)])
+        at_upper = np.flatnonzero(rng.random(n_upper) < 0.5) + m
+        u = rng.choice([0.0, 5e-12, -5e-12, 1.0, -1.0], m) * rng.uniform(0.5, 3.0, m)
+        h = rng.uniform(-1.0, 6.0, m)
+        sol = basis_solution(a, np.arange(m), at_upper)
+        g, ray = u[:, None], np.array([1.0])
+        try:
+            want = looped_feasibility_interval(sol, a, g, h, ray, upper)
+        except EmptyIntervalError as exc:
+            with pytest.raises(EmptyIntervalError, match=str(exc)):
+                feasibility_interval(sol, a, g, h, ray, upper)
+            outcomes[str(exc)] += 1
+            continue
+        got = feasibility_interval(sol, a, g, h, ray, upper)
+        assert got == want and all(type(x) is float for x in got)
+        outcomes["interval"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_parametric_breakpoints_match_grid_scan():

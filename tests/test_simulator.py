@@ -220,13 +220,24 @@ def test_forced_minimum_output_starts_the_sweep_inside(monkeypatch):
         solves.append(problem)
         return lp_core.solve(problem)
 
+    def counted_from_basis(problem, *args, **kwargs):
+        solves.append(problem)
+        return lp_core.solve_with_basis(problem, *args, **kwargs)
+
     monkeypatch.setattr(emission_allocation, "solve", counted)
+    monkeypatch.setattr(emission_allocation, "solve_with_basis", counted_from_basis)
     record, clearing, allocation = run_period(
         case, ScenarioConfig.proposed(), 0, {}, {})
-    # the origin, the closest feasible point, and E at it; the sweep starts
-    # from that last solution instead of solving it again
-    assert len(solves) == 3
+    # the origin, the closest feasible point, and E at it, then one solve per
+    # sweep iteration; the sweep starts from the solution at zeta instead of
+    # solving it again
     assert allocation.start_point is not None
+    assert len(solves) == 3 + allocation.iterations
+    form = emission_allocation.build_compact_form(case, clearing)
+    np.testing.assert_array_equal(solves[0].rhs, form.h)
+    at_zeta = emission_allocation._problem_at(form, allocation.start_point.zeta).rhs
+    np.testing.assert_array_equal(solves[2].rhs, at_zeta)
+    assert not any(np.array_equal(p.rhs, at_zeta) for p in solves[3:])
     assert record.start_used
     # the uniform start share folds the pre-start emission into the price
     assert record.emission_pot == pytest.approx(
