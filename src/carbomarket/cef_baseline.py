@@ -56,7 +56,7 @@ class FlowGraph:
         bids = clearing.bids
         demand = bids.demand.copy()
         generation: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        sigma_by_agent = dict(zip(clearing.sigma_agents, clearing.sigma))
+        sigma_by_agent = dict(zip(clearing.form.sigma_agents, clearing.sigma))
         for idx, agent in enumerate(bids.agents):
             p = float(clearing.dispatch[idx])
             pos = bus_index[agent.bus]

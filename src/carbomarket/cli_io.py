@@ -393,6 +393,7 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     else:
         _check_scenario_fields(scenario_defaults, "scenario", problems)
 
+    name = _str(doc, "name", "case", problems, default=path.stem)
     if problems:
         raise CaseSchemaError(problems)
 
@@ -402,7 +403,7 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
         tau=tau, kappa=kappa, epsilon=epsilon,
         slack_bus=slack_bus, loss_offset=loss_offset,
         loss_direction_dependent=loss_dir,
-        name=_str(doc, "name", "case", problems, default=path.stem),
+        name=name,
     )
     issues = validate_case(case)
     if issues:
@@ -423,7 +424,9 @@ def _check_scenario_fields(data: dict, path: str, problems: list[str]) -> None:
         if key in data and not isinstance(data[key], bool):
             problems.append(f"{path}.{key}: expected true/false")
     if data.get("horizon") is not None:
-        _int(data, "horizon", path, problems)
+        horizon = _int(data, "horizon", path, problems)
+        if horizon is not None and horizon < 1:
+            problems.append(f"{path}.horizon: expected at least 1, got {horizon}")
 
 
 def load_scenario(path) -> ScenarioConfig:

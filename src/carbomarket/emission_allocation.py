@@ -8,8 +8,8 @@ walk the ray region by region, take the gradient from the basis, and weight it
 by the region's length.  The result is a per-bus price in $/kWh.
 
 The dispatch LP is the clearing's own, cut to the plants' columns and the
-branch slacks (``market_clearing.plant_form``), with each storage's cleared
-power moved into its bus's demand.  The origin starts from the clearing's
+branch slacks (``build_compact_form``), with each storage's cleared power
+moved into its bus's demand.  The origin starts from the clearing's
 merit-order crash basis (Bixby 1992) and finishes with the dual simplex;
 each region is then found by the parametric-rhs probe of Gal & Nedoma
 (1972): solve just past the last breakpoint from the previous basis and its
@@ -23,7 +23,7 @@ price increment at every bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .lp_core import (
     solve_with_basis,
 )
 from .lp_core import lu_factor  # noqa: F401  unused; perfbench/tracing.py wraps it
-from .market_clearing import AssembledMarket, ClearingResult, _merit_order_start, plant_form
+from .market_clearing import AssembledMarket, ClearingResult, _merit_order_start, _rhs_offset
 from .network_model import NetworkCase
 
 
@@ -75,10 +75,47 @@ class AllocationResult:
 
 
 def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> AssembledMarket:
-    """The clearing LP of the plants' bids at net demand: each storage's
-    cleared power moves into its bus's demand, and the loss vector is the
-    one the clearing converged to. Its ``demand`` is the sweep's ray."""
-    return plant_form(case, clearing)
+    """The clearing LP of the plants' bids at net demand, cut from
+    ``clearing.form``: the plants' segment columns and the branch slacks,
+    with each storage's cleared power moved into its bus's demand. Every
+    array equals what ``assemble_clearing_lp`` gives for those plants, that
+    net demand and the loss vector the clearing converged to; only the rhs
+    and the per-agent parts are recomputed. Its ``demand`` is the sweep's ray."""
+    full, bids = clearing.form, clearing.bids
+    net_demand = bids.demand.copy()
+    plants = []
+    for idx, agent in enumerate(bids.agents):
+        if agent.is_storage:
+            net_demand[case.bus_index[agent.bus]] -= float(clearing.dispatch[idx])
+        else:
+            plants.append(idx)
+    plants = np.array(plants, dtype=int)
+    renumber = np.full(full.n_agents, -1)
+    renumber[plants] = np.arange(plants.size)
+    is_plant = renumber[full.column_agent] >= 0
+    cols = np.concatenate([np.flatnonzero(is_plant),
+                           full.column_agent.size + np.arange(full.n_branches)])
+
+    agent_bus = np.array([case.bus_index[bids.agents[k].bus] for k in plants], dtype=int)
+    p_shift = full.p_shift[plants]
+    h = _rhs_offset(case, full.loss[agent_bus], case.ptdf[:, agent_bus], p_shift,
+                    case.branch_capacities())
+    emission_at_min = full.emission_at_min[plants]
+    problem = full.problem
+    return AssembledMarket(
+        problem=LpProblem(cost=problem.cost[cols], rhs=full.g @ net_demand + h,
+                          constraint_matrix=problem.constraint_matrix[:, cols],
+                          upper=problem.upper[cols]),
+        g=full.g, h=h, k=full.k[cols],
+        k_offset=case.kappa * case.tau / 2.0 * float(emission_at_min.sum()),
+        demand=net_demand, tau=full.tau, n_agents=plants.size, n_branches=full.n_branches,
+        p_shift=p_shift, column_agent=renumber[full.column_agent[is_plant]],
+        cost_slope=full.cost_slope[is_plant], emission_slope=full.emission_slope[is_plant],
+        cost_at_min=full.cost_at_min[plants], emission_at_min=emission_at_min,
+        sigma_agents=tuple(int(renumber[k]) for k in full.sigma_agents if renumber[k] >= 0),
+        row_labels=full.row_labels, loss=full.loss,
+        column_keys=tuple(full.column_keys[j] for j in cols),
+    )
 
 
 def _problem_at(form: AssembledMarket, y: float) -> LpProblem:
@@ -94,7 +131,7 @@ def _emission_cost(form: AssembledMarket, y: float) -> tuple[float, LpSolution]:
     """E at ray point y, solved from the merit-order crash; phase 1 runs only
     when no crash fits or, inside ``solve_with_basis``, to confirm infeasibility."""
     problem = _problem_at(form, y)
-    start = _merit_order_start(replace(form, problem=problem))
+    start = _merit_order_start(problem)
     sol = solve(problem) if start is None else solve_with_basis(problem, *start)
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleAtOriginError(

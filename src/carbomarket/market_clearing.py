@@ -25,8 +25,10 @@ the emission cost is k.x plus the constant ``k_offset``.
 Every column also has a key that names it independently of the layout:
 (agent, "segment", i) for an agent's i-th piece and ("branch", l) for branch
 l's slack.  A clearing reports its optimal basis and its columns at their
-upper bounds as these keys, so the next period's LP, whose storage curves
-may have more or fewer pieces, can start from them.
+upper bounds as these keys.  The next period's LP, whose storage curves may
+have more or fewer pieces, starts from that basis when every key names one
+of its columns, and from the merit-order crash basis otherwise; phase 1 runs
+only when no crash fits, after a start fails, or to explain infeasibility.
 """
 
 from __future__ import annotations
@@ -104,10 +106,8 @@ class AssembledMarket:
     sigma_agents: tuple[int, ...]
     row_labels: tuple[str, ...]
     loss: np.ndarray
-    # layout-independent name of each column, and each row's own slack
-    # column (-1 for the balance row, which has none)
+    # layout-independent name of each column
     column_keys: tuple[tuple, ...]
-    row_slack: np.ndarray
 
     def _per_agent(self, weights: np.ndarray) -> np.ndarray:
         return np.bincount(self.column_agent, weights=weights, minlength=self.n_agents)
@@ -143,9 +143,8 @@ class ClearingResult:
     at_upper: tuple[tuple, ...] = ()
     loss_converged: bool = True
     loss_iterations: int = 1
+    # emission of each of form.sigma_agents, kg/h
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sigma_agents: tuple[int, ...] = ()
-    loss: np.ndarray | None = None
     # how the final solve started: crash (the merit-order crash basis), warm
     # (a previous clearing's basis), cold (phase 1: no crash can be built),
     # or why a crash or warm start fell back to phase 1 (size, singular, infeasible)
@@ -240,51 +239,7 @@ def assemble_clearing_lp(
         emission_slope=emission_slope,
         cost_at_min=cost_at_min, emission_at_min=emission_at_min,
         sigma_agents=sigma_agents, row_labels=tuple(labels), loss=loss,
-        column_keys=tuple(keys), row_slack=np.concatenate([[-1], n_seg + np.arange(n_br)]),
-    )
-
-
-def plant_form(case: NetworkCase, clearing: ClearingResult) -> AssembledMarket:
-    """The LP of the plants' bids at net demand, cut from ``clearing.form``:
-    the plants' segment columns and the branch slacks, with each storage's
-    cleared power moved into its bus's demand. Every array equals what
-    ``assemble_clearing_lp`` gives for those plants, that net demand and
-    ``clearing.loss``; only the rhs and the per-agent parts are recomputed."""
-    full, bids = clearing.form, clearing.bids
-    net_demand = bids.demand.copy()
-    plants = []
-    for idx, agent in enumerate(bids.agents):
-        if agent.is_storage:
-            net_demand[case.bus_index[agent.bus]] -= float(clearing.dispatch[idx])
-        else:
-            plants.append(idx)
-    plants = np.array(plants, dtype=int)
-    renumber = np.full(full.n_agents, -1)
-    renumber[plants] = np.arange(plants.size)
-    is_plant = renumber[full.column_agent] >= 0
-    n_seg, n_br = int(is_plant.sum()), full.n_branches
-    cols = np.concatenate([np.flatnonzero(is_plant), full.column_agent.size + np.arange(n_br)])
-
-    agent_bus = np.array([case.bus_index[bids.agents[k].bus] for k in plants], dtype=int)
-    p_shift = full.p_shift[plants]
-    h = _rhs_offset(case, full.loss[agent_bus], case.ptdf[:, agent_bus], p_shift,
-                    case.branch_capacities())
-    emission_at_min = full.emission_at_min[plants]
-    problem = full.problem
-    return AssembledMarket(
-        problem=LpProblem(cost=problem.cost[cols], rhs=full.g @ net_demand + h,
-                          constraint_matrix=problem.constraint_matrix[:, cols],
-                          upper=problem.upper[cols]),
-        g=full.g, h=h, k=full.k[cols],
-        k_offset=case.kappa * case.tau / 2.0 * float(emission_at_min.sum()),
-        demand=net_demand, tau=full.tau, n_agents=plants.size, n_branches=n_br,
-        p_shift=p_shift, column_agent=renumber[full.column_agent[is_plant]],
-        cost_slope=full.cost_slope[is_plant], emission_slope=full.emission_slope[is_plant],
-        cost_at_min=full.cost_at_min[plants], emission_at_min=emission_at_min,
-        sigma_agents=tuple(int(renumber[k]) for k in full.sigma_agents if renumber[k] >= 0),
-        row_labels=full.row_labels, loss=full.loss,
-        column_keys=tuple(full.column_keys[j] for j in cols),
-        row_slack=np.concatenate([[-1], n_seg + np.arange(n_br)]),
+        column_keys=tuple(keys),
     )
 
 
@@ -332,109 +287,55 @@ def extract_result(
         bids=bids, degenerate=sol.degenerate,
         basis=tuple(form.column_keys[j] for j in sol.basis),
         at_upper=tuple(form.column_keys[j] for j in sol.at_upper),
-        sigma=sigma, sigma_agents=form.sigma_agents, loss=form.loss,
-        outcome=sol.outcome, form=form,
+        sigma=sigma, outcome=sol.outcome, form=form,
     )
 
 
-def _independent(mat: np.ndarray) -> np.ndarray:
-    """Positions of a maximal set of linearly independent columns of ``mat``,
-    most independent first: column-pivoted modified Gram-Schmidt, which takes
-    the largest residual norm until it is 1e-10 of the first (geqp3's rule)."""
-    res = np.array(mat, dtype=float)
-    norms = np.linalg.norm(res, axis=0)
-    tol = 1e-10 * norms.max(initial=0.0)
-    chosen = []
-    for _ in range(min(res.shape)):
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        q = res[:, j] / norms[j]
-        res -= np.outer(q, q @ res)
-        res[:, j] = 0.0
-        norms = np.linalg.norm(res, axis=0)
-        chosen.append(j)
-    return np.array(chosen, dtype=int)
-
-
-def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, list[int]]:
-    """Column indices of a square, nonsingular basis of ``form`` from ``keys``,
-    and of the columns named by ``upper_keys`` (a previous clearing's
-    ``at_upper``) that this layout has.
-
-    Keys this layout has become its columns, in their given order; keys it
-    lacks are dropped. Each row that the mapped branch slacks do not cover
-    (the balance row, the branches binding at the old vertex, and rows new to
-    this layout) must be covered by a mapped segment column or get its own
-    slack. So the basis is block triangular, and it is nonsingular when the
-    segment columns restricted to the uncovered rows are: the largest
-    independent set of those columns is kept, and the uncovered rows they
-    leave over, never the balance row, get their own slacks. Returns fewer
-    columns than rows only when no segment column covers the balance row.
-    """
+def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, list[int]] | None:
+    """Column indices of the basis ``keys`` in ``form``, and of the columns
+    named by ``upper_keys`` (a previous clearing's ``at_upper``) that this
+    layout has; None when some basis key names no column of this layout."""
     index = {key: j for j, key in enumerate(form.column_keys)}
-    cols = np.array(list(dict.fromkeys(index[k] for k in keys if k in index)), dtype=int)
-    at_upper = [index[k] for k in upper_keys if k in index]
-    n_rows = form.problem.constraint_count
-    slack_row = np.full(form.problem.variable_count, -1)
-    slack_row[form.row_slack[1:]] = np.arange(1, n_rows)
-    is_slack = slack_row[cols] >= 0
-    covered = np.zeros(n_rows, dtype=bool)
-    covered[slack_row[cols[is_slack]]] = True
-    open_rows = np.flatnonzero(~covered)  # starts with the balance row
-    struct = cols[~is_slack]
-    block = form.problem.constraint_matrix[np.ix_(open_rows, struct)]
-    struct_pos = _independent(block)
-    block = block[:, struct_pos]
-    if struct_pos.size == open_rows.size:
-        extra_rows = np.zeros(0, dtype=int)
-    else:
-        # rows to leave to the structural columns: the balance row, then the
-        # most independent of the rest once the balance row is projected out
-        balance = block[0]
-        norm2 = float(balance @ balance)
-        if norm2 == 0.0:
-            return cols, at_upper
-        rest = block[1:] - np.outer(block[1:] @ balance / norm2, balance)
-        chosen = _independent(rest.T)[: struct_pos.size - 1] + 1
-        left = np.ones(open_rows.size, dtype=bool)
-        left[0] = False
-        left[chosen] = False
-        extra_rows = open_rows[left]
-    keep = is_slack | np.isin(cols, struct[struct_pos])
-    return np.concatenate([cols[keep], form.row_slack[extra_rows]]), at_upper
+    if not all(k in index for k in keys):
+        return None
+    return np.array([index[k] for k in keys], dtype=int), [index[k] for k in upper_keys if k in index]
 
 
-def _merit_order_start(form: AssembledMarket):
-    """Merit-order crash basis of ``form`` (Bixby 1992, "Implementing the
-    simplex method: the initial basis"), its columns at upper bound and its
-    inverse; None when a segment's balance coefficient is not positive.
+def _merit_order_start(problem: LpProblem):
+    """Merit-order crash basis of a clearing LP ``problem`` laid out as the
+    module docstring says (Bixby 1992, "Implementing the simplex method: the
+    initial basis"), its columns at upper bound and its inverse; None when a
+    segment's balance coefficient is not positive.
 
     Segments fill the balance rhs in stable order of delivered cost c_j / a_0j.
     The one where the fill reaches the rhs (else the last) is basic beside the
     branch slacks, and the cheaper ones sit at their upper bounds. Its duals,
     that delivered cost and zero congestion, are dual feasible, and
     B = [[a_0j, 0], [t_j, I]] inverts to [[1/a_0j, 0], [-t_j/a_0j, I]]."""
-    a, n_seg = form.problem.constraint_matrix, form.column_agent.size
+    a = problem.constraint_matrix
+    n_br = a.shape[0] - 1
+    n_seg = a.shape[1] - n_br
     a0 = a[0, :n_seg]
     if not n_seg or a0.min() <= 0.0:
         return None
-    order = np.argsort(form.problem.cost[:n_seg] / a0, kind="stable")
-    fill = np.cumsum(a0[order] * form.problem.upper[order])
-    k = min(int(np.searchsorted(fill, form.problem.rhs[0])), n_seg - 1)
+    order = np.argsort(problem.cost[:n_seg] / a0, kind="stable")
+    fill = np.cumsum(a0[order] * problem.upper[order])
+    k = min(int(np.searchsorted(fill, problem.rhs[0])), n_seg - 1)
     binv = np.eye(a.shape[0])
     binv[:, 0] = -a[:, order[k]] / a0[order[k]]
     binv[0, 0] = 1.0 / a0[order[k]]
-    return np.concatenate([[order[k]], form.row_slack[1:]]), order[:k], binv
+    return np.concatenate([[order[k]], n_seg + np.arange(n_br)]), order[:k], binv
 
 
 def clear_market(
     case: NetworkCase, bids: BidSet, warm_basis=None, warm_upper=(),
 ) -> ClearingResult:
     """Clear one period; ``warm_basis`` and ``warm_upper`` are a previous
-    ``ClearingResult.basis`` and ``ClearingResult.at_upper``; without them
-    the clearing starts from ``_merit_order_start``, and from phase 1 only
-    when no crash can be built.
+    ``ClearingResult.basis`` and ``ClearingResult.at_upper``. The clearing
+    starts from that basis when every one of its keys names a column of this
+    period's LP, and from ``_merit_order_start`` otherwise or without one.
+    Phase 1 runs only when no crash can be built, after a start fails
+    (``outcome`` says why), or to explain infeasibility.
 
     When ``case.loss_direction_dependent``, each bus's loss sensitivity takes
     the sign of its net injection: the market re-clears, each time from the
@@ -446,13 +347,13 @@ def clear_market(
     loss = base if case.loss_direction_dependent else None
     for it in range(1, LOSS_ITERATIONS + 1):
         problem, form = assemble_clearing_lp(case, bids, loss=loss)
-        start = (_merit_order_start(form) if warm_basis is None
-                 else _map_start(form, warm_basis, warm_upper))
+        carried = None if warm_basis is None else _map_start(form, warm_basis, warm_upper)
+        start = _merit_order_start(problem) if carried is None else carried
         sol = solve(problem) if start is None else solve_with_basis(problem, *start)
         if sol.status is LpStatus.INFEASIBLE:
             raise _infeasible(form, sol)
         result = extract_result(case, form, sol, bids)
-        if warm_basis is None and sol.warm_started:
+        if carried is None and sol.warm_started:
             result.outcome = "crash"
         result.loss_iterations = it
         if not case.loss_direction_dependent:

@@ -328,7 +328,7 @@ def run_period(
         emission_pot=ledger.emission_pot,
         settlement_residual=ledger.residual_rel,
         sigma={clearing.agent_names[k]: float(s)
-               for k, s in zip(clearing.sigma_agents, clearing.sigma)},
+               for k, s in zip(clearing.form.sigma_agents, clearing.sigma)},
         allocation_breakpoints=tuple(float(y) for y, _ in allocation.breakpoints)
         if allocation else (),
         allocation_iterations=allocation.iterations if allocation else 0,
@@ -345,6 +345,8 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
     t_end = case.horizon if scenario.horizon is None else scenario.horizon
     if t_end > case.horizon:
         raise ValueError(f"horizon {t_end} exceeds series length {case.horizon}")
+    if t_end < 1:
+        raise ValueError(f"horizon {t_end} is below 1 period")
     params: dict[str, PolicyParams] = {}
     states: dict[str, StorageState] = {}
     if scenario.enable_storage:

@@ -29,18 +29,6 @@ def highs_solve(problem):
     return res
 
 
-def pivoted_qr_independent(mat):
-    """Columns of ``mat`` kept by LAPACK's QR with column pivoting under the
-    rank rule |R_kk| > 1e-10 |R_00|, in pivot order."""
-    from scipy.linalg import qr
-
-    if 0 in mat.shape:
-        return np.zeros(0, dtype=int)
-    r, perm = qr(mat, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    return perm[: int((diag > 1e-10 * diag[0]).sum())]
-
-
 def lu_ptdf(branches, bus_ids, slack_bus):
     """PTDF of a connected network by scipy's LU of the reduced B matrix,
     assembled branch by branch."""
@@ -303,7 +291,7 @@ def assembled_compact_form(case, clearing):
         else:
             plants.append(agent)
     _, form = assemble_clearing_lp(case, BidSet(agents=plants, demand=net_demand),
-                                   loss=clearing.loss)
+                                   loss=clearing.form.loss)
     return form
 
 

@@ -160,6 +160,16 @@ def test_unknown_case_keys_exit_3_and_name_the_field(tmp_path, capsys, old, new,
     assert field in err
 
 
+def test_a_case_name_that_is_not_a_string_exits_3(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    write_case(two_bus_case(), path)
+    path.write_text(path.read_text().replace("name: two_bus\n", "name: 123\n", 1))
+    with pytest.raises(CaseSchemaError, match=re.escape("case.name: expected a string")):
+        load_case(path)
+    assert main(["clear", "--case", str(path)]) == EXIT_DATA
+    assert "case.name" in capsys.readouterr().err
+
+
 def test_round_trip_survives_a_second_pass(tmp_path):
     case = two_bus_case()
     write_case(case, tmp_path / "a.yaml")
@@ -395,6 +405,20 @@ def test_scenario_file_loads_and_rejects_unknowns(tmp_path):
         bad.write_text(doc)
         with pytest.raises(CaseSchemaError, match="unknown scenario field"):
             load_scenario(bad)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_a_scenario_horizon_below_one_exits_3(tmp_path, capsys, horizon):
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(f"horizon: {horizon}\n")
+    with pytest.raises(CaseSchemaError, match="scenario.horizon: expected at least 1"):
+        load_scenario(scenario)
+    out = tmp_path / "r"
+    assert main(["simulate", "--case", str(tmp_path / "c.yaml"), "--scenario", str(scenario),
+                 "--out", str(out)]) == EXIT_DATA
+    assert "scenario.horizon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scenario_file_rejects_price_taking_methods(tmp_path):

@@ -89,7 +89,7 @@ def test_crash_clearing_matches_highs_on_random_networks(drawn):
     if case.loss_direction_dependent:
         # the crash of the loss vector the re-clearing settles on
         try:
-            loss = clear_market(case, bids).loss
+            loss = clear_market(case, bids).form.loss
         except MarketInfeasibleError:
             return  # infeasible under signed losses that HiGHS is not given
         case = dataclasses.replace(

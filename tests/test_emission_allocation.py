@@ -127,7 +127,7 @@ def test_sweep_prices_the_loss_vector_the_clearing_converged_to():
     )
     agents = [gen_bid("cheap", 1, 20.0, 50.0, 0.5), gen_bid("dear", 2, 40.0, 50.0, 0.5)]
     clearing = clear_market(case, BidSet(agents=agents, demand=np.array([0.0, 10.0])))
-    np.testing.assert_array_equal(clearing.loss, [0.05, -0.03])
+    np.testing.assert_array_equal(clearing.form.loss, [0.05, -0.03])
     res = allocate_period(case, clearing)
     expected = KAPPA * case.tau / 2 * clearing.total_emission
     assert res.emission_cost_at_star == pytest.approx(expected, rel=1e-9)
@@ -324,7 +324,7 @@ def test_compact_form_is_the_clearing_lp_on_the_plant_columns(monkeypatch):
         drawn += 1
     assert len(cleared) == 24 + 168 + 10
     for case, clearing in cleared:
-        _, full = assemble_clearing_lp(case, clearing.bids, loss=clearing.loss)
+        _, full = assemble_clearing_lp(case, clearing.bids, loss=clearing.form.loss)
         form = build_compact_form(case, clearing)
         storage = np.array([a.is_storage for a in clearing.bids.agents])
         assert storage.any()

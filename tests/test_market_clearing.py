@@ -22,7 +22,7 @@ from carbomarket.network_model import Branch, Bus, NetworkCase, curve_from_point
 from carbomarket.simulator import ScenarioConfig, run_horizon
 from carbomarket.storage_policy import choose_parameters, initial_state
 from carbomarket.synthetic import replica30_case
-from oracles import highs_solve, phase_one_clearing, pivoted_qr_independent, random_small_case
+from oracles import highs_solve, phase_one_clearing, random_small_case
 
 
 def linear_bid(name, bus, slope, cap, psi=None, p_min=0.0, renewable=False):
@@ -216,7 +216,7 @@ def test_loss_direction_iteration(monkeypatch):
     res2 = clear_market(flip, bids2)
     assert res2.loss_converged
     assert res2.loss_iterations == 2
-    np.testing.assert_array_equal(res2.loss, [0.05, -0.03])
+    np.testing.assert_array_equal(res2.form.loss, [0.05, -0.03])
     # final pass used L = (+0.05, -0.03): 0.95 p = 1.03 * 10
     assert res2.dispatch[0] == pytest.approx(10.3 / 0.95, abs=1e-8)
     # the re-clear started from the first pass's basis and lands where a
@@ -238,7 +238,7 @@ def test_loss_direction_iteration(monkeypatch):
     monkeypatch.setattr(market_clearing, "LOSS_ITERATIONS", 1)
     capped = clear_market(flip, bids2)
     assert not capped.loss_converged and capped.loss_iterations == 1
-    np.testing.assert_array_equal(capped.loss, [0.05, 0.03])
+    np.testing.assert_array_equal(capped.form.loss, [0.05, 0.03])
 
 
 def test_warm_basis_reclear_is_cheap_and_identical():
@@ -272,6 +272,55 @@ def test_warm_start_survives_a_storage_curve_gaining_and_losing_a_segment():
         for got, want in ((warm.dispatch, cold.dispatch), (warm.lmp, cold.lmp)):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
         previous = warm
+
+
+def test_a_carried_basis_whose_segment_is_gone_starts_from_the_crash():
+    # the storage is marginal on its 7th of 8 segments; cut into 4, the curve
+    # has no column for that key, so the carried basis does not map whole
+    case = make_case(n_buses=2, branches=[Branch(1, 2, capacity=100.0, reactance=0.1)])
+    gen, demand = linear_bid("g", 1, 45.0, 100.0, psi=0.5), np.array([0.0, 12.0])
+    previous = clear_market(case, BidSet(agents=[gen, storage_bid(8)], demand=demand))
+    assert ("es", "segment", 6) in previous.basis
+    bids = BidSet(agents=[gen, storage_bid(4)], demand=demand)
+    res = clear_market(case, bids, warm_basis=previous.basis, warm_upper=previous.at_upper)
+    assert res.outcome == "crash"
+    assert_matches_highs(case, bids, res)
+
+
+def test_a_singular_carried_basis_falls_back_to_phase_one(monkeypatch):
+    def assert_matches_phase_one(case, bids, res):
+        assert res.outcome == "singular"
+        cold = phase_one_clearing(case, bids)
+        np.testing.assert_allclose(res.dispatch, cold.dispatch, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.lmp, cold.lmp, rtol=0, atol=1e-9)
+
+    # every key maps, but the marginal unit's bus now loses everything, so
+    # its column has no balance coefficient
+    line = [Branch(1, 2, capacity=100.0, reactance=0.1)]
+    bids = BidSet(agents=[linear_bid("lost", 1, 5.0, 50.0, psi=0.5),
+                          linear_bid("b", 2, 40.0, 50.0, psi=0.3)],
+                  demand=np.array([0.0, 30.0]))
+    previous = clear_market(make_case(n_buses=2, branches=line), bids)
+    assert previous.basis[0] == ("lost", "segment", 0)
+    lossy = make_case(n_buses=2, branches=line, loss=[1.0, 0.0])
+    assert_matches_phase_one(lossy, bids, clear_market(
+        lossy, bids, warm_basis=previous.basis, warm_upper=previous.at_upper))
+
+    # a carried basis whose factorization fails once
+    case, agents, demand = congested_triangle()
+    previous = clear_market(case, BidSet(agents=agents + [storage_bid(4)], demand=demand))
+    bids = BidSet(agents=agents + [storage_bid(5, 0.7)], demand=demand)
+    failures = [lp_core.SimplexNumericalError("singular basis matrix")]
+
+    def failing_once(bmat):
+        if failures:
+            raise failures.pop()
+        return lu_factor(bmat)
+
+    monkeypatch.setattr(lp_core, "lu_factor", failing_once)
+    res = clear_market(case, bids, warm_basis=previous.basis, warm_upper=previous.at_upper)
+    assert not failures
+    assert_matches_phase_one(case, bids, res)
 
 
 def test_crash_clearing_matches_phase_one_on_replica30_series7(monkeypatch):
@@ -364,7 +413,7 @@ def test_crash_over_zero_width_segments():
         upper = problem.upper.copy()
         upper[closed] = 0.0
         shut = dataclasses.replace(problem, upper=upper)
-        start = market_clearing._merit_order_start(dataclasses.replace(form, problem=shut))
+        start = market_clearing._merit_order_start(shut)
         sol, want = lp_core.solve_with_basis(shut, *start), lp_solve(shut)
         assert sol.warm_started and sol.bound_flips == 0
         assert sol.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-9)
@@ -422,8 +471,8 @@ def test_uncongested_crash_is_optimal_as_it_starts():
             Branch(1, 3, capacity=1e3, reactance=0.1)]
     case = make_case(n_buses=3, branches=wide, loss=[0.0, 0.03, 0.05])
     for load in (8.0, 30.0, 55.0, 90.0, 120.0):
-        problem, form = assemble_clearing_lp(case, kinked_triangle_bids([0.0, 0.0, load]))
-        sol = lp_core.solve_with_basis(problem, *market_clearing._merit_order_start(form))
+        problem, _ = assemble_clearing_lp(case, kinked_triangle_bids([0.0, 0.0, load]))
+        sol = lp_core.solve_with_basis(problem, *market_clearing._merit_order_start(problem))
         assert sol.warm_started and sol.iterations == sol.bound_flips == 0
         assert sol.objective == pytest.approx(lp_solve(problem).objective, rel=1e-12)
 
@@ -445,7 +494,7 @@ def test_segments_fill_in_order_and_emissions_are_exact():
             if started.size:
                 np.testing.assert_allclose(fill[: started[-1]], 1.0, rtol=0, atol=1e-12)
         res = clear_market(case, bids)
-        for k, sigma in zip(res.sigma_agents, res.sigma):
+        for k, sigma in zip(res.form.sigma_agents, res.sigma):
             want = bids.agents[k].emission_curve.value(res.dispatch[k])
             assert sigma == pytest.approx(want, rel=1e-12, abs=1e-9)
         want_cost = sum(a.cost_curve.value(p) for a, p in zip(bids.agents, res.dispatch))
@@ -494,34 +543,3 @@ def test_clearing_matches_highs_on_replica30_and_random_networks(monkeypatch):
         small, bids = random_small_case(rng, min_output_prob=0.3)
         assert_matches_highs(small, bids, clear_market(small, bids))
 
-
-def test_independent_columns_match_pivoted_qr_on_rank_deficient_matrices():
-    rng = np.random.default_rng(4242)
-    for _ in range(300):
-        m, n = (int(k) for k in rng.integers(1, 13, size=2))
-        rank = int(rng.integers(0, min(m, n) + 1))
-        mat = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
-        got = market_clearing._independent(mat)
-        expected = pivoted_qr_independent(mat)
-        assert got.size == expected.size == rank
-        assert sorted(got) == sorted(expected)
-    for shape in ((3, 0), (0, 4), (3, 4)):
-        assert market_clearing._independent(np.zeros(shape)).size == 0
-
-
-def test_independent_columns_match_pivoted_qr_on_every_warm_start_of_a_week(monkeypatch):
-    seen = []
-    independent = market_clearing._independent
-
-    def recording(mat):
-        seen.append((mat.copy(), independent(mat)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(market_clearing, "_independent", recording)
-    case = replica30_case(horizon=168, seed=7)
-    for scenario in (ScenarioConfig.a1(horizon=168), ScenarioConfig.proposed(horizon=168)):
-        run_horizon(case, scenario)
-    monkeypatch.undo()
-    assert len(seen) >= 2 * 167
-    for mat, got in seen:
-        assert sorted(got) == sorted(pivoted_qr_independent(mat))

@@ -407,7 +407,7 @@ def test_loss_direction_dependent_horizon_settles_on_the_signed_losses(monkeypat
     assert len(report.records) == len(clearings) == 48
     for clearing in clearings:
         assert clearing.loss_converged
-        np.testing.assert_array_equal(clearing.loss, [0.05, -0.03])
+        np.testing.assert_array_equal(clearing.form.loss, [0.05, -0.03])
     assert report.max_settlement_residual <= 1e-6
     assert report.max_cost_sharing_error <= 1e-9
     if name != "a2":
@@ -488,6 +488,13 @@ def test_horizon_beyond_the_series_is_rejected():
     case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.0)
     with pytest.raises(ValueError, match="exceeds"):
         run_horizon(case, ScenarioConfig.proposed(horizon=5))
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_horizon_below_one_period_is_rejected(horizon):
+    case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.0)
+    with pytest.raises(ValueError, match="below 1"):
+        run_horizon(case, ScenarioConfig.proposed(horizon=horizon))
 
 
 # ----------------------------------------------------------- rate fitting
