@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .cef_baseline import CefSingularError, FlowGraph, cef_emission_prices, cef_solve
-from .emission_allocation import InfeasibleAtOriginError, NonProgressError
+from .emission_allocation import NonProgressError
 from .lp_core import SimplexNumericalError
 from .market_clearing import MarketInfeasibleError
 from .network_model import (
@@ -842,11 +842,10 @@ def main(argv=None) -> int:
     except (CaseFormatError, CaseSchemaError, PolicyAssumptionError,
             FileNotFoundError) as exc:
         return _fail(EXIT_DATA, "data", exc)
-    except (MarketInfeasibleError, InfeasibleAtOriginError) as exc:
+    except MarketInfeasibleError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", exc)
     except SimulationAbort as exc:
-        cause = exc.__cause__
-        if isinstance(cause, (MarketInfeasibleError, InfeasibleAtOriginError)):
+        if isinstance(exc.__cause__, MarketInfeasibleError):
             return _fail(EXIT_INFEASIBLE, "infeasible", exc)
         return _fail(EXIT_NUMERIC, "numeric", exc)
     except (SimplexNumericalError, NonProgressError, SettlementImbalanceError,

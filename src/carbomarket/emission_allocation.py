@@ -9,16 +9,15 @@ by the region's length.  The result is a per-bus price in $/kWh.
 
 The dispatch LP is the clearing's own, cut to the plants' columns and the
 branch slacks (``build_compact_form``), with each storage's cleared power
-moved into its bus's demand.  The origin starts from the clearing's
-merit-order crash basis (Bixby 1992) and finishes with the dual simplex;
-each region is then found by the parametric-rhs probe of Gal & Nedoma
-(1972): solve just past the last breakpoint from the previous basis and its
-inverse, and read the region's interval off that basis.
+moved into its bus's demand.  The walk starts at the cleared point y = 1,
+solved from the merit-order crash basis (Bixby 1992), and goes down the ray
+by the parametric-rhs step of Gal & Nedoma (1972): read the region's
+interval off its basis, then solve just below that interval from the same
+basis and inverse to find the next region.
 
-When the dispatch problem is infeasible at zero demand (minimum-output floors),
-the walk starts from the closest feasible point on the ray instead and the
-emission cost there is split proportionally to net demand, which adds the same
-price increment at every bus.
+When p_min floors leave zero demand undispatchable, the walk ends at zeta,
+where the probe below the last region is infeasible, and the emission cost
+there is split in proportion to net demand: the same price at every bus.
 """
 
 from __future__ import annotations
@@ -41,12 +40,9 @@ from .market_clearing import AssembledMarket, ClearingResult, _merit_order_start
 from .network_model import NetworkCase
 
 
-# probe step of the sweep along the ray, as a share of the ray
-SWEEP_STEP = 0.002
-
-
-class InfeasibleAtOriginError(RuntimeError):
-    """Zero demand is undispatchable; integrate from a feasible start instead."""
+# how far below a region's lower end the sweep solves for the next region,
+# as a share of the ray
+PROBE = 1e-7
 
 
 class NonProgressError(RuntimeError):
@@ -59,8 +55,6 @@ class FeasibleStart:
     emission_cost: float
     # $/kWh at every bus: the emission cost at zeta split in proportion to net demand
     price_addon: float
-    # the dispatch LP solved at zeta; the sweep starts from its basis and inverse
-    solution: LpSolution
 
 
 @dataclass
@@ -127,115 +121,69 @@ def partial_derivative(form: AssembledMarket, sol: LpSolution) -> np.ndarray:
     return (sol.basis_inverse.T @ form.k[sol.basis]) @ form.g
 
 
-def _emission_cost(form: AssembledMarket, y: float) -> tuple[float, LpSolution]:
-    """E at ray point y, solved from the merit-order crash; phase 1 runs only
-    when no crash fits or, inside ``solve_with_basis``, to confirm infeasibility."""
-    problem = _problem_at(form, y)
-    start = _merit_order_start(problem)
-    sol = solve(problem) if start is None else solve_with_basis(problem, *start)
+def aumann_shapley_prices(form: AssembledMarket) -> AllocationResult:
+    """Walk the ray down from the cleared point y = 1, one region at a time.
+
+    A dual-simplex solve at lo - PROBE, from a region's basis and inverse,
+    finds the region below. The edge between two regions is the lower one's
+    hi, clipped to the upper one's top; a region narrower than PROBE can be
+    stepped over, and its upper neighbour's gradient then covers it. The walk
+    ends at y = 0, or at zeta = lo where the probe below lo is infeasible."""
+    problem = _problem_at(form, 1.0)
+    crash = _merit_order_start(problem)
+    sol = solve(problem) if crash is None else solve_with_basis(problem, *crash)
     if sol.status is not LpStatus.OPTIMAL:
-        raise InfeasibleAtOriginError(
-            f"dispatch infeasible at ray point y={y:g}; use feasible_start"
-        )
-    return float(form.k @ sol.primal) + form.k_offset, sol
+        raise NonProgressError("dispatch infeasible at the cleared point y=1")
+    e_star = float(form.k @ sol.primal) + form.k_offset
 
-
-def aumann_shapley_prices(
-    form: AssembledMarket,
-    start: FeasibleStart | None = None,
-) -> AllocationResult:
-    if start is None:
-        y0 = 0.0
-        e_start, sol = _emission_cost(form, y0)
-    else:
-        y0, e_start, sol = start.zeta, start.emission_cost, start.solution
-
-    ray = form.demand
-    a, upper = form.problem.constraint_matrix, form.problem.upper
-    grad_accum = np.zeros(form.g.shape[1])
-    breakpoints: list[tuple[float, tuple[int, ...]]] = []
-    y_prev = y0
-    iterations = 0
-    max_iter = 16 * int(np.ceil(1.0 / SWEEP_STEP)) + 400
-    # E at the last region's probe, and its slope along the ray there
-    e_probe, y_probe, slope = e_start, y0, 0.0
-    step = SWEEP_STEP
-    while y_prev < 1.0 - 1e-12:
-        iterations += 1
-        if iterations > max_iter:
-            raise NonProgressError(f"sweep exceeded {max_iter} iterations")
-        probe = min(y_prev + step, 1.0)
-        sol = solve_with_basis(_problem_at(form, probe), sol.basis, sol.at_upper,
-                               basis_inverse=sol.basis_inverse)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise NonProgressError(f"dispatch infeasible at ray point y={probe:g}")
+    y_sol, edges, grads, bases = 1.0, [1.0], [], []
+    while True:
         try:
-            lo, hi = feasibility_interval(sol, a, form.g, form.h, ray, upper)
-        except EmptyIntervalError:
-            lo = hi = probe  # basis optimal only at the probe point itself
-        y_next = min(hi, 1.0)
-        # the gradient is exact only where this basis stays feasible, so its
-        # region must reach back to the frontier; a detached region means the
-        # probe jumped over a narrower one, and the step shrinks onto it
-        forced = step < 1e-12
-        if not forced and (lo > y_prev + 1e-10 or y_next <= y_prev + 1e-12):
-            step /= 2.0
-            continue
-        if y_next <= y_prev + 1e-15:
-            raise NonProgressError(f"no progress past y={y_prev:g}")
-        grad = partial_derivative(form, sol)
-        grad_accum += (y_next - y_prev) * grad
-        breakpoints.append((float(y_next), tuple(sol.basis.tolist())))
-        e_probe = float(form.k @ sol.primal) + form.k_offset
-        y_probe, slope = probe, float(grad @ ray)
-        y_prev = y_next
-        step = SWEEP_STEP
+            lo, hi = feasibility_interval(sol, form.problem.constraint_matrix, form.g, form.h,
+                                          form.demand, form.problem.upper)
+        except EmptyIntervalError as exc:
+            raise NonProgressError(f"no region holds the basis solved at y={y_sol:g}") from exc
+        if grads:
+            if lo >= lo_above:
+                raise NonProgressError(f"no progress below y={lo_above:g}")
+            edges.append(min(hi, edges[-1]))
+        grads.append(partial_derivative(form, sol))
+        bases.append(tuple(sol.basis.tolist()))
+        if lo <= 0.0:
+            break
+        probe = max(lo - PROBE, 0.0)
+        below = solve_with_basis(_problem_at(form, probe), sol.basis, sol.at_upper,
+                                 basis_inverse=sol.basis_inverse)
+        if below.status is not LpStatus.OPTIMAL:
+            break
+        sol, y_sol, lo_above = below, probe, lo
+    zeta = max(lo, 0.0)
+    edges.append(zeta)
+    widths = np.maximum(-np.diff(edges), 0.0)
+    grad_accum = widths @ np.array(grads)
 
-    # E is affine on the last region, which reaches y = 1
-    e_star = e_probe + (1.0 - y_probe) * slope
-    allocated = float(grad_accum @ ray)
-    sharing_err = abs(allocated - (e_star - e_start)) / max(abs(e_star), 1e-12)
-
-    psi = grad_accum / (form.tau * 1000.0)
-    if start is not None:
-        psi = psi + start.price_addon
+    # E is affine on the last region, which reaches down to zeta
+    e_start = (float(form.k @ sol.primal) + form.k_offset
+               + (zeta - y_sol) * float(grads[-1] @ form.demand))
+    sharing = abs(float(grad_accum @ form.demand) - (e_star - e_start)) / max(abs(e_star), 1e-12)
+    start = feasible_start(form, zeta, e_start) if zeta > 0.0 else None
     return AllocationResult(
-        psi=psi, breakpoints=breakpoints, start_point=start,
-        cost_sharing_error=float(sharing_err),
-        emission_cost_at_star=e_star, emission_cost_at_start=e_start,
-        iterations=iterations,
+        psi=grad_accum / (form.tau * 1000.0) + (start.price_addon if start else 0.0),
+        breakpoints=[(y, basis) for y, w, basis in zip(edges, widths, bases) if w > 0.0][::-1],
+        start_point=start,
+        cost_sharing_error=sharing,
+        emission_cost_at_star=e_star, emission_cost_at_start=e_start, iterations=len(grads),
     )
 
 
-def feasible_start(form: AssembledMarket) -> FeasibleStart:
-    """Closest feasible point to the origin on the ray, with its proportional split."""
-    problem = form.problem
-    n = problem.variable_count
-    ray = form.g @ form.demand
-    # min zeta s.t. A x - zeta * ray = H, 0 <= x <= upper, 0 <= zeta <= 1
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    sol = solve(LpProblem(cost=cost,
-                          constraint_matrix=np.column_stack([problem.constraint_matrix, -ray]),
-                          rhs=form.h, upper=np.append(problem.upper, 1.0)))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise NonProgressError("no feasible point on the demand ray")
-    zeta = float(sol.primal[n])
-    try:
-        e0, start_sol = _emission_cost(form, zeta)
-    except InfeasibleAtOriginError:
-        raise NonProgressError("start point infeasible despite feasible_start")
-    # proportional shares D_i^0 E^0 / (zeta sum(net)) reduce to D_i* E^0 / sum(net),
-    # the same price at every bus
+def feasible_start(form: AssembledMarket, zeta: float, emission_cost: float) -> FeasibleStart:
+    """The sweep's start zeta > 0, with the emission cost there split in proportion
+    to net demand: D_i E(zeta) / sum(net) at bus i, the same price at every bus."""
     total_net = float(form.demand.sum())
-    addon = 0.0 if abs(total_net) < 1e-12 else e0 / (form.tau * 1000.0 * total_net)
-    return FeasibleStart(zeta=zeta, emission_cost=e0, price_addon=addon, solution=start_sol)
+    addon = 0.0 if abs(total_net) < 1e-12 else emission_cost / (form.tau * 1000.0 * total_net)
+    return FeasibleStart(zeta=zeta, emission_cost=emission_cost, price_addon=addon)
 
 
 def allocate_period(case: NetworkCase, clearing: ClearingResult) -> AllocationResult:
-    """Build the compact form and run the sweep, falling back to a feasible start."""
-    form = build_compact_form(case, clearing)
-    try:
-        return aumann_shapley_prices(form)
-    except InfeasibleAtOriginError:
-        return aumann_shapley_prices(form, start=feasible_start(form))
+    """Build the compact form and run the sweep."""
+    return aumann_shapley_prices(build_compact_form(case, clearing))

@@ -296,40 +296,95 @@ def assembled_compact_form(case, clearing):
 
 
 def cold_origin_sweep(case, clearing):
-    """The emission-price sweep with its start solved by phase 1 on the
-    compact form assembled from scratch, as before the origin started from
-    the merit-order crash: the origin, or, when the origin is infeasible, the
-    closest feasible point zeta on the ray (the same augmented LP as
-    ``feasible_start``) and the dispatch at zeta, each by ``lp_core.solve``;
-    then the same region walk from that solution."""
+    """The emission-price sweep as it was before it walked down from y = 1:
+    on the compact form assembled from scratch, phase 1 (``lp_core.solve``)
+    solves the origin or, when the origin is infeasible, finds the closest
+    feasible point zeta on the ray by an augmented LP and solves the dispatch
+    there; its ``start_point`` is that start, zeta = 0 included. The walk
+    then goes up the ray, probing 0.002 of the ray past each breakpoint and
+    halving the step whenever the probe's region does not reach back to it."""
     from carbomarket.emission_allocation import (
+        AllocationResult,
         FeasibleStart,
+        NonProgressError,
         _problem_at,
-        aumann_shapley_prices,
+        partial_derivative,
     )
-    from carbomarket.lp_core import LpProblem, LpStatus, solve
+    from carbomarket.lp_core import (
+        EmptyIntervalError,
+        LpProblem,
+        LpStatus,
+        feasibility_interval,
+        solve,
+        solve_with_basis,
+    )
 
     form = assembled_compact_form(case, clearing)
-    origin = solve(_problem_at(form, 0.0))
-    if origin.status is LpStatus.OPTIMAL:
-        e0 = float(form.k @ origin.primal) + form.k_offset
-        start = FeasibleStart(zeta=0.0, emission_cost=e0, price_addon=0.0, solution=origin)
-        return aumann_shapley_prices(form, start=start)
-    problem, n = form.problem, form.problem.variable_count
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    closest = solve(LpProblem(
-        cost=cost, rhs=form.h, upper=np.append(problem.upper, 1.0),
-        constraint_matrix=np.column_stack([problem.constraint_matrix, -form.g @ form.demand])))
-    assert closest.status is LpStatus.OPTIMAL, "no feasible point on the demand ray"
-    zeta = float(closest.primal[n])
-    at_zeta = solve(_problem_at(form, zeta))
-    assert at_zeta.status is LpStatus.OPTIMAL
-    e0 = float(form.k @ at_zeta.primal) + form.k_offset
-    total_net = float(form.demand.sum())
-    addon = 0.0 if abs(total_net) < 1e-12 else e0 / (form.tau * 1000.0 * total_net)
-    return aumann_shapley_prices(form, start=FeasibleStart(
-        zeta=zeta, emission_cost=e0, price_addon=addon, solution=at_zeta))
+    sol = solve(_problem_at(form, 0.0))
+    if sol.status is LpStatus.OPTIMAL:
+        start = FeasibleStart(zeta=0.0, price_addon=0.0,
+                              emission_cost=float(form.k @ sol.primal) + form.k_offset)
+    else:
+        problem, n = form.problem, form.problem.variable_count
+        cost = np.zeros(n + 1)
+        cost[n] = 1.0
+        closest = solve(LpProblem(
+            cost=cost, rhs=form.h, upper=np.append(problem.upper, 1.0),
+            constraint_matrix=np.column_stack([problem.constraint_matrix,
+                                               -form.g @ form.demand])))
+        assert closest.status is LpStatus.OPTIMAL, "no feasible point on the demand ray"
+        zeta = float(closest.primal[n])
+        sol = solve(_problem_at(form, zeta))
+        assert sol.status is LpStatus.OPTIMAL
+        e0 = float(form.k @ sol.primal) + form.k_offset
+        total_net = float(form.demand.sum())
+        addon = 0.0 if abs(total_net) < 1e-12 else e0 / (form.tau * 1000.0 * total_net)
+        start = FeasibleStart(zeta=zeta, emission_cost=e0, price_addon=addon)
+    y0, e_start = start.zeta, start.emission_cost
+
+    sweep_step = 0.002
+    ray = form.demand
+    a, upper = form.problem.constraint_matrix, form.problem.upper
+    grad_accum = np.zeros(form.g.shape[1])
+    breakpoints = []
+    y_prev, iterations = y0, 0
+    max_iter = 16 * int(np.ceil(1.0 / sweep_step)) + 400
+    e_probe, y_probe, slope = e_start, y0, 0.0
+    step = sweep_step
+    while y_prev < 1.0 - 1e-12:
+        iterations += 1
+        if iterations > max_iter:
+            raise NonProgressError(f"sweep exceeded {max_iter} iterations")
+        probe = min(y_prev + step, 1.0)
+        sol = solve_with_basis(_problem_at(form, probe), sol.basis, sol.at_upper,
+                               basis_inverse=sol.basis_inverse)
+        if sol.status is not LpStatus.OPTIMAL:
+            raise NonProgressError(f"dispatch infeasible at ray point y={probe:g}")
+        try:
+            lo, hi = feasibility_interval(sol, a, form.g, form.h, ray, upper)
+        except EmptyIntervalError:
+            lo = hi = probe
+        y_next = min(hi, 1.0)
+        if step >= 1e-12 and (lo > y_prev + 1e-10 or y_next <= y_prev + 1e-12):
+            step /= 2.0
+            continue
+        if y_next <= y_prev + 1e-15:
+            raise NonProgressError(f"no progress past y={y_prev:g}")
+        grad = partial_derivative(form, sol)
+        grad_accum += (y_next - y_prev) * grad
+        breakpoints.append((float(y_next), tuple(sol.basis.tolist())))
+        e_probe = float(form.k @ sol.primal) + form.k_offset
+        y_probe, slope = probe, float(grad @ ray)
+        y_prev = y_next
+        step = sweep_step
+
+    e_star = e_probe + (1.0 - y_probe) * slope
+    allocated = float(grad_accum @ ray)
+    psi = grad_accum / (form.tau * 1000.0) + start.price_addon
+    return AllocationResult(
+        psi=psi, breakpoints=breakpoints, start_point=start,
+        cost_sharing_error=abs(allocated - (e_star - e_start)) / max(abs(e_star), 1e-12),
+        emission_cost_at_star=e_star, emission_cost_at_start=e_start, iterations=iterations)
 
 
 def looped_feasibility_interval(sol, a, g, h, ray, upper):

@@ -18,6 +18,7 @@ from carbomarket import cli_io
 from carbomarket.cli_io import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     CaseFormatError,
@@ -600,6 +601,22 @@ def test_allocate_prints_prices_and_trace(tmp_path, capsys):
     assert "storage_cost agent=es2" in out
     assert "trace index=0" in out
     assert "cost_sharing_error=" in out
+
+
+def test_a_sweep_that_stops_advancing_exits_5(tmp_path, capsys, monkeypatch):
+    from carbomarket import emission_allocation
+    from carbomarket.lp_core import EmptyIntervalError
+
+    def empty(*args):
+        raise EmptyIntervalError("empty feasibility interval")
+
+    monkeypatch.setattr(emission_allocation, "feasibility_interval", empty)
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    assert main(["allocate", "--case", str(tmp_path / "c.yaml"),
+                 "--period", "0"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error code=5 kind=numeric message='no region holds")
+    assert "Traceback" not in err
 
 
 def test_cef_prints_both_price_families(tmp_path, capsys):

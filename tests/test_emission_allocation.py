@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from carbomarket.emission_allocation import (
-    InfeasibleAtOriginError,
+    NonProgressError,
     allocate_period,
     aumann_shapley_prices,
     build_compact_form,
-    feasible_start,
     partial_derivative,
-    _emission_cost,
     _problem_at,
 )
 from carbomarket.lp_core import LpStatus, solve
@@ -28,6 +26,7 @@ from carbomarket.simulator import settle
 from oracles import (
     assembled_compact_form,
     c2_psi,
+    cold_origin_sweep,
     highs_solve,
     random_small_case,
     scan_basis_regions,
@@ -70,12 +69,12 @@ def cleared_form(case, agents, demand):
 def test_single_generator_emission_cost_is_linear_in_demand():
     case = single_bus_case()
     psi_coeff = 0.5
-    _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, psi_coeff)], [7.0])
-    for d in (0.0, 2.5, 7.0, 12.0):
-        scale = d / 7.0
-        e, _ = _emission_cost(form, scale)
+    for d in (2.5, 7.0, 12.0):
+        _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, psi_coeff)], [d])
+        res = aumann_shapley_prices(form)
         expected = KAPPA * psi_coeff * 1000 * d * case.tau / 2
-        assert e == pytest.approx(expected, abs=1e-9)
+        assert res.emission_cost_at_star == pytest.approx(expected, abs=1e-9)
+        assert res.emission_cost_at_start == pytest.approx(0.0, abs=1e-9)
 
 
 def test_net_demand_folds_storage_power_in():
@@ -110,7 +109,7 @@ def test_form_reproduces_clearing_emission_on_replica():
     bids = BidSet(agents=agents, demand=case.demand(5))
     clearing = clear_market(case, bids)
     form = build_compact_form(case, clearing)
-    e_star, _ = _emission_cost(form, 1.0)
+    e_star = aumann_shapley_prices(form).emission_cost_at_star
     expected = clearing.total_emission * case.kappa * case.tau / 2
     assert e_star == pytest.approx(expected, rel=1e-7)
 
@@ -160,7 +159,7 @@ def test_partial_derivative_matches_finite_difference():
     sol = solve(_problem_at(form, 1.0))
     grad = partial_derivative(form, sol)
     h = 1e-5
-    base, _ = _emission_cost(form, 1.0)
+    base = aumann_shapley_prices(form).emission_cost_at_star
     for i in range(1):
         bumped = form.demand.copy()
         bumped[i] += h
@@ -203,6 +202,35 @@ def test_sweep_matches_dense_c2_oracle():
     oracle = c2_psi(form, 100_000)
     gap = np.max(np.abs(res.psi - oracle)) / np.max(np.abs(res.psi))
     assert gap <= 1e-4
+
+
+def test_an_empty_interval_in_the_walk_is_non_progress(monkeypatch):
+    from carbomarket import emission_allocation
+    from carbomarket.lp_core import EmptyIntervalError
+
+    def empty(*args):
+        raise EmptyIntervalError("empty feasibility interval")
+
+    _, form = two_generator_crossing_form()
+    monkeypatch.setattr(emission_allocation, "feasibility_interval", empty)
+    with pytest.raises(NonProgressError, match="no region holds"):
+        aumann_shapley_prices(form)
+
+
+def test_a_probe_that_returns_the_same_basis_is_non_progress(monkeypatch):
+    from carbomarket import emission_allocation, lp_core
+
+    _, form = two_generator_crossing_form()
+    first = []
+
+    def stuck(problem, *args, **kwargs):
+        if not first:
+            first.append(lp_core.solve_with_basis(problem, *args, **kwargs))
+        return first[0]
+
+    monkeypatch.setattr(emission_allocation, "solve_with_basis", stuck)
+    with pytest.raises(NonProgressError, match="no progress"):
+        aumann_shapley_prices(form)
 
 
 def test_breakpoints_match_grid_scan_three_regions():
@@ -365,17 +393,12 @@ def test_storage_and_load_share_one_bus_price():
 def test_feasible_start_zeta_values():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 50.0, 0.5)], [40.0])
-    start = feasible_start(form)
-    assert start.zeta == pytest.approx(0.0, abs=1e-9)
+    assert aumann_shapley_prices(form).start_point is None  # zeta = 0
 
     agents = [gen_bid("g", 1, 30.0, 50.0, 0.5, p_min=10.0)]
     clearing, form2 = cleared_form(case, agents, [40.0])
-    with pytest.raises(InfeasibleAtOriginError):
-        aumann_shapley_prices(form2)
-    start2 = feasible_start(form2)
-    assert start2.zeta == pytest.approx(0.25, abs=1e-9)
-
-    res = aumann_shapley_prices(form2, start=start2)
+    res = aumann_shapley_prices(form2)
+    assert res.start_point.zeta == pytest.approx(0.25, abs=1e-9)
     assert res.cost_sharing_error <= 1e-9
     # with the start share folded into psi, everything allocated adds to E*
     ledger = settle(clearing, res, case)
@@ -459,7 +482,7 @@ def test_the_sweep_factors_no_basis(replica_spot_clearings, monkeypatch):
         return factor(*args, **kwargs)
 
     def phase_one(problem):
-        raise AssertionError("the origin ran phase 1")
+        raise AssertionError("the cleared point ran phase 1")
 
     monkeypatch.setattr(lp_core, "lu_factor", counting)
     monkeypatch.setattr(emission_allocation, "solve", phase_one)
@@ -468,7 +491,7 @@ def test_the_sweep_factors_no_basis(replica_spot_clearings, monkeypatch):
         res = allocate_period(case, clearing)
         assert res.start_point is None
         breakpoints += len(res.breakpoints)
-    # the origin adopts the crash's closed-form inverse, each region the
+    # the cleared point adopts the crash's closed-form inverse, each region the
     # previous solve's
     assert not factored
     assert len(clearings) == 24
@@ -492,3 +515,40 @@ def test_carried_basis_inverse_leaves_psi_and_breakpoints_unchanged(replica_spot
         assert [basis for _, basis in res.breakpoints] == [basis for _, basis in ref.breakpoints]
         ys = np.array([y for y, _ in res.breakpoints])
         assert np.abs(ys - [y for y, _ in ref.breakpoints]).max() <= 1e-12
+
+
+def test_the_walk_down_prices_replica30_as_the_frozen_upward_sweep(monkeypatch):
+    """Cold proposed periods (every second period of the first week of
+    replica30 series 7, 9 and 16) and series 7's 168-period proposed horizon,
+    each swept by ``allocate_period`` and by ``oracles.cold_origin_sweep``.
+
+    psi must agree within 1e-12 relative, and both sweeps must share the
+    cost within 1e-9. Breakpoint positions are not compared: where two
+    neighbouring regions have the same gradient, the walk down and the walk
+    up may split that stretch at a different y, almost always at the lowest
+    breakpoint, and psi does not move."""
+    from carbomarket import simulator
+    from carbomarket.simulator import ScenarioConfig, run_horizon, run_period
+    from carbomarket.storage_policy import choose_parameters, initial_state
+    from carbomarket.synthetic import replica30_case
+
+    swept = []
+
+    def recording(case, clearing):
+        swept.append((case, clearing, allocate_period(case, clearing)))
+        return swept[-1][2]
+
+    monkeypatch.setattr(simulator, "allocate_period", recording)
+    for seed in (7, 9, 16):
+        case = replica30_case(seed=seed)
+        params = {u.name: choose_parameters(u) for u in case.storages}
+        for t in range(0, 168, 2):
+            states = {u.name: initial_state(u, params[u.name]) for u in case.storages}
+            run_period(case, ScenarioConfig.proposed(), t, states, params)
+    run_horizon(replica30_case(seed=7), ScenarioConfig.proposed(horizon=168))
+    monkeypatch.undo()
+    assert len(swept) == 3 * 84 + 168
+    for case, clearing, got in swept:
+        want = cold_origin_sweep(case, clearing)
+        assert np.abs(got.psi - want.psi).max() <= 1e-12 * np.abs(want.psi).max()
+        assert got.cost_sharing_error <= 1e-9 and want.cost_sharing_error <= 1e-9

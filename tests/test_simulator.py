@@ -214,10 +214,10 @@ def test_doctored_duals_fail_the_balance():
 def test_forced_minimum_output_starts_the_sweep_inside(monkeypatch):
     case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5, p_min=5.0)],
                         kappa=0.05)
-    solves = []
+    solves, cold = [], []
 
     def counted(problem):
-        solves.append(problem)
+        cold.append(problem)
         return lp_core.solve(problem)
 
     def counted_from_basis(problem, *args, **kwargs):
@@ -228,16 +228,15 @@ def test_forced_minimum_output_starts_the_sweep_inside(monkeypatch):
     monkeypatch.setattr(emission_allocation, "solve_with_basis", counted_from_basis)
     record, clearing, allocation = run_period(
         case, ScenarioConfig.proposed(), 0, {}, {})
-    # the origin, the closest feasible point, and E at it, then one solve per
-    # sweep iteration; the sweep starts from the solution at zeta instead of
-    # solving it again
+    # the cleared point y = 1 from the crash, then one probe below each region
+    # walked, the last of them infeasible: no phase-1 solve of its own and no
+    # closest-point LP, whose extra column would show
     assert allocation.start_point is not None
-    assert len(solves) == 3 + allocation.iterations
+    assert not cold
+    assert len(solves) == 1 + allocation.iterations
     form = emission_allocation.build_compact_form(case, clearing)
-    np.testing.assert_array_equal(solves[0].rhs, form.h)
-    at_zeta = emission_allocation._problem_at(form, allocation.start_point.zeta).rhs
-    np.testing.assert_array_equal(solves[2].rhs, at_zeta)
-    assert not any(np.array_equal(p.rhs, at_zeta) for p in solves[3:])
+    np.testing.assert_array_equal(solves[0].rhs, emission_allocation._problem_at(form, 1.0).rhs)
+    assert all(p.variable_count == form.problem.variable_count for p in solves)
     assert record.start_used
     # the uniform start share folds the pre-start emission into the price
     assert record.emission_pot == pytest.approx(
