@@ -32,10 +32,9 @@ from .lp_core import (
     LpSolution,
     LpStatus,
     feasibility_interval,
-    solve,
     solve_with_basis,
 )
-from .lp_core import lu_factor  # noqa: F401  unused; perfbench/tracing.py wraps it
+from .lp_core import lu_factor, solve  # noqa: F401  unused; perfbench/tracing.py wraps them
 from .market_clearing import AssembledMarket, ClearingResult, _merit_order_start, _rhs_offset
 from .network_model import NetworkCase
 
@@ -128,10 +127,18 @@ def aumann_shapley_prices(form: AssembledMarket) -> AllocationResult:
     finds the region below. The edge between two regions is the lower one's
     hi, clipped to the upper one's top; a region narrower than PROBE can be
     stepped over, and its upper neighbour's gradient then covers it. The walk
-    ends at y = 0, or at zeta = lo where the probe below lo is infeasible."""
+    ends at y = 0, or at zeta = lo where the probe below lo is infeasible.
+    When no plant has a segment column, the balance row is all zero and
+    holds only at the cleared point: zeta = 1."""
     problem = _problem_at(form, 1.0)
     crash = _merit_order_start(problem)
-    sol = solve(problem) if crash is None else solve_with_basis(problem, *crash)
+    if crash is None:
+        start = feasible_start(form, 1.0, form.k_offset)
+        return AllocationResult(
+            psi=np.full(form.g.shape[1], start.price_addon), breakpoints=[], start_point=start,
+            cost_sharing_error=0.0, emission_cost_at_star=form.k_offset,
+            emission_cost_at_start=form.k_offset, iterations=0)
+    sol = solve_with_basis(problem, *crash)
     if sol.status is not LpStatus.OPTIMAL:
         raise NonProgressError("dispatch infeasible at the cleared point y=1")
     e_star = float(form.k @ sol.primal) + form.k_offset

@@ -1,5 +1,5 @@
-"""Dense two-phase bounded-variable revised simplex with basis, duals, and
-parametric intervals.
+"""Dense bounded-variable dual simplex with basis, duals, and parametric
+intervals.
 
 Solves ``min c.x  s.t.  A x = b, 0 <= x <= u`` where every column's upper
 bound ``u`` is finite. The bounds are handled implicitly (Dantzig 1955,
@@ -10,6 +10,14 @@ which changes no basis and needs no factorization. The optimal basis index
 set, the set of nonbasic columns at their upper bound, the dual vector and
 the basis inverse are first-class outputs because the emission-price sweep
 and the locational-price extraction are built on them.
+
+Every solve finishes from a start basis its caller supplies. Because every
+column is boxed, moving each nonbasic column to the bound its reduced cost
+favours makes any nonsingular basis dual feasible, and the dual simplex
+finishes from there (Koberstein 2005, "The dual simplex method, techniques
+for a fast and stable implementation"). Phase 1 (``solve``) runs only to
+explain a problem the dual simplex has proved infeasible: it finds the least
+infeasible point and each row's violation there.
 """
 
 from __future__ import annotations
@@ -109,19 +117,16 @@ class LpSolution:
     # basis changes; bound flips are counted apart in bound_flips
     iterations: int = 0
     degenerate: bool = False
-    # When infeasible: per row (original order), the row activity minus its
-    # rhs at the least infeasible point phase 1 found; 0 on satisfied rows.
+    # When phase 1 explains an infeasible problem: per row, the row activity
+    # minus its rhs at the least infeasible point; 0 on satisfied rows.
     row_violations: np.ndarray | None = None
-    # How the solve started: "cold", "warm" (it finished from the given
-    # basis), or why a warm start fell back to a cold solve: "size",
-    # "singular" or "infeasible".
-    outcome: str = "cold"
+    # "warm" when the solve finished from the given basis, "infeasible" when
+    # the dual simplex proved the problem infeasible
+    outcome: str = "warm"
     # nonbasic columns at their upper bound, ascending
     at_upper: np.ndarray | None = None
     bound_flips: int = 0
-    # (basis size) x (rows): the engine's final inverse of the basis over the
-    # rows kept after redundant-equality elimination, zero in the columns of
-    # dropped rows, so it maps any rhs to x_B
+    # the engine's final inverse of the basis matrix, which maps any rhs to x_B
     basis_inverse: np.ndarray | None = None
 
     @property
@@ -185,13 +190,6 @@ class _Engine:
     def steps(self) -> int:
         return self.pivots + self.flips
 
-    def drop_columns_from(self, n: int) -> None:
-        """Forget columns n and beyond (nonbasic phase-1 artificials)."""
-        self.a = self.a[:, :n]
-        self.upper = self.upper[:n]
-        self.at_upper = self.at_upper[:n]
-        self.n = n
-
     def refactor(self) -> None:
         self.binv = lu_factor(self.a[:, self.basis])
         self.since_refactor = 0
@@ -231,75 +229,8 @@ class _Engine:
         reduced[self.basis] = 0.0
         return reduced
 
-    def run_primal(self, cost: np.ndarray, budget: int, phase: str) -> None:
-        """Primal simplex to optimality; every column is boxed, so no ray is
-        unbounded."""
-        degen_run = 0
-        bland = self.paranoid
-        reduced = None  # a bound flip changes neither the basis nor the duals
-        while self.steps < budget:
-            xb = self.basic_solution()
-            if reduced is None:
-                reduced = self.reduced_costs(cost)
-            # a column at its lower bound improves by rising, one at its
-            # upper bound by falling; gain > 0 marks either
-            gain = np.where(self.at_upper, reduced, -reduced)
-            if bland:
-                eligible = np.flatnonzero(gain > OPTIMALITY_TOL)
-                if eligible.size == 0:
-                    self.xb = xb
-                    return
-                enter = int(eligible[0])
-            else:
-                enter = int(np.argmax(gain))
-                if gain[enter] <= OPTIMALITY_TOL:
-                    self.xb = xb
-                    return
-            direction = self.binv @ self.a[:, enter]
-            # x_B falls by step * move as the entering column moves off its bound
-            move = -direction if self.at_upper[enter] else direction
-            ub = self.upper[self.basis]
-            ratios = np.full(self.m, np.inf)
-            falls = move > PIVOT_TOL
-            ratios[falls] = np.maximum(xb[falls], 0.0) / move[falls]
-            rises = move < -PIVOT_TOL
-            ratios[rises] = np.maximum(ub[rises] - xb[rises], 0.0) / -move[rises]
-            step = float(ratios.min(initial=np.inf))
-            flip = float(self.upper[enter])
-            if flip <= step:
-                # the entering column reaches its other bound first
-                self._log(phase + "-flip", enter, -1, flip, cost, xb)
-                self.at_upper[enter] = not self.at_upper[enter]
-                self.flips += 1
-                if flip > FEASIBILITY_TOL:
-                    degen_run = 0
-                    bland = self.paranoid
-                continue
-            tied = np.flatnonzero(ratios <= step + 1e-12)
-            if bland:
-                leave_pos = int(tied[np.argmin(self.basis[tied])])
-            else:
-                leave_pos = int(tied[np.argmax(np.abs(move[tied]))])
-            if abs(direction[leave_pos]) < RISKY_PIVOT_TOL and self.since_refactor > 0:
-                # a pivot this small on a stale inverse may be pure roundoff;
-                # recompute the iteration from a fresh factorization instead
-                self.refactor()
-                reduced = None
-                continue
-            if step <= FEASIBILITY_TOL:
-                degen_run += 1
-                if degen_run > 3 * self.m:
-                    bland = True
-            else:
-                degen_run = 0
-                bland = self.paranoid
-            self._log(phase, enter, int(self.basis[leave_pos]), step, cost, xb)
-            self._pivot(enter, leave_pos, direction, leave_at_upper=bool(move[leave_pos] < 0.0))
-            reduced = None
-        raise SimplexNumericalError("pivot budget exhausted in primal simplex")
-
     def run_dual(self, cost: np.ndarray, budget: int) -> LpStatus:
-        """Dual simplex from a dual-feasible basis (used on rhs perturbations)."""
+        """Dual simplex from a dual-feasible basis."""
         degen_run = 0
         bland = self.paranoid
         movable = self.upper > 0.0  # a fixed column never enters
@@ -351,30 +282,6 @@ def _pivot_budget(m: int, n: int) -> int:
     return max(1000, 200 * (m + n))
 
 
-def _drive_out_artificials(engine: _Engine, n_real: int) -> np.ndarray:
-    """Pivot zero-valued artificials out of the basis; return the mask of
-    basis positions that keep a real column.
-
-    An artificial that cannot be exchanged for any real column marks its
-    row as linearly dependent on the others; that row gets dropped.
-    """
-    keep = np.ones(engine.m, dtype=bool)
-    for pos in range(engine.m):
-        if engine.basis[pos] < n_real:
-            continue
-        tableau_row = engine.binv[pos] @ engine.a[:, :n_real]
-        in_basis = np.zeros(n_real, dtype=bool)
-        in_basis[engine.basis[engine.basis < n_real]] = True
-        tableau_row[in_basis] = 0.0
-        enter = int(np.argmax(np.abs(tableau_row)))
-        if abs(tableau_row[enter]) > 1e-7:
-            direction = engine.binv @ engine.a[:, enter]
-            engine._pivot(enter, pos, direction)
-        else:
-            keep[pos] = False
-    return keep
-
-
 def _row_slacks(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Per row, a column that is nonzero in that row alone and, with every
     other column at 0, takes a value within its bounds; -1 where none does."""
@@ -388,128 +295,22 @@ def _row_slacks(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return slack
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase bounded revised simplex; returns basis, duals, and diagnostics."""
-    try:
-        return _solve_attempt(problem, paranoid=False)
-    except SimplexNumericalError:
-        # eta-update drift can strand the fast path on a singular basis;
-        # one slow, exactly-refactored retry settles whether the problem
-        # itself or the arithmetic was at fault
-        return _solve_attempt(problem, paranoid=True)
-
-
-def _solve_attempt(problem: LpProblem, paranoid: bool) -> LpSolution:
-    """Phase 1 starts every column at 0, makes a row's slack basic wherever
-    the slack then lies within its bounds, and puts an artificial, signed to
-    be nonnegative, on each other row. The artificials start at |rhs| and
-    phase 1 never raises their sum S, so their bound 2S + 1 is out of reach:
-    an artificial that met its bound would leave the basis nonzero."""
-    a = problem.constraint_matrix
-    b = problem.rhs
-    c = problem.cost
-    upper = problem.upper
-    m, n = a.shape
-
-    basis = _row_slacks(a, b, upper)
-    art_rows = np.flatnonzero(basis < 0)
-    n_art = art_rows.size
-    art_sign = np.where(b[art_rows] < 0.0, -1.0, 1.0)
-    art = np.zeros((m, n_art))
-    art[art_rows, np.arange(n_art)] = art_sign
-    a1 = np.hstack([a, art]) if n_art else a
-    basis[art_rows] = n + np.arange(n_art)
-    art_upper = np.full(n_art, 2.0 * np.abs(b[art_rows]).sum() + 1.0)
-    engine = _Engine(a1, b, np.concatenate([upper, art_upper]), basis, paranoid=paranoid)
-    engine.binv = np.diag(1.0 / a1[np.arange(m), basis])
-    budget = _pivot_budget(m, n + n_art)
-    logger.debug("solve m=%d n=%d paranoid=%d", m, n, int(paranoid))
-    kept_rows = None
-    if n_art:
-        cost1 = np.zeros(n + n_art)
-        cost1[n:] = 1.0
-        engine.run_primal(cost1, budget, "phase1")
-        xb1 = engine.basic_solution()
-        infeas = float(cost1[engine.basis] @ xb1)
-        if infeas > FEASIBILITY_TOL * max(1.0, float(np.abs(b).sum())):
-            violations = np.zeros(m)
-            for pos, col in enumerate(engine.basis):
-                if col >= n:
-                    # A x + sign * artificial = b
-                    violations[art_rows[col - n]] = -art_sign[col - n] * max(0.0, float(xb1[pos]))
-            return LpSolution(
-                status=LpStatus.INFEASIBLE,
-                iterations=engine.pivots,
-                bound_flips=engine.flips,
-                row_violations=violations,
-                objective=np.nan,
-            )
-
-        keep = _drive_out_artificials(engine, n)
-        if keep.all():
-            engine.drop_columns_from(n)
-        else:
-            row_kept = np.ones(m, dtype=bool)
-            row_kept[art_rows[engine.basis[~keep] - n]] = False
-            kept_rows = np.flatnonzero(row_kept)
-            reduced = _Engine(a[row_kept], b[row_kept], upper, engine.basis[keep],
-                              at_upper=engine.at_upper[:n], paranoid=paranoid)
-            reduced.pivots, reduced.flips = engine.pivots, engine.flips
-            engine = reduced
-            engine.refactor()
-
-    engine.run_primal(c, budget + engine.steps, "phase2")
-    return _finish(problem, engine, kept_rows)
-
-
-def _finish(
-    problem: LpProblem,
-    engine: _Engine,
-    kept_rows: np.ndarray | None,
-    outcome: str = "cold",
-) -> LpSolution:
-    c = problem.cost
-    upper = problem.upper
-    xb = engine.xb
-    ub = upper[engine.basis]
-    primal = np.where(engine.at_upper, upper, 0.0)
-    primal[engine.basis] = np.clip(xb, 0.0, ub)
-    binv = engine.binv
-    if kept_rows is not None:
-        binv = np.zeros((engine.m, problem.constraint_count))
-        binv[:, kept_rows] = engine.binv
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        primal=primal,
-        basis=engine.basis.copy(),
-        duals=binv.T @ c[engine.basis],
-        objective=float(c @ primal),
-        iterations=engine.pivots,
-        bound_flips=engine.flips,
-        degenerate=bool(((np.abs(xb) <= FEASIBILITY_TOL)
-                         | (np.abs(xb - ub) <= FEASIBILITY_TOL)).any()),
-        outcome=outcome,
-        at_upper=np.flatnonzero(engine.at_upper),
-        basis_inverse=binv,
-    )
-
-
 def solve_with_basis(problem: LpProblem, start_basis, at_upper=(),
                      basis_inverse=None) -> LpSolution:
-    """Solve re-using a prior basis and the nonbasic columns that sat at
-    their upper bounds; falls back to a cold solve when unusable.
+    """Solve from a start basis and the nonbasic columns that sit at their
+    upper bounds: bound flips, then the dual simplex.
 
     Every column is boxed, so moving each nonbasic column to the bound its
     reduced cost favours makes any basis dual feasible; the dual simplex
-    then restores primal feasibility (Koberstein 2005, "The dual simplex
-    method, techniques for a fast and stable implementation"). ``at_upper``
-    only decides the columns whose reduced cost is within the optimality
-    tolerance of zero; its basic entries are ignored.
+    then restores primal feasibility. ``at_upper`` only decides the columns
+    whose reduced cost is within the optimality tolerance of zero; its basic
+    entries are ignored.
 
-    Only a basis of the wrong size, a singular basis or a numerical failure
-    falls back to the cold path, and so does a problem the dual simplex
-    proves infeasible, so that its row violations come from phase 1.
-    ``outcome`` on the result says which of these happened.
+    A start that is not m distinct columns raises ValueError. A numerical
+    failure, a singular start among them, gets one retry from the same basis
+    in paranoid mode; SimplexNumericalError when that fails too. A problem
+    the dual simplex proves infeasible comes back INFEASIBLE, with outcome
+    "infeasible" and no ``row_violations``: ``solve`` explains it.
 
     ``basis_inverse``, a prior solve's inverse of this basis (as when only
     the rhs moved), spares the factorization: a copy is adopted when it is
@@ -518,40 +319,31 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=(),
     bounds the eta-update drift an inverse carries from call to call.
     """
     basis = np.asarray(start_basis, dtype=int).ravel()
-    n = problem.variable_count
-    if (basis.size != problem.constraint_count
-            or basis.min(initial=0) < 0 or basis.max(initial=-1) >= n):
-        return _fallback(solve(problem), "size")
+    m, n = problem.constraint_count, problem.variable_count
     is_basic = np.zeros(n, dtype=bool)
-    is_basic[basis] = True
-    if np.count_nonzero(is_basic) != basis.size:  # a column listed twice
-        return _fallback(solve(problem), "size")
+    if basis.size == m and basis.min(initial=0) >= 0 and basis.max(initial=-1) < n:
+        is_basic[basis] = True
+    if np.count_nonzero(is_basic) != m:  # wrong size, out of range, or a column twice
+        raise ValueError(f"a start basis must be {m} distinct columns of {n}")
     upper_set = np.zeros(n, dtype=bool)
     cols = np.asarray(at_upper, dtype=int).ravel()
     upper_set[cols[(cols >= 0) & (cols < n)]] = True
     upper_set &= ~is_basic
     try:
-        sol = _warm_attempt(problem, basis, upper_set, basis_inverse)
-        reason = "infeasible"
+        return _warm_attempt(problem, basis, upper_set, basis_inverse)
     except SimplexNumericalError:
-        # warm start gone numerically bad; the cold path below retries
-        # from the start and has its own paranoid second attempt
-        sol = None
-        reason = "singular"
-    return sol if sol is not None else _fallback(solve(problem), reason)
-
-
-def _fallback(sol: LpSolution, reason: str) -> LpSolution:
-    sol.outcome = reason
-    return sol
+        # eta-update drift can strand the fast path on a singular basis; one
+        # slow, exactly refactored retry settles whether the start itself or
+        # the arithmetic was at fault
+        return _warm_attempt(problem, basis, upper_set, None, paranoid=True)
 
 
 def _warm_attempt(problem: LpProblem, basis: np.ndarray, at_upper: np.ndarray,
-                  basis_inverse: np.ndarray | None) -> LpSolution | None:
-    """Finish from ``basis``; None when the dual simplex proves infeasibility."""
+                  basis_inverse: np.ndarray | None, paranoid: bool = False) -> LpSolution:
+    """Flip, then finish from ``basis`` by the dual simplex."""
     engine = _Engine(problem.constraint_matrix, problem.rhs, problem.upper, basis,
-                     at_upper=at_upper)
-    logger.debug("warm m=%d n=%d", engine.m, engine.n)
+                     at_upper=at_upper, paranoid=paranoid)
+    logger.debug("warm m=%d n=%d paranoid=%d", engine.m, engine.n, int(paranoid))
     binv = None if basis_inverse is None else np.array(basis_inverse, dtype=float)
     if binv is not None and _inverts(binv, engine.a[:, basis]):
         engine.binv = binv  # a copy: _pivot updates it in place
@@ -562,8 +354,71 @@ def _warm_attempt(problem: LpProblem, basis: np.ndarray, at_upper: np.ndarray,
     engine.at_upper ^= flip
     engine.flips += int(flip.sum())
     if engine.run_dual(problem.cost, _pivot_budget(engine.m, engine.n)) is LpStatus.INFEASIBLE:
-        return None
-    return _finish(problem, engine, None, "warm")
+        return LpSolution(status=LpStatus.INFEASIBLE, iterations=engine.pivots,
+                          bound_flips=engine.flips, outcome="infeasible")
+    return _finish(problem, engine)
+
+
+def _finish(problem: LpProblem, engine: _Engine) -> LpSolution:
+    c = problem.cost
+    upper = problem.upper
+    xb = engine.xb
+    ub = upper[engine.basis]
+    primal = np.where(engine.at_upper, upper, 0.0)
+    primal[engine.basis] = np.clip(xb, 0.0, ub)
+    return LpSolution(
+        status=LpStatus.OPTIMAL,
+        primal=primal,
+        basis=engine.basis.copy(),
+        duals=engine.binv.T @ c[engine.basis],
+        objective=float(c @ primal),
+        iterations=engine.pivots,
+        bound_flips=engine.flips,
+        degenerate=bool(((np.abs(xb) <= FEASIBILITY_TOL)
+                         | (np.abs(xb - ub) <= FEASIBILITY_TOL)).any()),
+        at_upper=np.flatnonzero(engine.at_upper),
+        basis_inverse=engine.binv,
+    )
+
+
+def solve(problem: LpProblem) -> LpSolution:
+    """Phase 1 alone: explain a problem the dual simplex proved infeasible.
+
+    Every column starts at 0. A row's slack is basic wherever the slack then
+    lies within its bounds, and an artificial, signed to be nonnegative, is
+    basic on each other row. The artificials start at |rhs|, so their sum S
+    bounds the least infeasibility and no optimal artificial meets its bound
+    2S + 1. ``solve_with_basis`` minimizes their sum from that start. The
+    result is INFEASIBLE with ``row_violations`` at the least infeasible
+    point; SimplexNumericalError when the problem turns out feasible, since
+    then the two proofs disagree."""
+    a = problem.constraint_matrix
+    b = problem.rhs
+    m, n = a.shape
+    basis = _row_slacks(a, b, problem.upper)
+    art_rows = np.flatnonzero(basis < 0)
+    n_art = art_rows.size
+    art_sign = np.where(b[art_rows] < 0.0, -1.0, 1.0)
+    art = np.zeros((m, n_art))
+    art[art_rows, np.arange(n_art)] = art_sign
+    a1 = np.hstack([a, art])
+    basis[art_rows] = n + np.arange(n_art)
+    logger.debug("phase1 m=%d n=%d", m, n)
+    sol = solve_with_basis(
+        LpProblem(cost=np.concatenate([np.zeros(n), np.ones(n_art)]), constraint_matrix=a1,
+                  rhs=b, upper=np.concatenate([problem.upper, np.full(
+                      n_art, 2.0 * np.abs(b[art_rows]).sum() + 1.0)])),
+        basis, basis_inverse=np.diag(1.0 / a1[np.arange(m), basis]))
+    if (sol.status is not LpStatus.OPTIMAL
+            or sol.objective <= FEASIBILITY_TOL * max(1.0, float(np.abs(b).sum()))):
+        raise SimplexNumericalError("phase 1 finds feasible a problem the dual simplex "
+                                    "proved infeasible")
+    violations = np.zeros(m)
+    # A x + sign * artificial = b
+    violations[art_rows] = -art_sign * sol.primal[n:]
+    return LpSolution(status=LpStatus.INFEASIBLE, iterations=sol.iterations,
+                      bound_flips=sol.bound_flips, row_violations=violations,
+                      outcome="infeasible")
 
 
 def feasibility_interval(sol: LpSolution, a, g, h, ray, upper) -> tuple[float, float]:

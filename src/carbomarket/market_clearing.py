@@ -27,8 +27,9 @@ Every column also has a key that names it independently of the layout:
 l's slack.  A clearing reports its optimal basis and its columns at their
 upper bounds as these keys.  The next period's LP, whose storage curves may
 have more or fewer pieces, starts from that basis when every key names one
-of its columns, and from the merit-order crash basis otherwise; phase 1 runs
-only when no crash fits, after a start fails, or to explain infeasibility.
+of its columns, and from the merit-order crash basis otherwise.  Either way
+the dual simplex finishes the solve; phase 1 runs only to explain a clearing
+the dual simplex has proved infeasible.
 """
 
 from __future__ import annotations
@@ -145,10 +146,9 @@ class ClearingResult:
     loss_iterations: int = 1
     # emission of each of form.sigma_agents, kg/h
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # how the final solve started: crash (the merit-order crash basis), warm
-    # (a previous clearing's basis), cold (phase 1: no crash can be built),
-    # or why a crash or warm start fell back to phase 1 (size, singular, infeasible)
-    outcome: str = "cold"
+    # how the final solve started: crash (the merit-order crash basis) or
+    # warm (a previous clearing's basis)
+    outcome: str = "crash"
     # the assembled LP of the final clearing, whose plant columns the
     # emission-price sweep reuses
     form: AssembledMarket | None = None
@@ -201,6 +201,11 @@ def assemble_clearing_lp(
     n_br = len(case.branches)
     agent_bus = np.array([bus_index[a.bus] for a in agents], dtype=int)
     agent_loss = loss[agent_bus] if n_agents else np.zeros(0)
+    lost = np.flatnonzero(agent_loss >= 1.0)
+    if lost.size:
+        a = agents[lost[0]]
+        raise ValueError(f"agent {a.name} sits on bus {a.bus}, whose loss sensitivity "
+                         f"{agent_loss[lost[0]]:g} leaves it nothing to deliver")
     p_shift = np.array([a.p_min for a in agents], dtype=float)
     sigma_agents = tuple(k for k, a in enumerate(agents) if a.emission_curve is not None)
 
@@ -304,8 +309,8 @@ def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, lis
 def _merit_order_start(problem: LpProblem):
     """Merit-order crash basis of a clearing LP ``problem`` laid out as the
     module docstring says (Bixby 1992, "Implementing the simplex method: the
-    initial basis"), its columns at upper bound and its inverse; None when a
-    segment's balance coefficient is not positive.
+    initial basis"), its columns at upper bound and its inverse; None when
+    the problem has no segment column.
 
     Segments fill the balance rhs in stable order of delivered cost c_j / a_0j.
     The one where the fill reaches the rhs (else the last) is basic beside the
@@ -315,9 +320,9 @@ def _merit_order_start(problem: LpProblem):
     a = problem.constraint_matrix
     n_br = a.shape[0] - 1
     n_seg = a.shape[1] - n_br
-    a0 = a[0, :n_seg]
-    if not n_seg or a0.min() <= 0.0:
+    if not n_seg:
         return None
+    a0 = a[0, :n_seg]
     order = np.argsort(problem.cost[:n_seg] / a0, kind="stable")
     fill = np.cumsum(a0[order] * problem.upper[order])
     k = min(int(np.searchsorted(fill, problem.rhs[0])), n_seg - 1)
@@ -333,9 +338,11 @@ def clear_market(
     """Clear one period; ``warm_basis`` and ``warm_upper`` are a previous
     ``ClearingResult.basis`` and ``ClearingResult.at_upper``. The clearing
     starts from that basis when every one of its keys names a column of this
-    period's LP, and from ``_merit_order_start`` otherwise or without one.
-    Phase 1 runs only when no crash can be built, after a start fails
-    (``outcome`` says why), or to explain infeasibility.
+    period's LP, and from ``_merit_order_start`` otherwise or without one;
+    ``outcome`` says which. The dual simplex finishes from that start, and
+    phase 1 runs only to name the most violated row of an infeasible
+    clearing. A clearing in which no offer has a segment column is infeasible
+    by its balance row.
 
     When ``case.loss_direction_dependent``, each bus's loss sensitivity takes
     the sign of its net injection: the market re-clears, each time from the
@@ -349,11 +356,14 @@ def clear_market(
         problem, form = assemble_clearing_lp(case, bids, loss=loss)
         carried = None if warm_basis is None else _map_start(form, warm_basis, warm_upper)
         start = _merit_order_start(problem) if carried is None else carried
-        sol = solve(problem) if start is None else solve_with_basis(problem, *start)
+        if start is None:
+            raise MarketInfeasibleError(
+                "market infeasible; no offer has a dispatchable segment", row_label="balance")
+        sol = solve_with_basis(problem, *start)
         if sol.status is LpStatus.INFEASIBLE:
-            raise _infeasible(form, sol)
+            raise _infeasible(form, solve(problem))
         result = extract_result(case, form, sol, bids)
-        if carried is None and sol.warm_started:
+        if carried is None:
             result.outcome = "crash"
         result.loss_iterations = it
         if not case.loss_direction_dependent:

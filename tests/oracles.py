@@ -165,7 +165,7 @@ def c2_psi(form, n_samples):
     come from sample counts rather than computed interval endpoints.
     """
     from carbomarket.emission_allocation import _problem_at
-    from carbomarket.lp_core import LpStatus, solve
+    from carbomarket.lp_core import LpStatus
 
     ys = (np.arange(n_samples) + 0.5) / n_samples
     uncovered = np.ones(n_samples, dtype=bool)
@@ -176,7 +176,7 @@ def c2_psi(form, n_samples):
         if rounds > 300:
             raise RuntimeError("basis discovery did not converge")
         y = float(ys[uncovered][0])
-        sol = solve(_problem_at(form, y))
+        sol = two_phase_solve(_problem_at(form, y))
         assert sol.status is LpStatus.OPTIMAL, f"oracle LP infeasible at y={y}"
         idx = np.flatnonzero(uncovered)
         feas = _inside_region(form, sol, ys[idx])
@@ -196,14 +196,14 @@ def scan_basis_regions(form, step=1e-4):
     assigned basis changes) and the region count.
     """
     from carbomarket.emission_allocation import _problem_at
-    from carbomarket.lp_core import LpStatus, solve
+    from carbomarket.lp_core import LpStatus
 
     ys = np.arange(0.0, 1.0 + step / 2, step)
     label = -np.ones(len(ys), dtype=int)
     region = 0
     while (label < 0).any():
         y = float(ys[label < 0][0])
-        sol = solve(_problem_at(form, y))
+        sol = two_phase_solve(_problem_at(form, y))
         assert sol.status is LpStatus.OPTIMAL
         idx = np.flatnonzero(label < 0)
         feas = _inside_region(form, sol, ys[idx])
@@ -265,12 +265,12 @@ def random_small_case(rng, min_output_prob=0.0, n_storages=None):
 def phase_one_clearing(case, bids, loss=None):
     """The clearing by the two-phase simplex from an all-slack start (the
     cold path before the merit-order crash): ``assemble_clearing_lp``, then
-    ``lp_core.solve``, then ``extract_result``, with no loss iteration."""
-    from carbomarket.lp_core import LpStatus, solve
+    ``two_phase_solve``, then ``extract_result``, with no loss iteration."""
+    from carbomarket.lp_core import LpStatus
     from carbomarket.market_clearing import assemble_clearing_lp, extract_result
 
     problem, form = assemble_clearing_lp(case, bids, loss=loss)
-    sol = solve(problem)
+    sol = two_phase_solve(problem)
     assert sol.status is LpStatus.OPTIMAL and sol.outcome == "cold"
     return extract_result(case, form, sol, bids)
 
@@ -297,12 +297,15 @@ def assembled_compact_form(case, clearing):
 
 def cold_origin_sweep(case, clearing):
     """The emission-price sweep as it was before it walked down from y = 1:
-    on the compact form assembled from scratch, phase 1 (``lp_core.solve``)
-    solves the origin or, when the origin is infeasible, finds the closest
-    feasible point zeta on the ray by an augmented LP and solves the dispatch
-    there; its ``start_point`` is that start, zeta = 0 included. The walk
-    then goes up the ray, probing 0.002 of the ray past each breakpoint and
-    halving the step whenever the probe's region does not reach back to it."""
+    on the compact form assembled from scratch, ``two_phase_solve`` solves
+    the origin or, when the origin is infeasible, finds the closest feasible
+    point zeta on the ray by an augmented LP and solves the dispatch there;
+    its ``start_point`` is that start, zeta = 0 included. The walk then goes
+    up the ray, probing 0.002 of the ray past each breakpoint and halving the
+    step whenever the probe's region does not reach back to it. Each probe
+    starts ``lp_core.solve_with_basis`` from the basis below it and, as the
+    solver then did, solves by ``two_phase_solve`` instead when that start
+    is unusable or the dual simplex finds the probe infeasible."""
     from carbomarket.emission_allocation import (
         AllocationResult,
         FeasibleStart,
@@ -314,13 +317,23 @@ def cold_origin_sweep(case, clearing):
         EmptyIntervalError,
         LpProblem,
         LpStatus,
+        SimplexNumericalError,
         feasibility_interval,
-        solve,
         solve_with_basis,
     )
 
+    def from_basis(problem, prev):
+        try:
+            sol = solve_with_basis(problem, prev.basis, prev.at_upper,
+                                   basis_inverse=prev.basis_inverse)
+        except (ValueError, SimplexNumericalError):
+            sol = None
+        if sol is None or sol.status is not LpStatus.OPTIMAL:
+            sol = two_phase_solve(problem)
+        return sol
+
     form = assembled_compact_form(case, clearing)
-    sol = solve(_problem_at(form, 0.0))
+    sol = two_phase_solve(_problem_at(form, 0.0))
     if sol.status is LpStatus.OPTIMAL:
         start = FeasibleStart(zeta=0.0, price_addon=0.0,
                               emission_cost=float(form.k @ sol.primal) + form.k_offset)
@@ -328,13 +341,13 @@ def cold_origin_sweep(case, clearing):
         problem, n = form.problem, form.problem.variable_count
         cost = np.zeros(n + 1)
         cost[n] = 1.0
-        closest = solve(LpProblem(
+        closest = two_phase_solve(LpProblem(
             cost=cost, rhs=form.h, upper=np.append(problem.upper, 1.0),
             constraint_matrix=np.column_stack([problem.constraint_matrix,
                                                -form.g @ form.demand])))
         assert closest.status is LpStatus.OPTIMAL, "no feasible point on the demand ray"
         zeta = float(closest.primal[n])
-        sol = solve(_problem_at(form, zeta))
+        sol = two_phase_solve(_problem_at(form, zeta))
         assert sol.status is LpStatus.OPTIMAL
         e0 = float(form.k @ sol.primal) + form.k_offset
         total_net = float(form.demand.sum())
@@ -356,8 +369,7 @@ def cold_origin_sweep(case, clearing):
         if iterations > max_iter:
             raise NonProgressError(f"sweep exceeded {max_iter} iterations")
         probe = min(y_prev + step, 1.0)
-        sol = solve_with_basis(_problem_at(form, probe), sol.basis, sol.at_upper,
-                               basis_inverse=sol.basis_inverse)
+        sol = from_basis(_problem_at(form, probe), sol)
         if sol.status is not LpStatus.OPTIMAL:
             raise NonProgressError(f"dispatch infeasible at ray point y={probe:g}")
         try:
@@ -411,3 +423,223 @@ def looped_feasibility_interval(sol, a, g, h, ray, upper):
     if lo > hi:
         raise EmptyIntervalError("empty feasibility interval")
     return float(lo), float(hi)
+
+
+class _TwoPhaseEngine:
+    """The primal bounded revised simplex of ``two_phase_solve``: an explicit
+    basis inverse with eta updates, nonbasic columns at either bound."""
+
+    feasibility_tol = 1e-9
+    optimality_tol = 1e-9
+    pivot_tol = 1e-10
+    risky_pivot_tol = 1e-7
+    refactor_period = 64
+
+    def __init__(self, a, b, upper, basis, at_upper=None, paranoid=False):
+        self.a, self.b, self.upper = a, b, upper
+        self.m, self.n = a.shape
+        self.basis = np.asarray(basis, dtype=int).copy()
+        self.at_upper = np.zeros(self.n, dtype=bool)
+        if at_upper is not None:
+            self.at_upper[at_upper] = True
+        self.binv = None
+        self.xb = None
+        self.pivots = self.flips = self.since_refactor = 0
+        self.paranoid = paranoid
+
+    def refactor(self):
+        from carbomarket.lp_core import SimplexNumericalError
+
+        bmat = self.a[:, self.basis]
+        try:
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError:
+            binv = None
+        with np.errstate(all="ignore"):  # a non-finite inverse fails the test
+            singular = binv is None or not np.abs(binv @ bmat - np.eye(len(bmat))).max() <= 1e-9
+        if singular:
+            raise SimplexNumericalError("singular basis matrix")
+        self.binv = binv
+        self.since_refactor = 0
+
+    def pivot(self, enter, leave_pos, direction, leave_at_upper=False):
+        row = self.binv[leave_pos] / direction[leave_pos]
+        rest = direction.copy()
+        rest[leave_pos] = 0.0
+        self.binv -= np.outer(rest, row)
+        self.binv[leave_pos] = row
+        self.at_upper[self.basis[leave_pos]] = leave_at_upper
+        self.at_upper[enter] = False
+        self.basis[leave_pos] = enter
+        self.pivots += 1
+        self.since_refactor += 1
+        if self.paranoid or self.since_refactor >= self.refactor_period:
+            self.refactor()
+
+    def basic_solution(self):
+        if self.at_upper.any():
+            return self.binv @ (self.b - self.a[:, self.at_upper] @ self.upper[self.at_upper])
+        return self.binv @ self.b
+
+    def reduced_costs(self, cost):
+        reduced = cost - self.a.T @ (self.binv.T @ cost[self.basis])
+        reduced[self.basis] = 0.0
+        return reduced
+
+    def run_primal(self, cost, budget):
+        """Primal simplex to optimality, Bland's rule after 3m degenerate
+        steps in a row or throughout when paranoid."""
+        from carbomarket.lp_core import SimplexNumericalError
+
+        tol = self.feasibility_tol
+        degen_run, bland, reduced = 0, self.paranoid, None
+        while self.pivots + self.flips < budget:
+            xb = self.basic_solution()
+            if reduced is None:
+                reduced = self.reduced_costs(cost)
+            gain = np.where(self.at_upper, reduced, -reduced)
+            if bland:
+                eligible = np.flatnonzero(gain > self.optimality_tol)
+                if eligible.size == 0:
+                    self.xb = xb
+                    return
+                enter = int(eligible[0])
+            else:
+                enter = int(np.argmax(gain))
+                if gain[enter] <= self.optimality_tol:
+                    self.xb = xb
+                    return
+            direction = self.binv @ self.a[:, enter]
+            move = -direction if self.at_upper[enter] else direction
+            ub = self.upper[self.basis]
+            ratios = np.full(self.m, np.inf)
+            falls = move > self.pivot_tol
+            ratios[falls] = np.maximum(xb[falls], 0.0) / move[falls]
+            rises = move < -self.pivot_tol
+            ratios[rises] = np.maximum(ub[rises] - xb[rises], 0.0) / -move[rises]
+            step = float(ratios.min(initial=np.inf))
+            flip = float(self.upper[enter])
+            if flip <= step:
+                self.at_upper[enter] = not self.at_upper[enter]
+                self.flips += 1
+                if flip > tol:
+                    degen_run, bland = 0, self.paranoid
+                continue
+            tied = np.flatnonzero(ratios <= step + 1e-12)
+            if bland:
+                leave_pos = int(tied[np.argmin(self.basis[tied])])
+            else:
+                leave_pos = int(tied[np.argmax(np.abs(move[tied]))])
+            if abs(direction[leave_pos]) < self.risky_pivot_tol and self.since_refactor > 0:
+                self.refactor()
+                reduced = None
+                continue
+            if step <= tol:
+                degen_run += 1
+                if degen_run > 3 * self.m:
+                    bland = True
+            else:
+                degen_run, bland = 0, self.paranoid
+            self.pivot(enter, leave_pos, direction, leave_at_upper=bool(move[leave_pos] < 0.0))
+            reduced = None
+        raise SimplexNumericalError("pivot budget exhausted in primal simplex")
+
+
+def two_phase_solve(problem):
+    """``problem`` (an ``lp_core.LpProblem``) solved by the two-phase primal
+    bounded simplex the package used before every solve finished by the dual
+    simplex: phase 1 from row slacks and signed artificials, the artificials
+    driven out, rows dropped where one cannot leave, then phase 2; a
+    numerical failure retries once in paranoid mode. The result is an
+    ``lp_core.LpSolution`` whose ``outcome`` is "cold"; after a dropped row
+    its basis is short and ``basis_inverse`` is zero in that row's column."""
+    from carbomarket.lp_core import SimplexNumericalError
+
+    try:
+        return _two_phase_attempt(problem, paranoid=False)
+    except SimplexNumericalError:
+        return _two_phase_attempt(problem, paranoid=True)
+
+
+def _two_phase_attempt(problem, paranoid):
+    from carbomarket.lp_core import LpSolution, LpStatus
+
+    a, b, c, upper = problem.constraint_matrix, problem.rhs, problem.cost, problem.upper
+    m, n = a.shape
+    # per row, a column nonzero there alone whose value with every other
+    # column at 0 lies within its bounds: that row's basic slack
+    nonzero = a != 0.0
+    single = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    rows = np.argmax(nonzero[:, single], axis=0)
+    value = b[rows] / a[rows, single]
+    fits = (value >= 0.0) & (value <= upper[single])
+    basis = np.full(m, -1)
+    basis[rows[fits]] = single[fits]
+    art_rows = np.flatnonzero(basis < 0)
+    n_art = art_rows.size
+    art_sign = np.where(b[art_rows] < 0.0, -1.0, 1.0)
+    art = np.zeros((m, n_art))
+    art[art_rows, np.arange(n_art)] = art_sign
+    a1 = np.hstack([a, art]) if n_art else a
+    basis[art_rows] = n + np.arange(n_art)
+    art_upper = np.full(n_art, 2.0 * np.abs(b[art_rows]).sum() + 1.0)
+    engine = _TwoPhaseEngine(a1, b, np.concatenate([upper, art_upper]), basis, paranoid=paranoid)
+    engine.binv = np.diag(1.0 / a1[np.arange(m), basis])
+    budget = max(1000, 200 * (m + n + n_art))
+    kept_rows = None
+    if n_art:
+        cost1 = np.zeros(n + n_art)
+        cost1[n:] = 1.0
+        engine.run_primal(cost1, budget)
+        xb1 = engine.basic_solution()
+        if float(cost1[engine.basis] @ xb1) > 1e-9 * max(1.0, float(np.abs(b).sum())):
+            violations = np.zeros(m)
+            for pos, col in enumerate(engine.basis):
+                if col >= n:
+                    violations[art_rows[col - n]] = -art_sign[col - n] * max(0.0, float(xb1[pos]))
+            return LpSolution(status=LpStatus.INFEASIBLE, iterations=engine.pivots,
+                              bound_flips=engine.flips, row_violations=violations,
+                              outcome="cold")
+        # drive the zero artificials out; one no real column can replace
+        # marks its row as dependent on the others, and that row is dropped
+        keep = np.ones(m, dtype=bool)
+        for pos in range(m):
+            if engine.basis[pos] < n:
+                continue
+            tableau_row = engine.binv[pos] @ engine.a[:, :n]
+            in_basis = np.zeros(n, dtype=bool)
+            in_basis[engine.basis[engine.basis < n]] = True
+            tableau_row[in_basis] = 0.0
+            enter = int(np.argmax(np.abs(tableau_row)))
+            if abs(tableau_row[enter]) > 1e-7:
+                engine.pivot(enter, pos, engine.binv @ engine.a[:, enter])
+            else:
+                keep[pos] = False
+        if keep.all():
+            engine.a, engine.upper = engine.a[:, :n], engine.upper[:n]
+            engine.at_upper, engine.n = engine.at_upper[:n], n
+        else:
+            row_kept = np.ones(m, dtype=bool)
+            row_kept[art_rows[engine.basis[~keep] - n]] = False
+            kept_rows = np.flatnonzero(row_kept)
+            reduced = _TwoPhaseEngine(a[row_kept], b[row_kept], upper, engine.basis[keep],
+                                      at_upper=engine.at_upper[:n], paranoid=paranoid)
+            reduced.pivots, reduced.flips = engine.pivots, engine.flips
+            engine = reduced
+            engine.refactor()
+
+    engine.run_primal(c, budget + engine.pivots + engine.flips)
+    xb = engine.xb
+    ub = upper[engine.basis]
+    primal = np.where(engine.at_upper, upper, 0.0)
+    primal[engine.basis] = np.clip(xb, 0.0, ub)
+    binv = engine.binv
+    if kept_rows is not None:
+        binv = np.zeros((engine.m, m))
+        binv[:, kept_rows] = engine.binv
+    return LpSolution(
+        status=LpStatus.OPTIMAL, primal=primal, basis=engine.basis.copy(),
+        duals=binv.T @ c[engine.basis], objective=float(c @ primal),
+        iterations=engine.pivots, bound_flips=engine.flips,
+        degenerate=bool(((np.abs(xb) <= 1e-9) | (np.abs(xb - ub) <= 1e-9)).any()),
+        outcome="cold", at_upper=np.flatnonzero(engine.at_upper), basis_inverse=binv)

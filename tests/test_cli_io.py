@@ -663,3 +663,24 @@ def test_flag_overrides_reach_the_solver(tmp_path, capsys):
     capsys.readouterr()
     trace = read_csv(out / "trace.csv")
     assert max(int(r["index"]) for r in trace) <= 6
+
+
+def test_a_clearing_the_dual_simplex_and_phase_one_disagree_on_exits_5(monkeypatch, capsys):
+    # the dual simplex reports the feasible clearing infeasible once; phase 1,
+    # run to name the violated row, finds it feasible and raises
+    from carbomarket import lp_core
+
+    run_dual, calls = lp_core._Engine.run_dual, []
+
+    def first_says_infeasible(engine, cost, budget):
+        calls.append(engine.n)
+        if len(calls) == 1:
+            return lp_core.LpStatus.INFEASIBLE
+        return run_dual(engine, cost, budget)
+
+    monkeypatch.setattr(lp_core._Engine, "run_dual", first_says_infeasible)
+    assert main(["clear", "--case", "replica30", "--period", "0"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error code=5 kind=numeric message='phase 1 finds feasible")
+    assert "Traceback" not in err
+    assert len(calls) == 2 and calls[1] > calls[0]  # phase 1 has artificial columns

@@ -13,8 +13,14 @@ from carbomarket.emission_allocation import (
     partial_derivative,
     _problem_at,
 )
-from carbomarket.lp_core import LpStatus, solve
-from carbomarket.market_clearing import AgentBid, BidSet, assemble_clearing_lp, clear_market
+from carbomarket.lp_core import LpStatus
+from carbomarket.market_clearing import (
+    AgentBid,
+    BidSet,
+    MarketInfeasibleError,
+    assemble_clearing_lp,
+    clear_market,
+)
 from carbomarket.network_model import (
     Branch,
     Bus,
@@ -30,6 +36,7 @@ from oracles import (
     highs_solve,
     random_small_case,
     scan_basis_regions,
+    two_phase_solve,
 )
 
 KAPPA = 0.05
@@ -136,7 +143,7 @@ def test_sweep_prices_the_loss_vector_the_clearing_converged_to():
 def test_partial_derivative_single_and_two_generator():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, 0.5)], [7.0])
-    sol = solve(_problem_at(form, 1.0))
+    sol = two_phase_solve(_problem_at(form, 1.0))
     grad = partial_derivative(form, sol)
     np.testing.assert_allclose(grad, KAPPA * 0.5 * 1000 * case.tau / 2, atol=1e-9)
 
@@ -147,7 +154,7 @@ def test_partial_derivative_single_and_two_generator():
     )
     agents = [gen_bid("cheap", 1, 10.0, 5.0, 0.9), gen_bid("dear", 1, 30.0, 20.0, 0.2)]
     _, form2 = cleared_form(two_bus, agents, [3.1, 4.2])
-    sol2 = solve(_problem_at(form2, 1.0))
+    sol2 = two_phase_solve(_problem_at(form2, 1.0))
     grad2 = partial_derivative(form2, sol2)
     np.testing.assert_allclose(grad2, KAPPA * 0.2 * 1000 / 2, atol=1e-9)
 
@@ -156,7 +163,7 @@ def test_partial_derivative_matches_finite_difference():
     case = single_bus_case()
     agents = [gen_bid("a", 1, 10.0, 5.0, 0.9), gen_bid("b", 1, 30.0, 20.0, 0.2)]
     _, form = cleared_form(case, agents, [7.3])
-    sol = solve(_problem_at(form, 1.0))
+    sol = two_phase_solve(_problem_at(form, 1.0))
     grad = partial_derivative(form, sol)
     h = 1e-5
     base = aumann_shapley_prices(form).emission_cost_at_star
@@ -164,7 +171,7 @@ def test_partial_derivative_matches_finite_difference():
         bumped = form.demand.copy()
         bumped[i] += h
         problem, market = assemble_clearing_lp(case, BidSet(agents=agents, demand=bumped))
-        sol_b = solve(problem)
+        sol_b = two_phase_solve(problem)
         fd = (float(market.k @ sol_b.primal) - base) / h
         assert grad[i] == pytest.approx(fd, rel=1e-4)
 
@@ -313,7 +320,7 @@ def test_compact_form_matches_highs_at_region_midpoints_and_the_end(monkeypatch)
             y_prev = y_next
         regions += len(ys)
         for y in ys + [1.0]:
-            sol = solve(_problem_at(form, y))
+            sol = two_phase_solve(_problem_at(form, y))
             assert sol.status is LpStatus.OPTIMAL
             fun, e_highs = highs_at(form, y)
             assert_close(sol.objective, fun)
@@ -552,3 +559,46 @@ def test_the_walk_down_prices_replica30_as_the_frozen_upward_sweep(monkeypatch):
         want = cold_origin_sweep(case, clearing)
         assert np.abs(got.psi - want.psi).max() <= 1e-12 * np.abs(want.psi).max()
         assert got.cost_sharing_error <= 1e-9 and want.cost_sharing_error <= 1e-9
+
+
+def must_run_case():
+    """Two buses and one 100 MW line: plant f at bus 1 must run at exactly
+    30 MW, so the plants' compact form has no segment column and an all-zero
+    balance row; only the storage at bus 2 is dispatchable."""
+    case = NetworkCase(
+        buses=[Bus(1), Bus(2)], branches=[Branch(1, 2, capacity=100.0, reactance=0.1)],
+        generators=[], storages=[], load_series=np.zeros((1, 2)), tau=1.0, kappa=KAPPA,
+        epsilon=1e-4,
+    )
+    fixed = AgentBid(name="f", bus=1, p_min=30.0, p_max=30.0,
+                     cost_curve=curve_from_points([(0.0, 0.0), (30.0, 600.0)]),
+                     emission_curve=curve_from_points([(0.0, 0.0), (30.0, 15000.0)]))
+    es = AgentBid(name="es", bus=2, p_min=-20.0, p_max=20.0, is_storage=True,
+                  cost_curve=curve_from_points([(-20.0, -600.0), (0.0, 0.0), (20.0, 650.0)]))
+    return case, fixed, es
+
+
+def test_a_must_run_period_prices_its_emission_at_the_cleared_point():
+    # the ray is feasible only at y = 1, so zeta = 1 and the whole emission
+    # cost, 0.05 $/kg * 15000 kg/h / 2 = 375 $, is split in proportion to the
+    # 30 MW of net demand: 0.0125 $/kWh at both buses
+    case, fixed, es = must_run_case()
+    clearing = clear_market(case, BidSet(agents=[fixed, es], demand=np.array([0.0, 35.0])))
+    np.testing.assert_allclose(clearing.dispatch, [30.0, 5.0], rtol=0, atol=1e-9)
+    res = allocate_period(case, clearing)
+    want = cold_origin_sweep(case, clearing)
+    assert res.start_point.zeta == want.start_point.zeta == 1.0
+    assert res.emission_cost_at_start == pytest.approx(375.0, rel=1e-12)
+    np.testing.assert_allclose(res.psi, [0.0125, 0.0125], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.psi, want.psi, rtol=1e-12, atol=0)
+    book = settle(clearing, res, case)
+    assert book.load_emission.sum() + sum(book.storage_emission_charge.values()) == (
+        pytest.approx(375.0, rel=1e-12))
+
+    # with the storage fixed too, no offer is dispatchable
+    pinned = AgentBid(name="es", bus=2, p_min=5.0, p_max=5.0, is_storage=True,
+                      cost_curve=es.cost_curve)
+    with pytest.raises(MarketInfeasibleError,
+                       match="no offer has a dispatchable segment") as err:
+        clear_market(case, BidSet(agents=[fixed, pinned], demand=np.array([0.0, 35.0])))
+    assert err.value.row_label == "balance"

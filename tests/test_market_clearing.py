@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import logging
 
 import numpy as np
 import pytest
 
 from carbomarket import lp_core, market_clearing, simulator
-from carbomarket.lp_core import LpStatus, lu_factor, solve as lp_solve
+from carbomarket.lp_core import LpStatus, lu_factor
 from carbomarket.market_clearing import (
     AgentBid,
     BidSet,
@@ -22,7 +22,7 @@ from carbomarket.network_model import Branch, Bus, NetworkCase, curve_from_point
 from carbomarket.simulator import ScenarioConfig, run_horizon
 from carbomarket.storage_policy import choose_parameters, initial_state
 from carbomarket.synthetic import replica30_case
-from oracles import highs_solve, phase_one_clearing, random_small_case
+from oracles import highs_solve, phase_one_clearing, random_small_case, two_phase_solve
 
 
 def linear_bid(name, bus, slope, cap, psi=None, p_min=0.0, renewable=False):
@@ -46,7 +46,7 @@ def make_case(n_buses=1, branches=(), epsilon=1e-4, loss=None, **kw):
 
 def objective_at(case, agents, demand):
     problem, _ = assemble_clearing_lp(case, BidSet(agents=agents, demand=demand))
-    sol = lp_solve(problem)
+    sol = two_phase_solve(problem)
     assert sol.status is LpStatus.OPTIMAL
     return sol.objective
 
@@ -287,26 +287,7 @@ def test_a_carried_basis_whose_segment_is_gone_starts_from_the_crash():
     assert_matches_highs(case, bids, res)
 
 
-def test_a_singular_carried_basis_falls_back_to_phase_one(monkeypatch):
-    def assert_matches_phase_one(case, bids, res):
-        assert res.outcome == "singular"
-        cold = phase_one_clearing(case, bids)
-        np.testing.assert_allclose(res.dispatch, cold.dispatch, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(res.lmp, cold.lmp, rtol=0, atol=1e-9)
-
-    # every key maps, but the marginal unit's bus now loses everything, so
-    # its column has no balance coefficient
-    line = [Branch(1, 2, capacity=100.0, reactance=0.1)]
-    bids = BidSet(agents=[linear_bid("lost", 1, 5.0, 50.0, psi=0.5),
-                          linear_bid("b", 2, 40.0, 50.0, psi=0.3)],
-                  demand=np.array([0.0, 30.0]))
-    previous = clear_market(make_case(n_buses=2, branches=line), bids)
-    assert previous.basis[0] == ("lost", "segment", 0)
-    lossy = make_case(n_buses=2, branches=line, loss=[1.0, 0.0])
-    assert_matches_phase_one(lossy, bids, clear_market(
-        lossy, bids, warm_basis=previous.basis, warm_upper=previous.at_upper))
-
-    # a carried basis whose factorization fails once
+def test_a_carried_basis_whose_factor_fails_once_retries_in_paranoid_mode(monkeypatch, caplog):
     case, agents, demand = congested_triangle()
     previous = clear_market(case, BidSet(agents=agents + [storage_bid(4)], demand=demand))
     bids = BidSet(agents=agents + [storage_bid(5, 0.7)], demand=demand)
@@ -318,9 +299,17 @@ def test_a_singular_carried_basis_falls_back_to_phase_one(monkeypatch):
         return lu_factor(bmat)
 
     monkeypatch.setattr(lp_core, "lu_factor", failing_once)
-    res = clear_market(case, bids, warm_basis=previous.basis, warm_upper=previous.at_upper)
+    with caplog.at_level(logging.DEBUG, logger=lp_core.logger.name):
+        res = clear_market(case, bids, warm_basis=previous.basis, warm_upper=previous.at_upper)
     assert not failures
-    assert_matches_phase_one(case, bids, res)
+    # no phase 1: the fast attempt, then its paranoid retry from the same basis
+    headers = [r.getMessage().split() for r in caplog.records
+               if r.getMessage().startswith(("warm ", "phase1 "))]
+    assert [(h[0], h[-1]) for h in headers] == [("warm", "paranoid=0"), ("warm", "paranoid=1")]
+    assert res.outcome == "warm"
+    cold = phase_one_clearing(case, bids)
+    np.testing.assert_allclose(res.dispatch, cold.dispatch, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.lmp, cold.lmp, rtol=0, atol=1e-9)
 
 
 def test_crash_clearing_matches_phase_one_on_replica30_series7(monkeypatch):
@@ -414,7 +403,7 @@ def test_crash_over_zero_width_segments():
         upper[closed] = 0.0
         shut = dataclasses.replace(problem, upper=upper)
         start = market_clearing._merit_order_start(shut)
-        sol, want = lp_core.solve_with_basis(shut, *start), lp_solve(shut)
+        sol, want = lp_core.solve_with_basis(shut, *start), two_phase_solve(shut)
         assert sol.warm_started and sol.bound_flips == 0
         assert sol.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-9)
         assert np.abs(sol.duals - want.duals).max() <= 1e-9 * np.abs(want.duals).max()
@@ -431,20 +420,20 @@ def test_demand_beyond_capacity_names_the_balance_gap():
     assert err.value.row_label == "balance"
 
 
-def test_a_bus_that_loses_everything_clears_by_phase_one():
-    # a unit at a bus with loss sensitivity 1 delivers nothing: no crash
+def test_an_agent_on_a_bus_that_loses_everything_is_rejected_at_assembly():
+    # a unit at a bus with loss sensitivity 1 or more delivers nothing, and
+    # its segment would have no positive balance coefficient to crash on
     line = [Branch(1, 2, capacity=100.0, reactance=0.1)]
-    case = make_case(n_buses=2, branches=line, loss=[1.0, 0.0])
     bids = BidSet(agents=[linear_bid("lost", 1, 5.0, 50.0, psi=0.5),
                           linear_bid("b", 2, 40.0, 50.0, psi=0.3)],
                   demand=np.array([0.0, 30.0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        res = clear_market(case, bids)
-    assert res.outcome == "cold"
-    cold = phase_one_clearing(case, bids)
-    np.testing.assert_allclose(res.dispatch, cold.dispatch, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(res.lmp, cold.lmp, rtol=0, atol=1e-9)
+    for loss in (1.0, 1.5):
+        case = make_case(n_buses=2, branches=line, loss=[loss, 0.0])
+        message = f"agent lost sits on bus 1, whose loss sensitivity {loss:g} leaves"
+        with pytest.raises(ValueError, match=message):
+            assemble_clearing_lp(case, bids)
+        with pytest.raises(ValueError, match=message):
+            clear_market(case, bids)
 
 
 def kinked_triangle_bids(demand):
@@ -474,7 +463,7 @@ def test_uncongested_crash_is_optimal_as_it_starts():
         problem, _ = assemble_clearing_lp(case, kinked_triangle_bids([0.0, 0.0, load]))
         sol = lp_core.solve_with_basis(problem, *market_clearing._merit_order_start(problem))
         assert sol.warm_started and sol.iterations == sol.bound_flips == 0
-        assert sol.objective == pytest.approx(lp_solve(problem).objective, rel=1e-12)
+        assert sol.objective == pytest.approx(two_phase_solve(problem).objective, rel=1e-12)
 
 
 def test_segments_fill_in_order_and_emissions_are_exact():
@@ -484,7 +473,7 @@ def test_segments_fill_in_order_and_emissions_are_exact():
     cases += [random_small_case(rng, min_output_prob=0.5) for _ in range(10)]
     for case, bids in cases:
         problem, form = assemble_clearing_lp(case, bids)
-        sol = lp_solve(problem)
+        sol = two_phase_solve(problem)
         assert sol.status is LpStatus.OPTIMAL
         for k in range(form.n_agents):
             cols = np.flatnonzero(form.column_agent == k)
@@ -514,7 +503,7 @@ def highs_prices(case, bids):
 
 def assert_matches_highs(case, bids, result):
     problem, _ = assemble_clearing_lp(case, bids)
-    ours = lp_solve(problem)
+    ours = two_phase_solve(problem)
     fun, y, lmp = highs_prices(case, bids)
     assert abs(ours.objective - fun) <= 1e-9 * max(1.0, abs(fun))
     # balance and branch duals; the bounds' duals are degenerate and not compared
@@ -543,3 +532,27 @@ def test_clearing_matches_highs_on_replica30_and_random_networks(monkeypatch):
         small, bids = random_small_case(rng, min_output_prob=0.3)
         assert_matches_highs(small, bids, clear_market(small, bids))
 
+
+
+def test_phase_one_explains_infeasible_clearings_as_the_frozen_two_phase_solver():
+    # random networks with demand scaled by 0.8-3 and lines cut to 5-60% of
+    # their capacity; every clearing the dual simplex proves infeasible is
+    # explained by phase 1, whose total violation is the LP optimum of the
+    # least infeasible point and so must match the frozen solver's
+    rng = np.random.default_rng(1646)
+    compared = 0
+    while compared < 500:
+        case, bids = random_small_case(rng)
+        cut = rng.uniform(0.05, 0.6, len(case.branches))
+        case = dataclasses.replace(case, branches=[
+            dataclasses.replace(br, capacity=br.capacity * f) for br, f in zip(case.branches, cut)])
+        bids = BidSet(agents=bids.agents, demand=bids.demand * rng.uniform(0.8, 3.0))
+        problem, _ = assemble_clearing_lp(case, bids)
+        start = market_clearing._merit_order_start(problem)
+        if lp_core.solve_with_basis(problem, *start).status is LpStatus.OPTIMAL:
+            continue
+        got, want = lp_core.solve(problem), two_phase_solve(problem)
+        assert got.status is want.status is LpStatus.INFEASIBLE
+        total = np.abs(want.row_violations).sum()
+        assert abs(np.abs(got.row_violations).sum() - total) <= 1e-9 * total
+        compared += 1

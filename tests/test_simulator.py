@@ -606,3 +606,32 @@ def test_replica30_horizon_warm_starts_every_period_and_matches_cold(monkeypatch
                           (record.psi, crash_record.psi)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
         psi_prev = record.psi
+
+
+def test_no_phase_one_runs_on_series7_horizons_or_cold_periods(monkeypatch):
+    # every clearing and every sweep solve finishes by the dual simplex from
+    # its start: the four 168-period horizons of series 7, then a cold
+    # proposed period every 17th period of the series
+    calls = []
+
+    def counted(module):
+        solve = module.solve
+
+        def phase_one(problem):
+            calls.append(module.__name__)
+            return solve(problem)
+        return phase_one
+
+    for module in (market_clearing, emission_allocation):
+        monkeypatch.setattr(module, "solve", counted(module))
+    case = replica30_case(seed=7)
+    for name in ("proposed", "a1", "a2", "a3"):
+        report = run_horizon(case, getattr(ScenarioConfig, name)(horizon=168))
+        assert len(report.records) == 168
+    params = {u.name: choose_parameters(u) for u in case.storages}
+    periods = range(0, case.horizon, 17)
+    for t in periods:
+        states = {u.name: initial_state(u, params[u.name]) for u in case.storages}
+        run_period(case, ScenarioConfig.proposed(), t, states, params)
+    assert len(periods) >= 40
+    assert calls == []
