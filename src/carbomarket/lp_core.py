@@ -120,9 +120,6 @@ class LpSolution:
     # When phase 1 explains an infeasible problem: per row, the row activity
     # minus its rhs at the least infeasible point; 0 on satisfied rows.
     row_violations: np.ndarray | None = None
-    # "warm" when the solve finished from the given basis, "infeasible" when
-    # the dual simplex proved the problem infeasible
-    outcome: str = "warm"
     # nonbasic columns at their upper bound, ascending
     at_upper: np.ndarray | None = None
     bound_flips: int = 0
@@ -131,7 +128,7 @@ class LpSolution:
 
     @property
     def warm_started(self) -> bool:
-        return self.outcome == "warm"
+        return self.status is LpStatus.OPTIMAL
 
 
 def _inverts(binv: np.ndarray, bmat: np.ndarray) -> bool:
@@ -309,8 +306,8 @@ def solve_with_basis(problem: LpProblem, start_basis, at_upper=(),
     A start that is not m distinct columns raises ValueError. A numerical
     failure, a singular start among them, gets one retry from the same basis
     in paranoid mode; SimplexNumericalError when that fails too. A problem
-    the dual simplex proves infeasible comes back INFEASIBLE, with outcome
-    "infeasible" and no ``row_violations``: ``solve`` explains it.
+    the dual simplex proves infeasible comes back INFEASIBLE with no
+    ``row_violations``: ``solve`` explains it.
 
     ``basis_inverse``, a prior solve's inverse of this basis (as when only
     the rhs moved), spares the factorization: a copy is adopted when it is
@@ -355,7 +352,7 @@ def _warm_attempt(problem: LpProblem, basis: np.ndarray, at_upper: np.ndarray,
     engine.flips += int(flip.sum())
     if engine.run_dual(problem.cost, _pivot_budget(engine.m, engine.n)) is LpStatus.INFEASIBLE:
         return LpSolution(status=LpStatus.INFEASIBLE, iterations=engine.pivots,
-                          bound_flips=engine.flips, outcome="infeasible")
+                          bound_flips=engine.flips)
     return _finish(problem, engine)
 
 
@@ -417,8 +414,7 @@ def solve(problem: LpProblem) -> LpSolution:
     # A x + sign * artificial = b
     violations[art_rows] = -art_sign * sol.primal[n:]
     return LpSolution(status=LpStatus.INFEASIBLE, iterations=sol.iterations,
-                      bound_flips=sol.bound_flips, row_violations=violations,
-                      outcome="infeasible")
+                      bound_flips=sol.bound_flips, row_violations=violations)
 
 
 def feasibility_interval(sol: LpSolution, a, g, h, ray, upper) -> tuple[float, float]:

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import LpProblem, LpSolution, LpStatus, solve, solve_with_basis
+from .lp_core import FEASIBILITY_TOL, LpProblem, LpSolution, LpStatus, SimplexNumericalError
+from .lp_core import solve, solve_with_basis
 from .network_model import NetworkCase, PiecewiseLinearCurve
 
 # clearings a loss-direction-dependent case may take before it stops unconverged
@@ -146,8 +147,8 @@ class ClearingResult:
     loss_iterations: int = 1
     # emission of each of form.sigma_agents, kg/h
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # how the final solve started: crash (the merit-order crash basis) or
-    # warm (a previous clearing's basis)
+    # how the final solve started: warm (a previous clearing's basis) or
+    # crash (the merit-order crash basis, or no solve without segment columns)
     outcome: str = "crash"
     # the assembled LP of the final clearing, whose plant columns the
     # emission-price sweep reuses
@@ -292,16 +293,17 @@ def extract_result(
         bids=bids, degenerate=sol.degenerate,
         basis=tuple(form.column_keys[j] for j in sol.basis),
         at_upper=tuple(form.column_keys[j] for j in sol.at_upper),
-        sigma=sigma, outcome=sol.outcome, form=form,
+        sigma=sigma, form=form,
     )
 
 
 def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, list[int]] | None:
     """Column indices of the basis ``keys`` in ``form``, and of the columns
     named by ``upper_keys`` (a previous clearing's ``at_upper``) that this
-    layout has; None when some basis key names no column of this layout."""
+    layout has; None when the keys are not one per row or some key names no
+    column of this layout."""
     index = {key: j for j, key in enumerate(form.column_keys)}
-    if not all(k in index for k in keys):
+    if len(keys) != len(form.row_labels) or not all(k in index for k in keys):
         return None
     return np.array([index[k] for k in keys], dtype=int), [index[k] for k in upper_keys if k in index]
 
@@ -332,17 +334,34 @@ def _merit_order_start(problem: LpProblem):
     return np.concatenate([[order[k]], n_seg + np.arange(n_br)]), order[:k], binv
 
 
+def _fixed_point(problem: LpProblem) -> LpSolution | None:
+    """The only point of a clearing LP ``problem`` without segment columns:
+    every offer at p_min and each branch slack at its row's rhs. Its basis
+    is the branch slacks, its duals are zero, and the all-zero balance row
+    holds when its rhs is 0. None when that point misses the rows by more
+    than phase 1 tolerates."""
+    b, slack = problem.rhs, problem.rhs[1:]
+    x = np.clip(slack, 0.0, problem.upper)
+    if abs(b[0]) + np.abs(slack - x).sum() > FEASIBILITY_TOL * max(1.0, float(np.abs(b).sum())):
+        return None
+    return LpSolution(
+        status=LpStatus.OPTIMAL, primal=x, basis=np.arange(slack.size), duals=np.zeros(b.size),
+        objective=0.0, at_upper=np.zeros(0, dtype=int),
+        degenerate=bool(((x <= FEASIBILITY_TOL) | (x >= problem.upper - FEASIBILITY_TOL)).any()))
+
+
 def clear_market(
     case: NetworkCase, bids: BidSet, warm_basis=None, warm_upper=(),
 ) -> ClearingResult:
     """Clear one period; ``warm_basis`` and ``warm_upper`` are a previous
     ``ClearingResult.basis`` and ``ClearingResult.at_upper``. The clearing
-    starts from that basis when every one of its keys names a column of this
-    period's LP, and from ``_merit_order_start`` otherwise or without one;
-    ``outcome`` says which. The dual simplex finishes from that start, and
-    phase 1 runs only to name the most violated row of an infeasible
-    clearing. A clearing in which no offer has a segment column is infeasible
-    by its balance row.
+    starts from that basis when it has one key per row and each names a
+    column of this period's LP, and from ``_merit_order_start`` otherwise,
+    without one, or when that basis is singular in this LP; ``outcome`` says
+    which. The dual simplex finishes from that start, and phase 1 runs only
+    to name the most violated row of an infeasible clearing. When no offer
+    has a segment column, every offer runs at p_min and the clearing is that
+    one point, with zero prices, if it meets the balance and branch rows.
 
     When ``case.loss_direction_dependent``, each bus's loss sensitivity takes
     the sign of its net injection: the market re-clears, each time from the
@@ -355,16 +374,19 @@ def clear_market(
     for it in range(1, LOSS_ITERATIONS + 1):
         problem, form = assemble_clearing_lp(case, bids, loss=loss)
         carried = None if warm_basis is None else _map_start(form, warm_basis, warm_upper)
-        start = _merit_order_start(problem) if carried is None else carried
-        if start is None:
-            raise MarketInfeasibleError(
-                "market infeasible; no offer has a dispatchable segment", row_label="balance")
-        sol = solve_with_basis(problem, *start)
-        if sol.status is LpStatus.INFEASIBLE:
+        try:
+            sol = None if carried is None else solve_with_basis(problem, *carried)
+        except SimplexNumericalError:
+            # a re-clear's new loss coefficients can make the carried basis
+            # singular even when refactored; the crash basis never is
+            carried = sol = None
+        if sol is None:
+            crash = _merit_order_start(problem)
+            sol = _fixed_point(problem) if crash is None else solve_with_basis(problem, *crash)
+        if sol is None or sol.status is LpStatus.INFEASIBLE:
             raise _infeasible(form, solve(problem))
         result = extract_result(case, form, sol, bids)
-        if carried is None:
-            result.outcome = "crash"
+        result.outcome = "crash" if carried is None else "warm"
         result.loss_iterations = it
         if not case.loss_direction_dependent:
             return result

@@ -271,7 +271,7 @@ def phase_one_clearing(case, bids, loss=None):
 
     problem, form = assemble_clearing_lp(case, bids, loss=loss)
     sol = two_phase_solve(problem)
-    assert sol.status is LpStatus.OPTIMAL and sol.outcome == "cold"
+    assert sol.status is LpStatus.OPTIMAL
     return extract_result(case, form, sol, bids)
 
 
@@ -551,8 +551,8 @@ def two_phase_solve(problem):
     simplex: phase 1 from row slacks and signed artificials, the artificials
     driven out, rows dropped where one cannot leave, then phase 2; a
     numerical failure retries once in paranoid mode. The result is an
-    ``lp_core.LpSolution`` whose ``outcome`` is "cold"; after a dropped row
-    its basis is short and ``basis_inverse`` is zero in that row's column."""
+    ``lp_core.LpSolution``; after a dropped row its basis is short and
+    ``basis_inverse`` is zero in that row's column."""
     from carbomarket.lp_core import SimplexNumericalError
 
     try:
@@ -598,8 +598,7 @@ def _two_phase_attempt(problem, paranoid):
                 if col >= n:
                     violations[art_rows[col - n]] = -art_sign[col - n] * max(0.0, float(xb1[pos]))
             return LpSolution(status=LpStatus.INFEASIBLE, iterations=engine.pivots,
-                              bound_flips=engine.flips, row_violations=violations,
-                              outcome="cold")
+                              bound_flips=engine.flips, row_violations=violations)
         # drive the zero artificials out; one no real column can replace
         # marks its row as dependent on the others, and that row is dropped
         keep = np.ones(m, dtype=bool)
@@ -642,4 +641,4 @@ def _two_phase_attempt(problem, paranoid):
         duals=binv.T @ c[engine.basis], objective=float(c @ primal),
         iterations=engine.pivots, bound_flips=engine.flips,
         degenerate=bool(((np.abs(xb) <= 1e-9) | (np.abs(xb - ub) <= 1e-9)).any()),
-        outcome="cold", at_upper=np.flatnonzero(engine.at_upper), basis_inverse=binv)
+        at_upper=np.flatnonzero(engine.at_upper), basis_inverse=binv)

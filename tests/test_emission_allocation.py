@@ -595,10 +595,31 @@ def test_a_must_run_period_prices_its_emission_at_the_cleared_point():
     assert book.load_emission.sum() + sum(book.storage_emission_charge.values()) == (
         pytest.approx(375.0, rel=1e-12))
 
-    # with the storage fixed too, no offer is dispatchable
-    pinned = AgentBid(name="es", bus=2, p_min=5.0, p_max=5.0, is_storage=True,
-                      cost_curve=es.cost_curve)
-    with pytest.raises(MarketInfeasibleError,
-                       match="no offer has a dispatchable segment") as err:
-        clear_market(case, BidSet(agents=[fixed, pinned], demand=np.array([0.0, 35.0])))
+
+
+def test_a_period_with_every_offer_fixed_clears_at_p_min_or_names_its_gap():
+    # with the storage pinned at 5 MW no offer has a segment column, and
+    # 30 + 5 MW meets the 35 MW exactly: the clearing is that one point, and
+    # the sweep splits its 375 $ as when the storage was dispatchable
+    case, fixed, es = must_run_case()
+    demand = np.array([0.0, 35.0])
+
+    def pinned_at(p):
+        return AgentBid(name="es", bus=2, p_min=p, p_max=p, is_storage=True,
+                        cost_curve=es.cost_curve)
+
+    clearing = clear_market(case, BidSet(agents=[fixed, pinned_at(5.0)], demand=demand))
+    np.testing.assert_array_equal(clearing.dispatch, [30.0, 5.0])
+    assert clearing.lambda_bar == 0.0 and not clearing.lmp.any()
+    np.testing.assert_array_equal(clearing.flows, [30.0])
+    res = allocate_period(case, clearing)
+    want = cold_origin_sweep(case, clearing)
+    assert res.start_point.zeta == want.start_point.zeta == 1.0
+    np.testing.assert_allclose(res.psi, [0.0125, 0.0125], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.psi, want.psi, rtol=1e-12, atol=0)
+
+    # at 4 MW the balance is 1 MW short
+    with pytest.raises(MarketInfeasibleError) as err:
+        clear_market(case, BidSet(agents=[fixed, pinned_at(4.0)], demand=demand))
+    assert str(err.value) == "market infeasible; most violated: balance (short by 1)"
     assert err.value.row_label == "balance"

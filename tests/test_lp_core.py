@@ -212,7 +212,7 @@ def test_warm_start_is_fixed_point():
     cold = solve_from_qr(prob)
     warm = solve_with_basis(prob, cold.basis)
     assert warm.warm_started and cold.warm_started
-    assert cold.outcome == warm.outcome == "warm"
+    assert cold.warm_started and warm.warm_started
     assert warm.iterations == 0
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
@@ -357,7 +357,7 @@ def test_warm_start_from_a_basis_neither_primal_nor_dual_feasible_flips_then_fin
             continue  # still primal or dual feasible: not the case under test
         warm = solve_with_basis(moved, old.basis, old.at_upper)
         cold = two_phase_solve(moved)
-        assert warm.outcome == "warm" and warm.warm_started
+        assert warm.warm_started
         assert warm.bound_flips >= int((gain > 1e-6).sum())
         assert warm.status is LpStatus.OPTIMAL and cold.status is LpStatus.OPTIMAL
         assert abs(warm.objective - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
@@ -386,7 +386,7 @@ def test_infeasible_problem_on_the_warm_path_reports_row_violations(move_cost):
     assert xb.min() < 0.0 and (gain.max() > 1e-9) == move_cost
     warm = solve_with_basis(moved, old.basis)
     assert warm.status is LpStatus.INFEASIBLE
-    assert warm.outcome == "infeasible" and not warm.warm_started
+    assert not warm.warm_started
     assert warm.row_violations is None
     # phase 1 explains it: row 2's activity stays above its rhs
     explained = solve(moved)
@@ -504,7 +504,7 @@ def test_pivot_log_is_silent_by_default_and_traces_pivots_at_debug(caplog):
         # one dual pivot exchanges them
         warm = solve_with_basis(prob, [1])
         explained = solve(unmeetable)
-    assert warm.outcome == "warm" and warm.iterations == 1
+    assert warm.warm_started and warm.iterations == 1
     assert explained.row_violations[0] == pytest.approx(-1.0, abs=1e-12)
     lines = [r.getMessage() for r in caplog.records if r.name == lp_core.logger.name]
     phase1_at = lines.index("phase1 m=1 n=2")
@@ -601,12 +601,12 @@ def test_bounded_warm_start_after_rhs_change_reports_warm():
                           rhs=prob.constraint_matrix @ point, upper=prob.upper)
         warm = solve_with_basis(moved, cold.basis, cold.at_upper)
         re_cold = two_phase_solve(moved)
-        assert warm.outcome == "warm"
+        assert warm.warm_started
         assert abs(warm.objective - re_cold.objective) <= 1e-7 * max(1.0, abs(re_cold.objective))
         dual_steps += warm.iterations > 0
         # the start of a solved problem is already optimal
         again = solve_with_basis(moved, warm.basis, warm.at_upper)
-        assert again.outcome == "warm" and again.iterations == 0 and again.bound_flips == 0
+        assert again.warm_started and again.iterations == 0 and again.bound_flips == 0
     assert dual_steps >= 20
 
 
@@ -640,7 +640,7 @@ def test_basis_inverse_inverts_the_basis_and_gives_the_intervals():
         warm = solve_with_basis(LpProblem(cost=np.abs(prob.cost), constraint_matrix=a,
                                           rhs=g @ ray + h, upper=upper),
                                 cold.basis, cold.at_upper)
-        assert cold.outcome == warm.outcome == "warm"
+        assert cold.warm_started and warm.warm_started
         eta_updated += warm.iterations > 0
         for sol in (cold, warm):
             eye = sol.basis_inverse @ a[:, sol.basis]
@@ -701,7 +701,7 @@ def test_solve_with_basis_adopts_only_an_inverse_of_its_own_basis(monkeypatch):
     def warm(basis_inverse):
         factored.clear()
         sol = solve_with_basis(moved, cold.basis, cold.at_upper, basis_inverse=basis_inverse)
-        assert sol.outcome == "warm"
+        assert sol.warm_started
         return sol, len(factored)
 
     ref, count = warm(None)

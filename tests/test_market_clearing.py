@@ -312,6 +312,55 @@ def test_a_carried_basis_whose_factor_fails_once_retries_in_paranoid_mode(monkey
     np.testing.assert_allclose(res.lmp, cold.lmp, rtol=0, atol=1e-9)
 
 
+def test_a_carried_basis_singular_in_the_new_lp_starts_from_the_crash(caplog):
+    # two pieces of one curve have equal columns, so a basis holding both
+    # fails to factor on the fast path and on its paranoid retry
+    case, agents, demand = congested_triangle()
+    bids = BidSet(agents=agents + [storage_bid(4)], demand=demand)
+    singular = (("es", "segment", 0), ("es", "segment", 1)) + tuple(
+        ("branch", l) for l in range(len(case.branches) - 1))
+    with caplog.at_level(logging.DEBUG, logger=lp_core.logger.name):
+        res = clear_market(case, bids, warm_basis=singular)
+    headers = [r.getMessage().split() for r in caplog.records
+               if r.getMessage().startswith(("warm ", "phase1 "))]
+    assert [(h[0], h[-1]) for h in headers] == [
+        ("warm", "paranoid=0"), ("warm", "paranoid=1"), ("warm", "paranoid=0")]
+    assert res.outcome == "crash"
+    crash = clear_market(case, bids)
+    np.testing.assert_array_equal(res.dispatch, crash.dispatch)
+    np.testing.assert_array_equal(res.lmp, crash.lmp)
+
+
+def test_a_market_with_every_offer_fixed_is_checked_at_p_min():
+    case = make_case(n_buses=2, branches=[Branch(1, 2, capacity=100.0, reactance=0.1)])
+
+    def must_run(bid):
+        return dataclasses.replace(bid, p_min=bid.p_max)
+
+    fixed = [must_run(linear_bid("a", 1, 20.0, 30.0, psi=0.5)),
+             must_run(linear_bid("b", 2, 40.0, 5.0, psi=0.3))]
+    met = clear_market(case, BidSet(agents=fixed, demand=np.array([0.0, 35.0])))
+    np.testing.assert_array_equal(met.dispatch, [30.0, 5.0])
+    assert met.lambda_bar == 0.0 and not met.lmp.any() and met.outcome == "crash"
+    assert met.basis == (("branch", 0),)
+    # its basis has no balance column, so the next period starts from the crash
+    free = [linear_bid("a", 1, 20.0, 30.0, psi=0.5), fixed[1]]
+    nxt = clear_market(case, BidSet(agents=free, demand=np.array([0.0, 35.0])),
+                       warm_basis=met.basis, warm_upper=met.at_upper)
+    # a's delivered cost: 20 $/MWh plus epsilon times 500 kg/MWh
+    assert nxt.outcome == "crash" and nxt.lambda_bar == pytest.approx(20.05)
+
+    with pytest.raises(MarketInfeasibleError) as err:
+        clear_market(case, BidSet(agents=fixed, demand=np.array([0.0, 36.5])))
+    assert str(err.value) == "market infeasible; most violated: balance (short by 1.5)"
+    # the balance holds, but 130 MW from bus 1 overloads the 100 MW line
+    heavy = [must_run(linear_bid("a", 1, 20.0, 130.0, psi=0.5)), fixed[1]]
+    with pytest.raises(MarketInfeasibleError) as err:
+        clear_market(case, BidSet(agents=heavy, demand=np.array([0.0, 135.0])))
+    assert err.value.row_label == "branch 0 upper"
+    assert err.value.violation == pytest.approx(30.0)
+
+
 def test_crash_clearing_matches_phase_one_on_replica30_series7(monkeypatch):
     # every 7th period of the first two weeks, from the initial storage state
     case = replica30_case(seed=7)
