@@ -2,9 +2,11 @@
 
 A case travels as one YAML document plus CSV sidecars for the time series;
 bid curves ride either as sampled (power, value) points or as exact
-(slope, intercept) segments. Simulation reports land as four files:
-periods.csv, summary.csv, trace.csv, and meta.json. Exit codes: 0 ok,
-2 usage, 3 data, 4 infeasible, 5 numeric.
+(slope, intercept) segments. ``SCHEMA`` is the one place the document's keys
+live: reading, writing, the defaults and the unknown-key check all come from
+it. Simulation reports land as four files: periods.csv, summary.csv,
+trace.csv, and meta.json. Exit codes: 0 ok, 2 usage, 3 data, 4 infeasible,
+5 numeric.
 """
 
 from __future__ import annotations
@@ -69,27 +71,58 @@ SUMMARY_COLUMNS = ["metric", "agent", "value"]
 TRACE_COLUMNS = ["period", "index", "y", "iterations", "start_used",
                  "cost_sharing_error"]
 
-SCENARIO_KEYS = {"name", "enable_storage", "enable_allocation", "horizon"}
+REQUIRED = object()  # the default of a key every entry must give
 
-STORAGE_FIELDS = ("p_max", "eta_c", "eta_d", "e_min", "e_max", "e_init",
-                  "gamma_lo", "gamma_hi")
-# Keys each case-file mapping may hold; any other key is reported. The
-# retired market.delta (the sweep step, now a constant) and
-# generators[i].unit_emission (the emission curve carries the rate) load and
-# are ignored.
+# Each section's file keys, in the order write_case emits them, mapped to
+# (constructor argument, type, default or REQUIRED). The type is the one the
+# argument is built with; tuple is a list of numbers. A case's market keys are
+# NetworkCase arguments, and the scenario's are ScenarioConfig's.
+SCHEMA = {
+    "market": {"tau": ("tau", float, 1.0),
+               "kappa": ("kappa", float, 0.05),
+               "epsilon": ("epsilon", float, 1e-4),
+               "slack_bus": ("slack_bus", int, None),
+               "loss_offset": ("loss_offset", float, 0.0),
+               "loss_direction_dependent": ("loss_direction_dependent", bool, False)},
+    "buses": {"id": ("id", int, REQUIRED),
+              "loss_sensitivity": ("loss_sensitivity", float, 0.0)},
+    "branches": {"from": ("from_bus", int, REQUIRED),
+                 "to": ("to_bus", int, REQUIRED),
+                 "capacity": ("capacity", float, REQUIRED),
+                 "reactance": ("reactance", float, None),
+                 "ptdf_row": ("ptdf_row", tuple, None),
+                 "name": ("name", str, "")},
+    "generators": {"name": ("name", str, REQUIRED),
+                   "bus": ("bus", int, REQUIRED),
+                   "p_min": ("p_min", float, 0.0),
+                   "p_max": ("p_max", float, REQUIRED),
+                   "renewable": ("is_renewable", bool, False)},
+    "storages": {"name": ("name", str, REQUIRED),
+                 "bus": ("bus", int, REQUIRED),
+                 **{key: (key, float, REQUIRED)
+                    for key in ("p_max", "eta_c", "eta_d", "e_min", "e_max", "e_init",
+                                "gamma_lo", "gamma_hi")},
+                 "n_segments": ("n_segments", int, 50)},
+    "scenario": {"name": ("name", str, "proposed"),
+                 "enable_storage": ("enable_storage", bool, True),
+                 "enable_allocation": ("enable_allocation", bool, True),
+                 "horizon": ("horizon", int, None)},
+}
+_EXPECTED = {float: "a number", int: "an integer", bool: "true/false", str: "a string"}
+
+# Keys each case-file mapping may hold; any other key is reported. Besides
+# SCHEMA's keys: the curves, and two retired keys that load and are ignored,
+# market.delta (the sweep step, now a constant) and generators[i].unit_emission
+# (the emission curve carries the rate).
 CASE_KEYS = {
-    "case": {"name", "units", "market", "buses", "branches", "generators",
-             "storages", "series", "scenario"},
+    **{section: set(keys) for section, keys in SCHEMA.items()},
+    "case": {"name", "units", *SCHEMA, "series"},
     "units": set(CANONICAL_UNITS),
-    "market": {"tau", "kappa", "epsilon", "slack_bus", "loss_offset",
-               "loss_direction_dependent", "delta"},
-    "buses": {"id", "loss_sensitivity"},
-    "branches": {"from", "to", "capacity", "reactance", "ptdf_row", "name"},
-    "generators": {"name", "bus", "p_min", "p_max", "fuel_points", "fuel_curve",
-                   "emission_points", "emission_curve", "unit_emission", "renewable"},
-    "storages": {"name", "bus", "n_segments", *STORAGE_FIELDS},
     "series": {"loads", "renewables"},
 }
+CASE_KEYS["market"].add("delta")
+CASE_KEYS["generators"] |= {"fuel_points", "fuel_curve", "emission_points",
+                            "emission_curve", "unit_emission"}
 
 
 class CaseFormatError(ValueError):
@@ -130,73 +163,65 @@ def _read_yaml(path: Path):
     return doc
 
 
-def _num(data, key, path, problems, default=None, required=False):
+def _get(data, key, kind, path, problems, default=None):
+    """``data[key]`` built as ``kind``; ``default`` (None if REQUIRED) when it is
+    absent or, reported, malformed. A null list of numbers reads as absent."""
+    fallback = None if default is REQUIRED else default
     if key not in data:
-        if required:
+        if default is REQUIRED:
             problems.append(f"{path}.{key}: required")
-        return default
+        return fallback
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{path}.{key}: expected a number, got {value!r}")
-        return default
-    return float(value)
-
-
-def _int(data, key, path, problems, default=None, required=False):
-    if key not in data:
-        if required:
-            problems.append(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{path}.{key}: expected an integer, got {value!r}")
-        return default
-    return int(value)
-
-
-def _bool(data, key, path, problems, default=False):
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        problems.append(f"{path}.{key}: expected true/false, got {value!r}")
-        return default
-    return value
-
-
-def _str(data, key, path, problems, default=None, required=False):
-    if key not in data:
-        if required:
-            problems.append(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if not isinstance(value, str):
-        problems.append(f"{path}.{key}: expected a string, got {value!r}")
-        return default
-    return value
+    if kind is tuple:
+        try:
+            return None if value is None else tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            problems.append(f"{path}.{key}: expected a list of numbers")
+            return fallback
+    # a YAML integer is a number, but no boolean is a number or an integer
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        problems.append(f"{path}.{key}: expected {_EXPECTED[kind]}, got {value!r}")
+        return fallback
+    return kind(value)
 
 
 def _check_keys(data: dict, section: str, path: str, problems: list[str]) -> None:
+    unknown = "unknown scenario field" if section == "scenario" else "unknown field"
     for key in data:
         if key not in CASE_KEYS[section]:
-            problems.append(f"{path}.{key}: unknown field")
+            problems.append(f"{path}.{key}: {unknown}")
 
 
-def _maplist(doc, key, path, problems, required=False):
-    entries = doc.get(key)
+def _fields(data: dict, section: str, path: str, problems: list[str]) -> dict | None:
+    """Constructor arguments of the section's SCHEMA keys, after checking for
+    unknown keys; None when a required one is missing or malformed."""
+    _check_keys(data, section, path, problems)
+    args = {}
+    complete = True
+    for key, (arg, kind, default) in SCHEMA[section].items():
+        args[arg] = _get(data, key, kind, path, problems, default)
+        complete &= not (default is REQUIRED and args[arg] is None)
+    return args if complete else None
+
+
+def _entries(doc, section, problems, required=False):
+    """Each mapping of the list ``doc[section]`` as (path, mapping, arguments),
+    the arguments as ``_fields`` gives them."""
+    entries = doc.get(section)
     if entries is None:
         if required:
-            problems.append(f"{path}: required section")
-        return []
+            problems.append(f"{section}: required section")
+        return
     if not isinstance(entries, list):
-        problems.append(f"{path}: expected a list")
-        return []
-    out = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            problems.append(f"{path}[{i}]: expected a mapping")
-        else:
-            _check_keys(e, key, f"{path}[{i}]", problems)
-            out.append((i, e))
-    return out
+        problems.append(f"{section}: expected a list")
+        return
+    for i, entry in enumerate(entries):
+        path = f"{section}[{i}]"
+        if not isinstance(entry, dict):
+            problems.append(f"{path}: expected a mapping")
+            continue
+        yield path, entry, _fields(entry, section, path, problems)
 
 
 def _parse_curve(entry, prefix, path, problems) -> PiecewiseLinearCurve | None:
@@ -297,69 +322,32 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
     if not isinstance(market, dict):
         problems.append("market: expected a mapping")
         market = {}
-    _check_keys(market, "market", "market", problems)
-    tau = _num(market, "tau", "market", problems, default=1.0)
-    kappa = _num(market, "kappa", "market", problems, default=0.05)
-    epsilon = _num(market, "epsilon", "market", problems, default=1e-4)
-    slack_bus = _int(market, "slack_bus", "market", problems, default=None)
-    loss_offset = _num(market, "loss_offset", "market", problems, default=0.0)
-    loss_dir = _bool(market, "loss_direction_dependent", "market", problems)
+    market_args = _fields(market, "market", "market", problems)  # no key is required
 
     buses = []
-    for i, entry in _maplist(doc, "buses", "buses", problems, required=True):
-        bus_id = _int(entry, "id", f"buses[{i}]", problems, required=True)
-        sens = _num(entry, "loss_sensitivity", f"buses[{i}]", problems, default=0.0)
+    for here, entry, args in _entries(doc, "buses", problems, required=True):
+        # read again, unreported, so that a bus whose id failed is checked too
+        sens = _get(entry, "loss_sensitivity", float, here, [], 0.0)
         if np.isfinite(sens) and abs(sens) >= 1.0:
             # the bus would deliver 1 - loss <= 0 of each MW at the loss's positive sign
-            problems.append(f"buses[{i}].loss_sensitivity: must lie in (-1, 1), got {sens!r}")
-        if bus_id is not None:
-            buses.append(Bus(id=bus_id, loss_sensitivity=sens))
+            problems.append(f"{here}.loss_sensitivity: must lie in (-1, 1), got {sens!r}")
+        if args is not None:
+            buses.append(Bus(**args))
+    if doc.get("buses") == []:
+        problems.append("buses: needs at least one bus")
 
-    branches = []
-    for i, entry in _maplist(doc, "branches", "branches", problems):
-        here = f"branches[{i}]"
-        fb = _int(entry, "from", here, problems, required=True)
-        tb = _int(entry, "to", here, problems, required=True)
-        cap = _num(entry, "capacity", here, problems, required=True)
-        reactance = _num(entry, "reactance", here, problems, default=None)
-        row = entry.get("ptdf_row")
-        if row is not None:
-            try:
-                row = tuple(float(v) for v in row)
-            except (TypeError, ValueError):
-                problems.append(f"{here}.ptdf_row: expected a list of numbers")
-                row = None
-        name = _str(entry, "name", here, problems, default="")
-        if None not in (fb, tb, cap):
-            branches.append(Branch(from_bus=fb, to_bus=tb, capacity=cap,
-                                   reactance=reactance, ptdf_row=row, name=name))
+    branches = [Branch(**args) for _, _, args in _entries(doc, "branches", problems)
+                if args is not None]
 
     generators = []
-    for i, entry in _maplist(doc, "generators", "generators", problems, required=True):
-        here = f"generators[{i}]"
-        name = _str(entry, "name", here, problems, required=True)
-        bus = _int(entry, "bus", here, problems, required=True)
-        p_min = _num(entry, "p_min", here, problems, default=0.0)
-        p_max = _num(entry, "p_max", here, problems, required=True)
+    for here, entry, args in _entries(doc, "generators", problems, required=True):
         fuel = _parse_curve(entry, "fuel", here, problems)
         emission = _parse_curve(entry, "emission", here, problems)
-        renewable = _bool(entry, "renewable", here, problems)
-        if None not in (name, bus, p_max) and fuel and emission:
-            generators.append(Generator(
-                name=name, bus=bus, fuel_curve=fuel, emission_curve=emission,
-                p_min=p_min, p_max=p_max, is_renewable=renewable))
+        if args is not None and fuel and emission:
+            generators.append(Generator(fuel_curve=fuel, emission_curve=emission, **args))
 
-    storages = []
-    for i, entry in _maplist(doc, "storages", "storages", problems):
-        here = f"storages[{i}]"
-        name = _str(entry, "name", here, problems, required=True)
-        bus = _int(entry, "bus", here, problems, required=True)
-        fields = {key: _num(entry, key, here, problems, required=True)
-                  for key in STORAGE_FIELDS}
-        n_segments = _int(entry, "n_segments", here, problems, default=50)
-        if name is not None and bus is not None and None not in fields.values():
-            storages.append(StorageUnit(name=name, bus=bus,
-                                        n_segments=n_segments, **fields))
+    storages = [StorageUnit(**args) for _, _, args in _entries(doc, "storages", problems)
+                if args is not None]
 
     series = doc.get("series")
     load_series = None
@@ -368,13 +356,13 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
         problems.append("series: required mapping with a loads entry")
     else:
         _check_keys(series, "series", "series", problems)
-        loads_rel = _str(series, "loads", "series", problems, required=True)
+        loads_rel = _get(series, "loads", str, "series", problems, REQUIRED)
         if loads_rel is not None and buses:
             cols = _read_series_csv(path.parent / loads_rel, "bus_",
                                     [b.id for b in buses], problems, "series.loads")
             if cols is not None:
                 load_series = np.column_stack([cols[str(b.id)] for b in buses])
-        renew_rel = _str(series, "renewables", "series", problems, default=None)
+        renew_rel = _get(series, "renewables", str, "series", problems)
         if renew_rel is not None:
             known = [g.name for g in generators]
             cols = _read_series_csv(path.parent / renew_rel, "plant_",
@@ -391,19 +379,16 @@ def load_case_document(path) -> tuple[NetworkCase, dict]:
         problems.append("scenario: expected a mapping")
         scenario_defaults = {}
     else:
-        _check_scenario_fields(scenario_defaults, "scenario", problems)
+        _scenario_fields(scenario_defaults, problems)
 
-    name = _str(doc, "name", "case", problems, default=path.stem)
+    name = _get(doc, "name", str, "case", problems, path.stem)
     if problems:
         raise CaseSchemaError(problems)
 
     case = NetworkCase(
         buses=buses, branches=branches, generators=generators, storages=storages,
         load_series=load_series, renewable_series=renewable_series,
-        tau=tau, kappa=kappa, epsilon=epsilon,
-        slack_bus=slack_bus, loss_offset=loss_offset,
-        loss_direction_dependent=loss_dir,
-        name=name,
+        name=name, **market_args,
     )
     issues = validate_case(case)
     if issues:
@@ -416,39 +401,43 @@ def load_case(path) -> NetworkCase:
     return case
 
 
-def _check_scenario_fields(data: dict, path: str, problems: list[str]) -> None:
-    for key in data:
-        if key not in SCENARIO_KEYS:
-            problems.append(f"{path}.{key}: unknown scenario field")
-    for key in ("enable_storage", "enable_allocation"):
-        if key in data and not isinstance(data[key], bool):
-            problems.append(f"{path}.{key}: expected true/false")
-    if data.get("horizon") is not None:
-        horizon = _int(data, "horizon", path, problems)
-        if horizon is not None and horizon < 1:
-            problems.append(f"{path}.horizon: expected at least 1, got {horizon}")
+def _scenario_fields(data: dict, problems: list[str]) -> dict:
+    """ScenarioConfig's arguments from a scenario mapping; a null horizon,
+    like an absent one, runs the full series."""
+    given = {k: v for k, v in data.items() if not (k == "horizon" and v is None)}
+    args = _fields(given, "scenario", "scenario", problems)
+    horizon = args["horizon"]
+    if horizon is not None and horizon < 1:
+        problems.append(f"scenario.horizon: expected at least 1, got {horizon}")
+    return args
 
 
 def load_scenario(path) -> ScenarioConfig:
-    doc = _read_yaml(Path(path))
-    problems: list[str] = []
-    _check_scenario_fields(doc, "scenario", problems)
-    if problems:
-        raise CaseSchemaError(problems)
-    return ScenarioConfig(**doc)
+    return build_scenario({}, _read_yaml(Path(path)))
 
 
 def build_scenario(defaults: dict, overlay: dict | None = None) -> ScenarioConfig:
-    merged = dict(defaults)
-    merged.update(overlay or {})
     problems: list[str] = []
-    _check_scenario_fields(merged, "scenario", problems)
+    args = _scenario_fields({**defaults, **(overlay or {})}, problems)
     if problems:
         raise CaseSchemaError(problems)
-    return ScenarioConfig(**merged)
+    return ScenarioConfig(**args)
 
 
 # ----------------------------------------------------------- serialization
+
+
+def _record(obj, section: str) -> dict:
+    """The SCHEMA keys of one record. A value of None, "" or False is left
+    out, except in the market, which gives every key."""
+    out = {}
+    for key, (arg, kind, _) in SCHEMA[section].items():
+        value = getattr(obj, arg)
+        if value is not None:
+            value = [float(x) for x in value] if kind is tuple else kind(value)
+        if section == "market" or not (value is None or value is False or value == ""):
+            out[key] = value
+    return out
 
 
 def _curve_doc(curve: PiecewiseLinearCurve) -> dict:
@@ -462,73 +451,32 @@ def write_case(case: NetworkCase, path, scenario_defaults: dict | None = None) -
     """Emit the YAML document and its CSV sidecars; returns the paths written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    loads_name = f"{path.stem}_loads.csv"
+    loads_path = path.parent / f"{path.stem}_loads.csv"
     doc = {
         "name": case.name,
         "units": dict(CANONICAL_UNITS),
-        "market": {
-            "tau": float(case.tau), "kappa": float(case.kappa),
-            "epsilon": float(case.epsilon),
-            "slack_bus": int(case.slack_bus),
-            "loss_offset": float(case.loss_offset),
-            "loss_direction_dependent": bool(case.loss_direction_dependent),
-        },
-        "buses": [{"id": int(b.id), "loss_sensitivity": float(b.loss_sensitivity)}
-                  for b in case.buses],
-        "branches": [
-            {k: v for k, v in (
-                ("from", int(br.from_bus)), ("to", int(br.to_bus)),
-                ("capacity", float(br.capacity)),
-                ("reactance", None if br.reactance is None else float(br.reactance)),
-                ("ptdf_row", None if br.ptdf_row is None
-                 else [float(x) for x in br.ptdf_row]),
-                ("name", br.name),
-            ) if v is not None and v != ""}
-            for br in case.branches
-        ],
-        "generators": [
-            {
-                "name": g.name, "bus": int(g.bus),
-                "p_min": float(g.p_min), "p_max": float(g.p_max),
-                **({"renewable": True} if g.is_renewable else {}),
-                "fuel_curve": _curve_doc(g.fuel_curve),
-                "emission_curve": _curve_doc(g.emission_curve),
-            }
-            for g in case.generators
-        ],
-        "storages": [
-            {
-                "name": s.name, "bus": int(s.bus), "p_max": float(s.p_max),
-                "eta_c": float(s.eta_c), "eta_d": float(s.eta_d),
-                "e_min": float(s.e_min), "e_max": float(s.e_max),
-                "e_init": float(s.e_init), "gamma_lo": float(s.gamma_lo),
-                "gamma_hi": float(s.gamma_hi), "n_segments": int(s.n_segments),
-            }
-            for s in case.storages
-        ],
-        "series": {"loads": loads_name},
+        "market": _record(case, "market"),
+        "buses": [_record(b, "buses") for b in case.buses],
+        "branches": [_record(br, "branches") for br in case.branches],
+        "generators": [{**_record(g, "generators"),
+                        "fuel_curve": _curve_doc(g.fuel_curve),
+                        "emission_curve": _curve_doc(g.emission_curve)}
+                       for g in case.generators],
+        "storages": [_record(s, "storages") for s in case.storages],
+        "series": {"loads": loads_path.name},
     }
     written = []
     if case.renewable_series:
-        renew_name = f"{path.stem}_renewables.csv"
-        doc["series"]["renewables"] = renew_name
-        renew_path = path.parent / renew_name
+        renew_path = path.parent / f"{path.stem}_renewables.csv"
+        doc["series"]["renewables"] = renew_path.name
         names = sorted(case.renewable_series)
-        with renew_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"plant_{n}" for n in names])
-            for t in range(case.horizon):
-                writer.writerow([repr(float(case.renewable_series[n][t]))
-                                 for n in names])
+        _write_csv(renew_path, [f"plant_{n}" for n in names],
+                   np.column_stack([case.renewable_series[n] for n in names]))
         written.append(renew_path)
     if scenario_defaults:
         doc["scenario"] = dict(scenario_defaults)
-    loads_path = path.parent / loads_name
-    with loads_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"bus_{b.id}" for b in case.buses])
-        for t in range(case.horizon):
-            writer.writerow([repr(float(x)) for x in case.load_series[t]])
+    _write_csv(loads_path, [f"bus_{b.id}" for b in case.buses],
+               case.load_series)
     written.append(loads_path)
     path.write_text(yaml.safe_dump(doc, sort_keys=False, default_flow_style=None))
     written.append(path)
@@ -736,21 +684,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-SCENARIO_GRID = (
-    ("proposed", dict(enable_storage=True, enable_allocation=True)),
-    ("a1", dict(enable_storage=True, enable_allocation=False)),
-    ("a2", dict(enable_storage=False, enable_allocation=True)),
-    ("a3", dict(enable_storage=False, enable_allocation=False)),
-)
-
-
 def _cmd_compare(args) -> int:
     case, defaults = load_case_document(args.case)
     base = _merged_scenario(args, defaults)
     reports: dict[str, SimulationReport] = {}
     matrix_rows = []
-    for name, toggles in SCENARIO_GRID:
-        scenario = dataclasses.replace(base, name=name, **toggles)
+    for factory in (ScenarioConfig.proposed, ScenarioConfig.a1,
+                    ScenarioConfig.a2, ScenarioConfig.a3):
+        scenario = factory(horizon=base.horizon)
+        name = scenario.name
         report = run_horizon(case, scenario)
         reports[name] = report
         matrix_rows.append([name, report.avg_generation_cost,

@@ -168,23 +168,12 @@ class Branch:
     name: str = ""
 
 
-def compute_ptdf(branches, bus_ids, slack_bus) -> np.ndarray:
-    """Branch-by-bus injection sensitivities from reactances.
-
-    Flow on branch l is (theta_from - theta_to)/x_l with the slack bus
-    absorbing every injection, so the slack column is identically zero.
-    """
-    bus_ids = list(bus_ids)
-    index = {b: k for k, b in enumerate(bus_ids)}
-    n = len(bus_ids)
-    if slack_bus not in index:
-        raise TopologyError(f"slack bus {slack_bus} not in bus list")
-    for br in branches:
-        if br.reactance is None or br.reactance <= 0:
-            raise TopologyError(
-                f"branch {br.from_bus}-{br.to_bus} needs a positive reactance"
-            )
-    # Connectivity sweep before any linear algebra.
+def topology_problems(branches, bus_ids) -> list[str]:
+    """Why reactances cannot give these branches' PTDF: each branch without a
+    positive reactance, and the buses no branch reaches. Every branch endpoint
+    must be one of ``bus_ids``."""
+    problems = [f"branch {br.from_bus}-{br.to_bus} needs a positive reactance"
+                for br in branches if br.reactance is None or br.reactance <= 0]
     adjacency: dict[int, set[int]] = {b: set() for b in bus_ids}
     for br in branches:
         adjacency[br.from_bus].add(br.to_bus)
@@ -196,8 +185,25 @@ def compute_ptdf(branches, bus_ids, slack_bus) -> np.ndarray:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    if len(seen) != n:
-        raise TopologyError(f"graph is disconnected: {n - len(seen)} unreachable buses")
+    if len(seen) != len(bus_ids):
+        problems.append(f"graph is disconnected: {len(bus_ids) - len(seen)} unreachable buses")
+    return problems
+
+
+def compute_ptdf(branches, bus_ids, slack_bus) -> np.ndarray:
+    """Branch-by-bus injection sensitivities from reactances.
+
+    Flow on branch l is (theta_from - theta_to)/x_l with the slack bus
+    absorbing every injection, so the slack column is identically zero.
+    """
+    bus_ids = list(bus_ids)
+    index = {b: k for k, b in enumerate(bus_ids)}
+    n = len(bus_ids)
+    if slack_bus not in index:
+        raise TopologyError(f"slack bus {slack_bus} not in bus list")
+    problems = topology_problems(branches, bus_ids)  # before any linear algebra
+    if problems:
+        raise TopologyError("; ".join(problems))
 
     b_mat = np.zeros((n, n))
     flow_sens = np.zeros((len(branches), n))
@@ -326,17 +332,20 @@ def validate_case(case: NetworkCase) -> list[str]:
     known = set(ids)
     if case.slack_bus not in known:
         problems.append(f"slack_bus: {case.slack_bus} is not a bus")
+    endpoints_known = True
     for br in case.branches:
         if br.from_bus not in known or br.to_bus not in known:
             problems.append(f"branch {br.from_bus}-{br.to_bus}: endpoint is not a bus")
+            endpoints_known = False
         if br.capacity <= 0:
             problems.append(f"branch {br.from_bus}-{br.to_bus}: capacity must be > 0")
-        if br.ptdf_row is None and (br.reactance is None or br.reactance <= 0):
-            problems.append(
-                f"branch {br.from_bus}-{br.to_bus}: needs a positive reactance or a ptdf row"
-            )
         if br.ptdf_row is not None and len(br.ptdf_row) != len(ids):
             problems.append(f"branch {br.from_bus}-{br.to_bus}: ptdf row length != bus count")
+    # a branch without a ptdf row has its row computed, from every branch's
+    # reactance; duplicate bus ids are reported above
+    if endpoints_known and len(known) == len(ids) and any(
+            br.ptdf_row is None for br in case.branches):
+        problems += topology_problems(case.branches, ids)
     if case.load_series.shape[1] != len(ids):
         problems.append("load_series: column count != bus count")
     horizon = case.horizon

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -37,8 +38,10 @@ from carbomarket.network_model import (
     NetworkCase,
     PiecewiseLinearCurve,
     StorageUnit,
+    compute_ptdf,
     zero_curve,
 )
+from carbomarket.simulator import ScenarioConfig
 from carbomarket.synthetic import replica30_case
 
 from oracles import dictreader_series
@@ -85,6 +88,39 @@ def two_bus_case(loss_offset=0.0):
         loss_offset=loss_offset, name="two_bus")
 
 
+def all_keys_case():
+    """Every case-file key off its default: ptdf rows, a branch without a
+    reactance and one without a name, a loss-direction-dependent market whose
+    slack is not the first bus, a plant with a floor, a renewable plant, and a
+    storage with its own segment count."""
+    lines = [Branch(1, 2, 40.0, reactance=0.1), Branch(2, 3, 30.0, reactance=0.2),
+             Branch(1, 3, 20.0, reactance=0.25)]
+    rows = compute_ptdf(lines, [1, 2, 3], slack_bus=2)
+    branches = [Branch(1, 2, 40.0, reactance=0.1, ptdf_row=tuple(rows[0])),
+                Branch(2, 3, 30.0, ptdf_row=tuple(rows[1]), name="line1"),
+                Branch(1, 3, 20.0, reactance=0.25, ptdf_row=tuple(rows[2]), name="line2")]
+    coal = Generator(
+        name="coal", bus=1,
+        fuel_curve=PiecewiseLinearCurve(segments=((20.0, 0.0), (30.0, -200.0)),
+                                        domain=(5.0, 60.0)),
+        emission_curve=PiecewiseLinearCurve(segments=((900.0, 0.0),), domain=(5.0, 60.0)),
+        p_min=5.0, p_max=60.0)
+    es = StorageUnit(name="es3", bus=3, p_max=3.0, eta_c=0.9, eta_d=0.92,
+                     e_min=1.0, e_max=12.0, e_init=6.0,
+                     gamma_lo=0.01, gamma_hi=0.07, n_segments=7)
+    return NetworkCase(
+        buses=[Bus(id=1, loss_sensitivity=-0.01), Bus(id=2), Bus(id=3, loss_sensitivity=0.03)],
+        branches=branches, generators=[coal, wind_gen("pv3", 3, 15.0)], storages=[es],
+        load_series=np.array([[10.0, 5.0, 3.5], [12.0, 4.0, 2.0], [9.5, 6.0, 1.25]]),
+        renewable_series={"pv3": np.array([0.0, 7.5, 3.0])},
+        tau=0.5, kappa=0.04, epsilon=2e-4, slack_bus=2, loss_offset=0.2,
+        loss_direction_dependent=True, name="all_keys")
+
+
+ALL_KEYS_SCENARIO = {"name": "custom", "enable_storage": False,
+                     "enable_allocation": False, "horizon": 2}
+
+
 def assert_cases_equal(a: NetworkCase, b: NetworkCase) -> None:
     assert [(x.id, x.loss_sensitivity) for x in a.buses] == \
            [(x.id, x.loss_sensitivity) for x in b.buses]
@@ -115,6 +151,43 @@ def test_round_trip_is_exact(tmp_path):
     case = two_bus_case(loss_offset=0.3)
     write_case(case, tmp_path / "two_bus.yaml")
     assert_cases_equal(load_case(tmp_path / "two_bus.yaml"), case)
+    case = all_keys_case()
+    write_case(case, tmp_path / "all_keys.yaml", scenario_defaults=ALL_KEYS_SCENARIO)
+    loaded, defaults = load_case_document(tmp_path / "all_keys.yaml")
+    assert_cases_equal(loaded, case)
+    assert defaults == ALL_KEYS_SCENARIO
+    text = (tmp_path / "all_keys.yaml").read_text()
+    # None, "" and False are left out of every record but the market's
+    assert "reactance: null" not in text and "name: ''" not in text
+    assert "renewable: false" not in text and "renewable: true" in text
+    assert "loss_direction_dependent: true" in text
+
+
+# constructor arguments read outside SCHEMA: the case's lists, series and
+# name, and a plant's curves
+SPECIAL_ARGS = {
+    "market": {"buses", "branches", "generators", "storages", "load_series",
+               "renewable_series", "name"},
+    "generators": {"fuel_curve", "emission_curve"},
+}
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("market", NetworkCase), ("buses", Bus), ("branches", Branch), ("generators", Generator),
+    ("storages", StorageUnit), ("scenario", ScenarioConfig)])
+def test_every_constructor_argument_has_one_schema_key(section, cls):
+    # a field added to a dataclass fails here until the file format carries it
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    table = cli_io.SCHEMA[section]
+    args = [arg for arg, _, _ in table.values()]
+    assert len(args) == len(set(args))
+    assert not set(args) & SPECIAL_ARGS.get(section, set())
+    assert set(args) | SPECIAL_ARGS.get(section, set()) == set(fields)
+    for key, (arg, _, default) in table.items():
+        if default is cli_io.REQUIRED:
+            assert fields[arg].default is dataclasses.MISSING, key
+        elif fields[arg].default is not dataclasses.MISSING:
+            assert default == fields[arg].default, key
 
 
 def test_a_retired_market_delta_still_loads(tmp_path):
@@ -219,6 +292,50 @@ def test_empty_and_malformed_documents(tmp_path):
         load_case(listy)
     with pytest.raises(CaseFormatError, match="no such case"):
         load_case(tmp_path / "missing.yaml")
+
+
+def three_bus_case_with_an_island():
+    case = two_bus_case()
+    case.buses.append(Bus(id=3))
+    case.load_series = np.column_stack([case.load_series, np.zeros(case.horizon)])
+    return case
+
+
+def two_bus_case_with_a_reactance_missing():
+    # the row given for the first branch does not stand in for its reactance:
+    # the second branch's row is computed from both branches' reactances
+    case = two_bus_case()
+    case.branches = [Branch(1, 2, 5.0, ptdf_row=(0.0, -0.5)), *case.branches]
+    return case
+
+
+@pytest.mark.parametrize("make, problem", [
+    (three_bus_case_with_an_island, "graph is disconnected: 1 unreachable buses"),
+    (two_bus_case_with_a_reactance_missing, "branch 1-2 needs a positive reactance"),
+], ids=["island", "reactance-missing"])
+def test_a_network_that_cannot_give_a_ptdf_exits_3(tmp_path, capsys, make, problem):
+    write_case(make(), tmp_path / "c.yaml")
+    with pytest.raises(CaseSchemaError) as err:
+        load_case(tmp_path / "c.yaml")
+    assert err.value.problems == [problem]
+    assert main(["clear", "--case", str(tmp_path / "c.yaml")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error code=3 kind=data" in err
+    assert problem in err
+
+
+def test_an_empty_bus_list_exits_3(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    write_case(two_bus_case(), path)
+    doc = yaml.safe_load(path.read_text())
+    doc["buses"] = []
+    del doc["market"]["slack_bus"]  # which would default to the first bus
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(CaseSchemaError) as err:
+        load_case(path)
+    assert err.value.problems == ["buses: needs at least one bus"]
+    assert main(["clear", "--case", str(path)]) == EXIT_DATA
+    assert "buses: needs at least one bus" in capsys.readouterr().err
 
 
 def test_semantic_validation_cites_the_invariant(tmp_path):
@@ -420,6 +537,35 @@ def test_a_scenario_horizon_below_one_exits_3(tmp_path, capsys, horizon):
                  "--out", str(out)]) == EXIT_DATA
     assert "scenario.horizon" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ("name: [1, 2]\n", "scenario.name: expected a string, got [1, 2]"),
+    ("enable_storage: 'yes'\n", "scenario.enable_storage: expected true/false, got 'yes'"),
+    ("horizon: 2.5\n", "scenario.horizon: expected an integer, got 2.5"),
+], ids=["name-list", "storage-string", "horizon-float"])
+def test_a_scenario_value_of_the_wrong_type_exits_3(tmp_path, capsys, doc, problem):
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(doc)
+    with pytest.raises(CaseSchemaError) as err:
+        load_scenario(scenario)
+    assert err.value.problems == [problem]
+    out = tmp_path / "r"
+    assert main(["simulate", "--case", str(tmp_path / "c.yaml"), "--scenario", str(scenario),
+                 "--out", str(out)]) == EXIT_DATA
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+    # a case document's scenario section is read the same way
+    write_case(two_bus_case(), tmp_path / "d.yaml", scenario_defaults=yaml.safe_load(doc))
+    with pytest.raises(CaseSchemaError, match=re.escape(problem)):
+        load_case(tmp_path / "d.yaml")
+
+
+def test_a_null_scenario_horizon_runs_the_full_series(tmp_path):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("horizon: null\n")
+    assert load_scenario(scenario) == ScenarioConfig()
 
 
 def test_scenario_file_rejects_price_taking_methods(tmp_path):
