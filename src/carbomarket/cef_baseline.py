@@ -56,7 +56,6 @@ class FlowGraph:
         bids = clearing.bids
         demand = bids.demand.copy()
         generation: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        sigma_by_agent = dict(zip(clearing.form.sigma_agents, clearing.sigma))
         for idx, agent in enumerate(bids.agents):
             p = float(clearing.dispatch[idx])
             pos = bus_index[agent.bus]
@@ -66,8 +65,8 @@ class FlowGraph:
                 elif p > FLOW_TOL:
                     generation[pos].append((p, 0.0))  # discharge carries no emission
             elif p > FLOW_TOL:
-                sigma = float(sigma_by_agent.get(idx, 0.0))  # kg/h
-                generation[pos].append((p, sigma / (1000.0 * p)))
+                emission = float(clearing.emission[idx])  # kg/h
+                generation[pos].append((p, emission / (1000.0 * p)))
         edges = []
         for l, br in enumerate(case.branches):
             f = float(clearing.flows[l])

@@ -104,9 +104,7 @@ def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> Assembled
         demand=net_demand, tau=full.tau, n_agents=plants.size, n_branches=full.n_branches,
         p_shift=p_shift, column_agent=renumber[full.column_agent[is_plant]],
         cost_slope=full.cost_slope[is_plant], emission_slope=full.emission_slope[is_plant],
-        cost_at_min=full.cost_at_min[plants], emission_at_min=emission_at_min,
-        sigma_agents=tuple(int(renumber[k]) for k in full.sigma_agents if renumber[k] >= 0),
-        row_labels=full.row_labels, loss=full.loss,
+        cost_at_min=full.cost_at_min[plants], emission_at_min=emission_at_min, loss=full.loss,
         column_keys=tuple(full.column_keys[j] for j in cols),
     )
 

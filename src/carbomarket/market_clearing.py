@@ -105,8 +105,6 @@ class AssembledMarket:
     # per agent: f(p_min), and e(p_min) (0 for agents without emission curve)
     cost_at_min: np.ndarray
     emission_at_min: np.ndarray
-    sigma_agents: tuple[int, ...]
-    row_labels: tuple[str, ...]
     loss: np.ndarray
     # layout-independent name of each column
     column_keys: tuple[tuple, ...]
@@ -120,10 +118,9 @@ class AssembledMarket:
     def cost_values(self, x: np.ndarray) -> np.ndarray:
         return self.cost_at_min + self._per_agent(self.cost_slope * x[: self.column_agent.size])
 
-    def sigma_values(self, x: np.ndarray) -> np.ndarray:
-        emission = self.emission_at_min + self._per_agent(
+    def emission_values(self, x: np.ndarray) -> np.ndarray:
+        return self.emission_at_min + self._per_agent(
             self.emission_slope * x[: self.column_agent.size])
-        return emission[list(self.sigma_agents)]
 
 
 @dataclass
@@ -145,8 +142,8 @@ class ClearingResult:
     at_upper: tuple[tuple, ...] = ()
     loss_converged: bool = True
     loss_iterations: int = 1
-    # emission of each of form.sigma_agents, kg/h
-    sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # emission of each agent, kg/h, in bids.agents order; 0 without an emission curve
+    emission: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # how the final solve started: warm (a previous clearing's basis) or
     # crash (the merit-order crash basis, or no solve without segment columns)
     outcome: str = "crash"
@@ -208,7 +205,6 @@ def assemble_clearing_lp(
         raise ValueError(f"agent {a.name} sits on bus {a.bus}, whose loss sensitivity "
                          f"{agent_loss[lost[0]]:g} leaves it nothing to deliver")
     p_shift = np.array([a.p_min for a in agents], dtype=float)
-    sigma_agents = tuple(k for k, a in enumerate(agents) if a.emission_curve is not None)
 
     pieces = [_pieces(a) for a in agents]
     width, cost_slope, emission_slope = (
@@ -228,7 +224,6 @@ def assemble_clearing_lp(
     a_mat[1:, n_seg:] = np.eye(n_br)
     g = np.vstack([1.0 - loss, ptdf])
     h = _rhs_offset(case, agent_loss, t_agent, p_shift, caps)
-    labels = ["balance"] + [f"branch {br.name or l}" for l, br in enumerate(case.branches)]
 
     k_scale = case.kappa * case.tau / 2.0
     problem = LpProblem(
@@ -243,8 +238,7 @@ def assemble_clearing_lp(
         demand=demand, tau=case.tau, n_agents=n_agents, n_branches=n_br,
         p_shift=p_shift, column_agent=col_agent, cost_slope=cost_slope,
         emission_slope=emission_slope,
-        cost_at_min=cost_at_min, emission_at_min=emission_at_min,
-        sigma_agents=sigma_agents, row_labels=tuple(labels), loss=loss,
+        cost_at_min=cost_at_min, emission_at_min=emission_at_min, loss=loss,
         column_keys=tuple(keys),
     )
 
@@ -282,18 +276,18 @@ def extract_result(
     mu_minus = np.maximum(y[1 : 1 + n_br], 0.0)
     lmp = compute_lmps(lambda_bar, mu_minus, mu_plus, form.loss, case.ptdf)
     flows = case.ptdf @ (_injection(case, bids, p) - form.demand) if n_br else np.zeros(0)
-    sigma = form.sigma_values(x)
+    emission = form.emission_values(x)
     return ClearingResult(
         dispatch=p,
         agent_names=tuple(a.name for a in bids.agents),
         lambda_bar=lambda_bar, mu_minus=mu_minus, mu_plus=mu_plus,
         lmp=lmp, flows=flows,
         total_cost=float(form.cost_values(x).sum()),
-        total_emission=float(sigma.sum()),
+        total_emission=float(emission.sum()),
         bids=bids, degenerate=sol.degenerate,
         basis=tuple(form.column_keys[j] for j in sol.basis),
         at_upper=tuple(form.column_keys[j] for j in sol.at_upper),
-        sigma=sigma, form=form,
+        emission=emission, form=form,
     )
 
 
@@ -303,7 +297,7 @@ def _map_start(form: AssembledMarket, keys, upper_keys) -> tuple[np.ndarray, lis
     layout has; None when the keys are not one per row or some key names no
     column of this layout."""
     index = {key: j for j, key in enumerate(form.column_keys)}
-    if len(keys) != len(form.row_labels) or not all(k in index for k in keys):
+    if len(keys) != form.problem.constraint_count or not all(k in index for k in keys):
         return None
     return np.array([index[k] for k in keys], dtype=int), [index[k] for k in upper_keys if k in index]
 
@@ -384,7 +378,7 @@ def clear_market(
             crash = _merit_order_start(problem)
             sol = _fixed_point(problem) if crash is None else solve_with_basis(problem, *crash)
         if sol is None or sol.status is LpStatus.INFEASIBLE:
-            raise _infeasible(form, solve(problem))
+            raise _infeasible(case, solve(problem))
         result = extract_result(case, form, sol, bids)
         result.outcome = "crash" if carried is None else "warm"
         result.loss_iterations = it
@@ -400,14 +394,15 @@ def clear_market(
     return result
 
 
-def _infeasible(form: AssembledMarket, sol: LpSolution) -> MarketInfeasibleError:
+def _infeasible(case: NetworkCase, sol: LpSolution) -> MarketInfeasibleError:
     """The error naming the most violated row of an infeasible clearing."""
     worst = int(np.argmax(np.abs(sol.row_violations)))
     excess = float(sol.row_violations[worst])
-    label = form.row_labels[worst]
+    label = "balance"
     if worst > 0:
         # flow above +cap leaves the row's activity above its rhs
-        label += " upper" if excess > 0.0 else " lower"
+        label = (f"branch {case.branches[worst - 1].name or worst - 1}"
+                 + (" upper" if excess > 0.0 else " lower"))
     gap = abs(excess)
     return MarketInfeasibleError(
         f"market infeasible; most violated: {label} (short by {gap:.6g})",

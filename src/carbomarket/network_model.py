@@ -178,8 +178,8 @@ def topology_problems(branches, bus_ids) -> list[str]:
     for br in branches:
         adjacency[br.from_bus].add(br.to_bus)
         adjacency[br.to_bus].add(br.from_bus)
-    seen = {bus_ids[0]}
-    stack = [bus_ids[0]]
+    seen = set(bus_ids[:1])
+    stack = list(bus_ids[:1])
     while stack:
         for nxt in adjacency[stack.pop()]:
             if nxt not in seen:
@@ -342,9 +342,10 @@ def validate_case(case: NetworkCase) -> list[str]:
         if br.ptdf_row is not None and len(br.ptdf_row) != len(ids):
             problems.append(f"branch {br.from_bus}-{br.to_bus}: ptdf row length != bus count")
     # a branch without a ptdf row has its row computed, from every branch's
-    # reactance; duplicate bus ids are reported above
-    if endpoints_known and len(known) == len(ids) and any(
-            br.ptdf_row is None for br in case.branches):
+    # reactance, and a network without branches reaches no bus beyond the
+    # first; duplicate bus ids are reported above
+    if endpoints_known and len(known) == len(ids) and (not case.branches or any(
+            br.ptdf_row is None for br in case.branches)):
         problems += topology_problems(case.branches, ids)
     if case.load_series.shape[1] != len(ids):
         problems.append("load_series: column count != bus count")

@@ -29,7 +29,6 @@ from .storage_policy import (
     initial_state,
     offline_optimal,
     optimal_power,
-    power_bounds,
     update_state,
 )
 
@@ -277,9 +276,9 @@ def run_period(
     if scenario.enable_storage:
         for unit in case.storages:
             state = states[unit.name]
-            lo, hi = power_bounds(state.q, params[unit.name], unit, case.tau)
-            bounds[unit.name] = (lo, hi)
             curve = bid_curve(state.q, state.psi_prev, params[unit.name], unit, case.tau)
+            # the offer is the range the curve covers
+            lo, hi = bounds[unit.name] = curve.domain
             agents.append(AgentBid(
                 name=unit.name, bus=unit.bus, cost_curve=curve,
                 p_min=lo, p_max=hi, is_storage=True,
@@ -327,8 +326,7 @@ def run_period(
         congestion_rent=ledger.congestion_rent,
         emission_pot=ledger.emission_pot,
         settlement_residual=ledger.residual_rel,
-        sigma={clearing.agent_names[k]: float(s)
-               for k, s in zip(clearing.form.sigma_agents, clearing.sigma)},
+        sigma=dict(zip(clearing.agent_names, clearing.emission.tolist())),
         allocation_breakpoints=tuple(float(y) for y, _ in allocation.breakpoints)
         if allocation else (),
         allocation_iterations=allocation.iterations if allocation else 0,
@@ -358,19 +356,18 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
     warm_upper: tuple[tuple, ...] = ()
     for t in range(t_end):
         try:
-            record, clearing, allocation = run_period(
+            record, clearing, _ = run_period(
                 case, scenario, t, states, params, warm_basis=warm, warm_upper=warm_upper)
         except Exception as exc:
             partial = SimulationReport.from_records(scenario, records, case.tau)
             raise SimulationAbort(f"period {t}: {exc}", partial) from exc
         warm, warm_upper = clearing.basis, clearing.at_upper
         if scenario.enable_storage:
-            psi = allocation.psi if allocation is not None else np.zeros(case.n_buses)
             for unit in case.storages:
                 p = clearing.power(unit.name)
                 advanced = update_state(states[unit.name], p, case.tau, unit)
                 states[unit.name] = dataclasses.replace(
-                    advanced, psi_prev=float(psi[case.bus_index[unit.bus]]))
+                    advanced, psi_prev=float(record.psi[case.bus_index[unit.bus]]))
         records.append(record)
     return SimulationReport.from_records(scenario, records, case.tau)
 
@@ -406,26 +403,23 @@ def replay_storage(
                             soc=sched.soc, rate=rate)
     if params is None:
         params = b1_parameters(unit, tau) if method == "b1" else choose_parameters(unit)
-    e = unit.e_init
-    q = e - params.e_s
+    state = initial_state(unit, params)
     power = np.zeros(gammas.size)
     soc = np.zeros(gammas.size)
     for t, gamma in enumerate(gammas):
         if method == "proposed":
-            p = optimal_power(q, gamma, params, unit, tau)
+            p = optimal_power(state.q, gamma, params, unit, tau)
         elif method == "b1":
-            p = b1_power(q, gamma, params, unit, tau)
+            p = b1_power(state.q, gamma, params, unit, tau)
         elif method == "b2":
-            p = b2_power(gamma, StorageState(e=e, q=q), unit, tau)
+            p = b2_power(gamma, state, unit, tau)
         else:
             raise ValueError(f"unknown replay method {method!r}")
-        lo, hi = feasible_power_range(e, unit, tau)
+        lo, hi = feasible_power_range(state.e, unit, tau)
         p = float(np.clip(p, lo, hi))
-        delta = -p * tau / unit.eta_d if p >= 0 else -p * tau * unit.eta_c
-        e += delta
-        q += delta
+        state = update_state(state, p, tau, unit)
         power[t] = p
-        soc[t] = e
+        soc[t] = state.e
     revenue = np.cumsum(1000.0 * gammas * power * tau)
     rate = fit_revenue_rate(revenue, tau)
     return ReplayResult(method=method, revenue=revenue, power=power, soc=soc, rate=rate)

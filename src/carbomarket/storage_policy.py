@@ -134,13 +134,14 @@ def bid_curve(
     unit: StorageUnit,
     tau: float,
 ) -> PiecewiseLinearCurve:
-    """Sampled convex bid in market units ($/h versus MW), zero at rest."""
+    """Sampled convex bid in market units ($/h versus MW), zero at rest, on
+    the net-power range ``power_bounds`` gives: its domain is the offer."""
     n = unit.n_segments
     if n < 2:
         raise ValueError(f"need at least 2 sample points, got {n}")
     lo, hi = power_bounds(q, params, unit, tau)
     if hi - lo <= 1e-12:
-        return zero_curve(0.0, 0.0)
+        return zero_curve(lo, hi)
     # uniform sampling per side of the kink at rest, never coarser than the
     # single-interval step, so cleared dispatch stays within one step of the
     # exact policy

@@ -309,10 +309,17 @@ def two_bus_case_with_a_reactance_missing():
     return case
 
 
+def two_bus_case_without_branches():
+    case = two_bus_case()
+    case.branches = []
+    return case
+
+
 @pytest.mark.parametrize("make, problem", [
     (three_bus_case_with_an_island, "graph is disconnected: 1 unreachable buses"),
     (two_bus_case_with_a_reactance_missing, "branch 1-2 needs a positive reactance"),
-], ids=["island", "reactance-missing"])
+    (two_bus_case_without_branches, "graph is disconnected: 1 unreachable buses"),
+], ids=["island", "reactance-missing", "no-branches"])
 def test_a_network_that_cannot_give_a_ptdf_exits_3(tmp_path, capsys, make, problem):
     write_case(make(), tmp_path / "c.yaml")
     with pytest.raises(CaseSchemaError) as err:
@@ -322,6 +329,17 @@ def test_a_network_that_cannot_give_a_ptdf_exits_3(tmp_path, capsys, make, probl
     err = capsys.readouterr().err
     assert "error code=3 kind=data" in err
     assert problem in err
+
+
+def test_a_one_bus_case_without_branches_clears(tmp_path, capsys):
+    case = two_bus_case()
+    case.buses, case.branches = [Bus(id=1)], []
+    case.generators = [dataclasses.replace(g, bus=1) for g in case.generators]
+    case.storages = [dataclasses.replace(s, bus=1) for s in case.storages]
+    case.load_series = case.load_series.sum(axis=1, keepdims=True)
+    write_case(case, tmp_path / "c.yaml")
+    assert main(["clear", "--case", str(tmp_path / "c.yaml"), "--period", "0"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("period=0 lambda_bar=")
 
 
 def test_an_empty_bus_list_exits_3(tmp_path, capsys):

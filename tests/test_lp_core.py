@@ -15,11 +15,19 @@ from carbomarket.lp_core import (
     LpProblem,
     LpSolution,
     LpStatus,
+    SimplexNumericalError,
     feasibility_interval,
     solve,
     solve_with_basis,
 )
-from oracles import looped_feasibility_interval, tableau_simplex, two_phase_solve
+from carbomarket.market_clearing import assemble_clearing_lp
+from oracles import (
+    highs_solve,
+    looped_feasibility_interval,
+    random_small_case,
+    tableau_simplex,
+    two_phase_solve,
+)
 
 
 def qr_start(prob):
@@ -723,3 +731,64 @@ def test_solve_with_basis_adopts_only_an_inverse_of_its_own_basis(monkeypatch):
         assert count == 1
         for field in ("basis", "primal", "duals"):
             assert np.array_equal(getattr(sol, field), getattr(ref, field))
+
+
+def test_a_run_of_degenerate_pivots_switches_to_blands_rule(caplog):
+    # zero cost, sum (1 + j/100) x_j = 5.8 over ten columns in [0, 1], from
+    # start basis [0]: every pivot is dual degenerate. The largest tableau
+    # entry enters first (columns 9, 8, 7, 6); the run then exceeds 3m = 3,
+    # and Bland's rule lets the lowest index, column 1, enter fifth
+    prob = LpProblem(cost=np.zeros(10), constraint_matrix=[1.0 + np.arange(10) / 100.0],
+                     rhs=[5.8], upper=np.ones(10))
+    with caplog.at_level(logging.DEBUG, logger=lp_core.logger.name):
+        sol = solve_with_basis(prob, [0])
+    assert sol.status is LpStatus.OPTIMAL and sol.iterations == 5 and sol.bound_flips == 0
+    assert sol.basis.tolist() == [1] and sol.at_upper.tolist() == [0, 6, 7, 8, 9]
+    assert sol.primal[1] == pytest.approx(0.5 / 1.01, rel=1e-12)
+    pivots = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dual pivot=")]
+    assert [line.split(" leave=")[0] for line in pivots] == [
+        "dual pivot=0 enter=9", "dual pivot=1 enter=8", "dual pivot=2 enter=7",
+        "dual pivot=3 enter=6", "dual pivot=4 enter=1"]
+    assert all(" step=0 " in line for line in pivots)
+
+
+def test_an_exhausted_pivot_budget_raises_after_the_paranoid_retry(monkeypatch, caplog):
+    # sum x = 5 over ten columns in [0, 1] takes four pivots from basis [0]
+    prob = LpProblem(cost=np.zeros(10), constraint_matrix=np.ones((1, 10)), rhs=[5.0],
+                     upper=np.ones(10))
+    monkeypatch.setattr(lp_core, "_pivot_budget", lambda m, n: 1)
+    with caplog.at_level(logging.DEBUG, logger=lp_core.logger.name):
+        with pytest.raises(SimplexNumericalError, match="pivot budget exhausted"):
+            solve_with_basis(prob, [0])
+    headers = [r.getMessage() for r in caplog.records if r.getMessage().startswith("warm ")]
+    assert headers == ["warm m=1 n=10 paranoid=0", "warm m=1 n=10 paranoid=1"]
+
+
+def test_refactoring_before_every_pivot_on_an_updated_inverse_keeps_the_optimum(monkeypatch):
+    # at RISKY_PIVOT_TOL = 1 every pivot taken on an eta-updated inverse is
+    # put off for a fresh factorization first; clearing LPs solved from a QR
+    # start take several pivots, and the optimum and duals must not move
+    factorizations, factor = [], lp_core.lu_factor
+
+    def counting(bmat):
+        factorizations.append(bmat.shape)
+        return factor(bmat)
+
+    monkeypatch.setattr(lp_core, "lu_factor", counting)
+    rng = np.random.default_rng(2718)
+    problems = [assemble_clearing_lp(*random_small_case(rng, min_output_prob=0.3))[0]
+                for _ in range(15)]
+    plain = [solve_from_qr(prob) for prob in problems]
+    plain_count = len(factorizations)
+    monkeypatch.setattr(lp_core, "RISKY_PIVOT_TOL", 1.0)
+    for prob, want in zip(problems, plain):
+        got = solve_from_qr(prob)
+        assert got.status is LpStatus.OPTIMAL
+        assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(got.duals, want.duals, rtol=1e-12, atol=1e-12)
+        oracle = highs_solve(prob)
+        assert abs(got.objective - oracle.fun) <= 1e-9 * max(1.0, abs(oracle.fun))
+        scale = max(1.0, np.abs(oracle.eqlin.marginals).max())
+        assert np.abs(got.duals - oracle.eqlin.marginals).max() <= 1e-9 * scale
+    # the patched solves factored more than their start bases
+    assert len(factorizations) - plain_count > plain_count == len(problems)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from carbomarket.market_clearing import AgentBid, BidSet, assemble_clearing_lp
 from carbomarket.network_model import (
     Branch,
     Bus,
@@ -116,6 +119,15 @@ def test_explicit_ptdf_rows_take_precedence():
     case = _small_case()
     case.branches[0] = Branch(1, 2, 5.0, reactance=0.1, ptdf_row=(0.0, -0.5))
     assert case.ptdf[0, 1] == pytest.approx(-0.5)
+    # beside computed rows, which take every branch's reactance, the given
+    # branch's included
+    branches = [Branch(1, 2, 5.0, reactance=0.1, ptdf_row=(0.0, -0.3, -0.6)),
+                Branch(2, 3, 5.0, reactance=0.2), Branch(1, 3, 5.0, reactance=0.25)]
+    case = NetworkCase(buses=[Bus(1), Bus(2), Bus(3)], branches=branches, generators=[],
+                       storages=[], load_series=np.zeros((1, 3)))
+    assert case.ptdf[0].tolist() == [0.0, -0.3, -0.6]
+    np.testing.assert_allclose(case.ptdf[1:], lu_ptdf(branches, [1, 2, 3], 1)[1:],
+                               rtol=0, atol=1e-12)
 
 
 def test_curve_single_segment():
@@ -239,3 +251,115 @@ def test_thirty_bus_replica_case_is_clean():
     assert len(case.branches) == 41
     assert len([g for g in case.generators if not g.is_renewable]) == 6
     assert len(case.storages) == 2
+
+
+def test_a_line_never_on_top_is_left_out_of_the_curve():
+    # what a fuel_curve entry {segments: [[10, 0], [20, -60], [30, -100]],
+    # domain: [0, 10]} reads to: the middle line stays below max(10p, 30p - 100)
+    curve = PiecewiseLinearCurve(segments=((10.0, 0.0), (20.0, -60.0), (30.0, -100.0)),
+                                 domain=(0.0, 10.0))
+    grid = np.linspace(0.0, 10.0, 101)
+    np.testing.assert_array_equal(curve.value(grid), np.maximum(10.0 * grid, 30.0 * grid - 100.0))
+    assert curve.breakpoints() == [5.0]
+    slopes, intercepts, starts = curve.envelope()
+    assert slopes.tolist() == [10.0, 30.0] and intercepts.tolist() == [0.0, -100.0]
+    assert starts.tolist() == [-np.inf, 5.0]
+    case = NetworkCase(buses=[Bus(1)], branches=[], generators=[], storages=[],
+                       load_series=np.zeros((1, 1)))
+    bid = AgentBid(name="g", bus=1, cost_curve=curve, p_min=0.0, p_max=10.0)
+    problem, form = assemble_clearing_lp(case, BidSet(agents=[bid], demand=np.array([7.0])))
+    assert form.cost_slope.tolist() == [10.0, 30.0]
+    assert problem.upper.tolist() == [5.0, 5.0]
+
+
+def _with_generator(**changes):
+    def mutate(case):
+        case.generators[0] = replace(case.generators[0], **changes)
+    return mutate
+
+
+def _with_storage(**changes):
+    def mutate(case):
+        case.storages[0] = replace(case.storages[0], **changes)
+    return mutate
+
+
+def _with_branch(**changes):
+    def mutate(case):
+        case.branches[0] = replace(case.branches[0], **changes)
+    return mutate
+
+
+def _with(**changes):
+    def mutate(case):
+        for name, value in changes.items():
+            setattr(case, name, value)
+    return mutate
+
+
+NAN = float("nan")
+# covers only half of the plant's [0, 10]
+SHORT = PiecewiseLinearCurve(segments=((1.0, 0.0),), domain=(0.0, 5.0))
+DIPPING = PiecewiseLinearCurve(segments=((1.0, -5.0),), domain=(0.0, 10.0))
+
+
+BROKEN_RULES = [
+    ("tau-finite", _with(tau=NAN), "market: tau must be finite"),
+    ("load-finite", _with(load_series=np.array([[0.0, NAN], [0.0, 4.0]])),
+     "series: load_series must be finite"),
+    ("renewable-finite", _with(renewable_series={"g1": np.array([NAN, 1.0])}),
+     "series: renewable_series[g1] must be finite"),
+    ("loss-finite", _with(buses=[Bus(1, loss_sensitivity=NAN), Bus(2)]),
+     "bus 1: loss_sensitivity must be finite"),
+    ("capacity-finite", _with_branch(capacity=float("inf")),
+     "branch 1-2: capacity must be finite"),
+    ("domain-finite", _with_generator(fuel_curve=replace(SHORT, domain=(0.0, float("inf")))),
+     "generator g1 fuel_curve: domain must be finite"),
+    ("storage-finite", _with_storage(p_max=NAN), "storage s1: p_max must be finite"),
+    ("duplicate-bus", _with(buses=[Bus(1), Bus(2), Bus(2)], load_series=np.zeros((2, 3))),
+     "buses: duplicate bus ids"),
+    ("slack", _with(slack_bus=7), "slack_bus: 7 is not a bus"),
+    ("endpoint", _with_branch(to_bus=99), "branch 1-99: endpoint is not a bus"),
+    ("capacity", _with_branch(capacity=0.0), "branch 1-2: capacity must be > 0"),
+    ("ptdf-length", _with_branch(ptdf_row=(0.0,)), "branch 1-2: ptdf row length != bus count"),
+    ("reactance", _with_branch(reactance=None), "branch 1-2 needs a positive reactance"),
+    ("island", _with(buses=[Bus(1), Bus(2), Bus(3)], load_series=np.zeros((2, 3))),
+     "graph is disconnected: 1 unreachable buses"),
+    ("no-branches", _with(branches=[]), "graph is disconnected: 1 unreachable buses"),
+    ("load-columns", _with(load_series=np.zeros((2, 3))),
+     "load_series: column count != bus count"),
+    ("renewable-length", _with(renewable_series={"g1": np.array([1.0])}),
+     "renewable_series[g1]: length != load horizon 2"),
+    ("kappa", _with(kappa=-0.05), "kappa: must be >= 0"),
+    ("epsilon", _with(epsilon=0.0), "epsilon: must be > 0"),
+    ("tau", _with(tau=0.0), "tau: must be > 0"),
+    ("duplicate-names", _with_storage(name="g1"), "agents: duplicate names"),
+    ("generator-bus", _with_generator(bus=9), "generator g1: bus 9 is not a bus"),
+    ("p_min", _with_generator(p_min=6.0, p_max=5.0), "generator g1: p_min exceeds p_max"),
+    ("fuel-domain", _with_generator(fuel_curve=SHORT),
+     "generator g1: fuel curve domain does not cover [p_min, p_max]"),
+    ("emission-domain", _with_generator(emission_curve=SHORT),
+     "generator g1: emission curve domain does not cover [p_min, p_max]"),
+    ("negative-emission", _with_generator(emission_curve=DIPPING),
+     "generator g1: emission curve goes negative on its operating range"),
+    ("renewable-emission", _with_generator(is_renewable=True),
+     "generator g1: renewable plants must have a zero emission curve"),
+    ("storage-bus", _with_storage(bus=9), "storage s1: bus 9 is not a bus"),
+    ("efficiency", _with_storage(eta_c=1.5), "storage s1: efficiencies must lie in (0, 1]"),
+    ("e_min", _with_storage(e_min=5.0, e_max=5.0), "storage s1: e_min must be < e_max"),
+    ("e_init", _with_storage(e_init=9.5), "storage s1: e_init outside [e_min, e_max]"),
+    ("storage-p_max", _with_storage(p_max=0.0), "storage s1: p_max must be > 0"),
+    ("gamma_lo", _with_storage(gamma_lo=-0.01), "storage s1: gamma_lo must be >= 0"),
+    ("round-trip", _with_storage(gamma_lo=0.08),
+     "storage s1: needs gamma_lo < gamma_hi*eta_c*eta_d "
+     "(price range must leave a profitable round trip)"),
+    ("n_segments", _with_storage(n_segments=1), "storage s1: n_segments must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("mutate, problem", [rule[1:] for rule in BROKEN_RULES],
+                         ids=[rule[0] for rule in BROKEN_RULES])
+def test_each_broken_rule_reports_its_own_message(mutate, problem):
+    case = _small_case()
+    mutate(case)
+    assert validate_case(case) == [problem]
