@@ -6,7 +6,10 @@ intensity.  Solved as a linear system over bus intensities so cyclic flow
 patterns need no special casing.
 
 Units: intensities are kgCO2/kWh, powers MW.  The 1000s cancel
-inside the nodal balance, so the system is assembled in composite units.
+inside the nodal balance, so the system is assembled in composite units:
+``FlowGraph.emitted`` is MW x kgCO2/kWh (tCO2/h), each plant's kg/h emission
+over 1000, and a bus's throughput times its intensity is its emitted plus
+each import's flow times the intensity it comes in at.
 """
 
 from __future__ import annotations
@@ -28,54 +31,43 @@ class CefSingularError(RuntimeError):
 @dataclass
 class FlowGraph:
     bus_ids: list[int]
-    edges: list[tuple[int, int, float]]  # (from position, to position, MW > 0)
-    generation: list[list[tuple[float, float]]]  # per bus: (MW, kgCO2/kWh)
+    edges: np.ndarray  # (k, 2) bus positions (from, to), one row per branch carrying flow
+    flow: np.ndarray  # MW > 0 along each edge
+    generation: np.ndarray  # MW put in per bus
+    emitted: np.ndarray  # MW x kgCO2/kWh put in per bus
     demand: np.ndarray  # effective withdrawal per bus, MW
 
     @property
     def n_buses(self) -> int:
         return len(self.bus_ids)
 
+    def _sum_at(self, end: int) -> np.ndarray:
+        """Edge flow summed by each edge's from (0) or to (1) bus."""
+        return np.bincount(self.edges[:, end], weights=self.flow, minlength=self.n_buses)
+
     def throughput(self) -> np.ndarray:
         """Total inflow (local generation plus imports) per bus."""
-        total = np.array([sum(p for p, _ in gens) for gens in self.generation])
-        for _, j, p in self.edges:
-            total[j] += p
-        return total
+        return self.generation + self._sum_at(1)
 
     def conservation_residual(self) -> np.ndarray:
-        outflow = self.demand.astype(float).copy()
-        for i, _, p in self.edges:
-            outflow[i] += p
-        return self.throughput() - outflow
+        return self.throughput() - (self.demand + self._sum_at(0))
 
     @classmethod
     def from_clearing(cls, case: NetworkCase, clearing: ClearingResult) -> "FlowGraph":
+        form, p = clearing.form, clearing.dispatch
+        # a storage emits nothing, and its charging behaves like extra load
+        injecting = p > FLOW_TOL
+        charging = np.where(form.storage & (p < -FLOW_TOL), p, 0.0)
         bus_index = case.bus_index
-        n = case.n_buses
-        bids = clearing.bids
-        demand = bids.demand.copy()
-        generation: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        for idx, agent in enumerate(bids.agents):
-            p = float(clearing.dispatch[idx])
-            pos = bus_index[agent.bus]
-            if agent.is_storage:
-                if p < -FLOW_TOL:
-                    demand[pos] += -p  # charging behaves like extra load
-                elif p > FLOW_TOL:
-                    generation[pos].append((p, 0.0))  # discharge carries no emission
-            elif p > FLOW_TOL:
-                emission = float(clearing.emission[idx])  # kg/h
-                generation[pos].append((p, emission / (1000.0 * p)))
-        edges = []
-        for l, br in enumerate(case.branches):
-            f = float(clearing.flows[l])
-            if f > FLOW_TOL:
-                edges.append((bus_index[br.from_bus], bus_index[br.to_bus], f))
-            elif f < -FLOW_TOL:
-                edges.append((bus_index[br.to_bus], bus_index[br.from_bus], -f))
-        graph = cls(bus_ids=list(case.bus_ids), edges=edges,
-                    generation=generation, demand=demand)
+        ends = np.array([[bus_index[br.from_bus], bus_index[br.to_bus]]
+                         for br in case.branches], dtype=int).reshape(-1, 2)
+        f = clearing.flows
+        carrying = np.abs(f) > FLOW_TOL
+        edges = np.where((f < 0.0)[:, None], ends[:, ::-1], ends)[carrying]
+        graph = cls(bus_ids=list(case.bus_ids), edges=edges, flow=np.abs(f[carrying]),
+                    generation=form.injection(np.where(injecting, p, 0.0)),
+                    emitted=form.injection(np.where(injecting, clearing.emission / 1000.0, 0.0)),
+                    demand=clearing.bids.demand - form.injection(charging))
         # fold any loss residual into the withdrawals so flows conserve exactly
         residual = graph.conservation_residual()
         graph.demand = graph.demand + residual
@@ -91,22 +83,17 @@ class FlowGraph:
 
 def cef_solve(graph: FlowGraph) -> np.ndarray:
     """Uniform outflow intensity per bus, zero at zero-throughput buses."""
-    n = graph.n_buses
     through = graph.throughput()
-    emitted = np.array(
-        [sum(p * rate for p, rate in gens) for gens in graph.generation]
-    )
     live = through > FLOW_TOL
-    rho = np.zeros(n)
+    rho = np.zeros(graph.n_buses)
     if not live.any():
         return rho
-    m = np.diag(through[live].astype(float))
-    pos = {b: k for k, b in enumerate(np.flatnonzero(live))}
-    for i, j, p in graph.edges:
-        if live[j] and live[i]:
-            m[pos[j], pos[i]] -= p
+    # row j: through_j rho_j - sum of inflow_ij rho_i = emitted_j; parallel
+    # branches between one pair add up
+    m = np.diag(through)
+    np.add.at(m, (graph.edges[:, 1], graph.edges[:, 0]), -graph.flow)
     try:
-        sol = np.linalg.solve(m, emitted[live])
+        sol = np.linalg.solve(m[np.ix_(live, live)], graph.emitted[live])
     except np.linalg.LinAlgError as exc:
         raise CefSingularError(f"intensity system singular: {exc}") from exc
     if not np.all(np.isfinite(sol)):

@@ -74,22 +74,16 @@ def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> Assembled
     array equals what ``assemble_clearing_lp`` gives for those plants, that
     net demand and the loss vector the clearing converged to; only the rhs
     and the per-agent parts are recomputed. Its ``demand`` is the sweep's ray."""
-    full, bids = clearing.form, clearing.bids
-    net_demand = bids.demand.copy()
-    plants = []
-    for idx, agent in enumerate(bids.agents):
-        if agent.is_storage:
-            net_demand[case.bus_index[agent.bus]] -= float(clearing.dispatch[idx])
-        else:
-            plants.append(idx)
-    plants = np.array(plants, dtype=int)
+    full, p = clearing.form, clearing.dispatch
+    net_demand = clearing.bids.demand - full.injection(np.where(full.storage, p, 0.0))
+    plants = np.flatnonzero(~full.storage)
     renumber = np.full(full.n_agents, -1)
     renumber[plants] = np.arange(plants.size)
     is_plant = renumber[full.column_agent] >= 0
     cols = np.concatenate([np.flatnonzero(is_plant),
                            full.column_agent.size + np.arange(full.n_branches)])
 
-    agent_bus = np.array([case.bus_index[bids.agents[k].bus] for k in plants], dtype=int)
+    agent_bus = full.agent_bus[plants]
     p_shift = full.p_shift[plants]
     h = _rhs_offset(case, full.loss[agent_bus], case.ptdf[:, agent_bus], p_shift,
                     case.branch_capacities())
@@ -106,6 +100,7 @@ def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> Assembled
         cost_slope=full.cost_slope[is_plant], emission_slope=full.emission_slope[is_plant],
         cost_at_min=full.cost_at_min[plants], emission_at_min=emission_at_min, loss=full.loss,
         column_keys=tuple(full.column_keys[j] for j in cols),
+        agent_bus=agent_bus, storage=full.storage[plants],
     )
 
 

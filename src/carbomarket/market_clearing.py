@@ -108,6 +108,13 @@ class AssembledMarket:
     loss: np.ndarray
     # layout-independent name of each column
     column_keys: tuple[tuple, ...]
+    # per agent: its bus position, and whether it is a storage
+    agent_bus: np.ndarray
+    storage: np.ndarray
+
+    def injection(self, p: np.ndarray) -> np.ndarray:
+        """Per-agent values ``p`` summed by bus, in agent order: MW in for a dispatch."""
+        return np.bincount(self.agent_bus, weights=p, minlength=self.demand.size)
 
     def _per_agent(self, weights: np.ndarray) -> np.ndarray:
         return np.bincount(self.column_agent, weights=weights, minlength=self.n_agents)
@@ -150,9 +157,6 @@ class ClearingResult:
     # the assembled LP of the final clearing, whose plant columns the
     # emission-price sweep reuses
     form: AssembledMarket | None = None
-
-    def power(self, name: str) -> float:
-        return float(self.dispatch[self.agent_names.index(name)])
 
 
 def _pieces(agent: AgentBid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
@@ -239,7 +243,8 @@ def assemble_clearing_lp(
         p_shift=p_shift, column_agent=col_agent, cost_slope=cost_slope,
         emission_slope=emission_slope,
         cost_at_min=cost_at_min, emission_at_min=emission_at_min, loss=loss,
-        column_keys=tuple(keys),
+        column_keys=tuple(keys), agent_bus=agent_bus,
+        storage=np.array([a.is_storage for a in agents], dtype=bool),
     )
 
 
@@ -255,14 +260,6 @@ def compute_lmps(
     return lambda_bar * (1.0 - np.asarray(loss)) + spread
 
 
-def _injection(case: NetworkCase, bids: BidSet, dispatch: np.ndarray) -> np.ndarray:
-    """Power each bus's agents put in, MW."""
-    injection = np.zeros(case.n_buses)
-    for k, a in enumerate(bids.agents):
-        injection[case.bus_index[a.bus]] += dispatch[k]
-    return injection
-
-
 def extract_result(
     case: NetworkCase, form: AssembledMarket, sol: LpSolution, bids: BidSet,
 ) -> ClearingResult:
@@ -275,7 +272,7 @@ def extract_result(
     mu_plus = np.maximum(-y[1 : 1 + n_br], 0.0)
     mu_minus = np.maximum(y[1 : 1 + n_br], 0.0)
     lmp = compute_lmps(lambda_bar, mu_minus, mu_plus, form.loss, case.ptdf)
-    flows = case.ptdf @ (_injection(case, bids, p) - form.demand) if n_br else np.zeros(0)
+    flows = case.ptdf @ (form.injection(p) - form.demand) if n_br else np.zeros(0)
     emission = form.emission_values(x)
     return ClearingResult(
         dispatch=p,
@@ -384,7 +381,7 @@ def clear_market(
         result.loss_iterations = it
         if not case.loss_direction_dependent:
             return result
-        net = _injection(case, bids, result.dispatch) - bids.demand
+        net = form.injection(result.dispatch) - bids.demand
         new_loss = base * np.where(net >= 0.0, 1.0, -1.0)
         if np.array_equal(new_loss, loss):
             return result

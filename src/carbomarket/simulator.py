@@ -159,25 +159,23 @@ def settle(
     implied by the allocation's endpoint values, so a residual flags either
     inconsistent duals or a sweep that failed to share the whole cost.
     """
-    bids = clearing.bids
-    demand = bids.demand
+    demand = clearing.bids.demand
     tau = case.tau
-    bus_index = case.bus_index
+    form, p = clearing.form, clearing.dispatch
     psi = allocation.psi if allocation is not None else np.zeros(case.n_buses)
     load_energy = clearing.lmp * demand * tau
     load_emission = 1000.0 * psi * demand * tau
+    energy = (clearing.lmp[form.agent_bus] * p * tau).tolist()
+    emission = (1000.0 * psi[form.agent_bus] * p * tau).tolist()
     gen_rev: dict[str, float] = {}
     sto_rev: dict[str, float] = {}
     sto_charge: dict[str, float] = {}
-    for k, agent in enumerate(bids.agents):
-        p = float(clearing.dispatch[k])
-        pos = bus_index[agent.bus]
-        energy = clearing.lmp[pos] * p * tau
-        if agent.is_storage:
-            sto_rev[agent.name] = energy + 1000.0 * psi[pos] * p * tau
-            sto_charge[agent.name] = -1000.0 * psi[pos] * p * tau
+    for k, name in enumerate(clearing.agent_names):
+        if form.storage[k]:
+            sto_rev[name] = energy[k] + emission[k]
+            sto_charge[name] = -emission[k]
         else:
-            gen_rev[agent.name] = energy
+            gen_rev[name] = energy[k]
     rent = float(case.branch_capacities() @ (clearing.mu_plus + clearing.mu_minus)) * tau
     loss_payment = clearing.lambda_bar * case.loss_offset * tau
     if allocation is None:
@@ -290,11 +288,12 @@ def run_period(
         allocation = allocate_period(case, clearing)
     ledger = settle(clearing, allocation, case)
 
+    # the bids are the plants, then the storages, in case order
+    dispatch = clearing.dispatch.tolist()
     fuel_cost = 0.0
     renewable_available = 0.0
     renewable_dispatched = 0.0
-    for gen in case.generators:
-        p = clearing.power(gen.name)
+    for gen, p in zip(case.generators, dispatch):
         fuel_cost += gen.fuel_curve.value(p)
         if gen.is_renewable:
             renewable_available += case.renewable_bound(gen, t)
@@ -302,22 +301,19 @@ def run_period(
     psi = allocation.psi if allocation is not None else np.zeros(case.n_buses)
     storage_rows = {}
     kappa = case.kappa
-    for unit in case.storages:
-        if unit.name not in bounds:
-            continue
+    for unit, p in zip(case.storages, dispatch[len(case.generators):]):
         state = states[unit.name]
-        p = clearing.power(unit.name)
-        charge = ledger.storage_emission_charge.get(unit.name, 0.0)
+        charge = ledger.storage_emission_charge[unit.name]
         storage_rows[unit.name] = StorageRow(
             e=state.e, q=state.q, p=p,
             bound_lo=bounds[unit.name][0], bound_hi=bounds[unit.name][1],
-            revenue=ledger.storage_revenue.get(unit.name, 0.0),
+            revenue=ledger.storage_revenue[unit.name],
             emission_charge=charge,
             emission_kg=charge / kappa if kappa > 0 else 0.0,
         )
     record = PeriodRecord(
         t=t, lambda_bar=clearing.lambda_bar, lmp=clearing.lmp, psi=psi,
-        dispatch={name: float(p) for name, p in zip(clearing.agent_names, clearing.dispatch)},
+        dispatch=dict(zip(clearing.agent_names, dispatch)),
         fuel_cost=fuel_cost, bid_cost=clearing.total_cost,
         emission=clearing.total_emission,
         renewable_available=renewable_available,
@@ -364,8 +360,8 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
         warm, warm_upper = clearing.basis, clearing.at_upper
         if scenario.enable_storage:
             for unit in case.storages:
-                p = clearing.power(unit.name)
-                advanced = update_state(states[unit.name], p, case.tau, unit)
+                advanced = update_state(states[unit.name], record.storage[unit.name].p,
+                                        case.tau, unit)
                 states[unit.name] = dataclasses.replace(
                     advanced, psi_prev=float(record.psi[case.bus_index[unit.bus]]))
         records.append(record)

@@ -60,11 +60,9 @@ def choose_parameters(unit: StorageUnit) -> PolicyParams:
     v_s = unit.eta_c * (unit.e_max - unit.e_min) / denom
     if not v_s > 0:
         raise PolicyAssumptionError(f"nonpositive penalty weight {v_s}")
-    # feasibility window for (v_s, e_s) must hold with nonnegative slack
-    if unit.e_min + v_s * hi * unit.eta_d > e_s + 1e-9:
-        raise PolicyAssumptionError("queue offset below its feasible window")
-    if e_s > unit.e_max + v_s * lo / unit.eta_c + 1e-9:
-        raise PolicyAssumptionError("queue offset above its feasible window")
+    # e_s sits on both edges of its feasible window: e_s - e_min and
+    # v_s hi eta_d both equal P (e_max - e_min) / (P - lo), P = hi eta_c eta_d,
+    # and e_max + v_s lo / eta_c equals e_s
     return PolicyParams(e_s=e_s, v_s=v_s, gamma_lo=lo, gamma_hi=hi)
 
 

@@ -243,7 +243,7 @@ def test_criterion_07_single_bus_clearing_reproduces_the_policy():
                      is_storage=True),
         ]
         res = clear_market(case, BidSet(agents=agents, demand=np.array([50.0])))
-        cleared = res.power("es")
+        cleared = float(res.dispatch[1])
         # the bid only offers powers the price window justifies, so a price
         # beyond the window clears at the window-edge power; that saturation
         # is what keeps the stored energy inside its rails at any price

@@ -94,8 +94,8 @@ def test_single_source_chain_carries_one_intensity():
 def test_cyclic_flow_pattern_solves_to_source_intensity():
     graph = FlowGraph(
         bus_ids=[1, 2, 3],
-        edges=[(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0)],
-        generation=[[(3.0, 0.5)], [], []],
+        edges=np.array([[0, 1], [1, 2], [2, 0]]), flow=np.array([2.0, 2.0, 2.0]),
+        generation=np.array([3.0, 0.0, 0.0]), emitted=np.array([1.5, 0.0, 0.0]),
         demand=np.array([3.0, 0.0, 0.0]),
     )
     assert np.max(np.abs(graph.conservation_residual())) <= 1e-12
@@ -106,13 +106,40 @@ def test_cyclic_flow_pattern_solves_to_source_intensity():
 def test_zero_throughput_bus_gets_zero_intensity():
     graph = FlowGraph(
         bus_ids=[1, 2],
-        edges=[],
-        generation=[[(2.0, 0.8)], []],
+        edges=np.zeros((0, 2), dtype=int), flow=np.zeros(0),
+        generation=np.array([2.0, 0.0]), emitted=np.array([1.6, 0.0]),
         demand=np.array([2.0, 0.0]),
     )
     rho = cef_solve(graph)
     assert rho[0] == pytest.approx(0.8, abs=1e-12)
     assert rho[1] == 0.0
+
+
+def test_parallel_branches_add_up():
+    # two 1 MW branches from bus 1 to bus 2: bus 2 takes both at 0.5 kg/kWh
+    graph = FlowGraph(
+        bus_ids=[1, 2],
+        edges=np.array([[0, 1], [0, 1]]), flow=np.array([1.0, 1.0]),
+        generation=np.array([2.0, 0.0]), emitted=np.array([1.0, 0.0]),
+        demand=np.array([0.0, 2.0]),
+    )
+    assert np.array_equal(graph.conservation_residual(), np.zeros(2))
+    assert np.allclose(cef_solve(graph), 0.5, atol=1e-15)
+
+
+def test_storages_charging_on_one_bus_all_add_to_its_demand():
+    case = radial_case([1, 2], [(1, 2)], [0.0, 3.0])
+    agents = [gen_bid("g", 1, 30.0, 20.0, 0.6)] + [
+        AgentBid(name=name, bus=2, p_min=-cap, p_max=cap, is_storage=True,
+                 cost_curve=curve_from_points([(-cap, -50.0 * cap), (0.0, 0.0),
+                                               (cap, 90.0 * cap)]))
+        for name, cap in (("es1", 3.0), ("es2", 2.0))]
+    res = clear_market(case, BidSet(agents=agents, demand=np.array([0.0, 3.0])))
+    assert res.dispatch[1:] == pytest.approx([-3.0, -2.0], abs=1e-9)
+    graph = FlowGraph.from_clearing(case, res)
+    assert graph.demand == pytest.approx([0.0, 8.0], abs=1e-9)
+    assert graph.flow == pytest.approx([8.0], abs=1e-9)
+    assert np.allclose(cef_solve(graph), 0.6, atol=1e-12)
 
 
 def test_emission_conservation_on_random_cleared_networks():
@@ -124,8 +151,7 @@ def test_emission_conservation_on_random_cleared_networks():
         assert np.max(np.abs(graph.conservation_residual())) <= 1e-6
         rho = cef_solve(graph)
         attributed = float(graph.demand @ rho)
-        emitted = sum(p * rate for gens in graph.generation for p, rate in gens)
-        assert attributed == pytest.approx(emitted, rel=1e-8, abs=1e-10)
+        assert attributed == pytest.approx(graph.emitted.sum(), rel=1e-8, abs=1e-10)
 
 
 def test_intensity_prices_are_half_rate_times_carbon_price():

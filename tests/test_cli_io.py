@@ -277,6 +277,11 @@ def test_bundled_replica_loads():
     assert resolve_case_path("replica30").name == "replica30.yaml"
 
 
+def test_the_bundled_replica_equals_its_generator():
+    # every bus, branch, plant, storage and series value, bit for bit
+    assert_cases_equal(load_case("replica30"), replica30_case())
+
+
 def test_empty_and_malformed_documents(tmp_path):
     empty = tmp_path / "empty.yaml"
     empty.write_text("")

@@ -90,8 +90,27 @@ def test_net_demand_folds_storage_power_in():
     clearing, form = cleared_form(case, agents, [3.0])
     # the storage pays up to 50 $/MWh to charge and energy costs 30, so it
     # charges at full power and the bus's net demand is 3 - (-3) = 6
-    assert clearing.power("es") == pytest.approx(-3.0, abs=1e-8)
+    assert clearing.dispatch[1] == pytest.approx(-3.0, abs=1e-8)
     assert form.demand[0] == pytest.approx(6.0, abs=1e-8)
+
+
+def test_storages_on_one_bus_all_move_into_its_net_demand():
+    case = NetworkCase(
+        buses=[Bus(1), Bus(2)], branches=[Branch(1, 2, capacity=100.0, reactance=0.1)],
+        generators=[], storages=[], load_series=np.zeros((1, 2)), tau=1.0, kappa=KAPPA,
+    )
+    agents = [gen_bid("g", 1, 30.0, 20.0, 0.5), storage_bid("es1", 2, lo=50.0, hi=90.0),
+              storage_bid("es2", 2, lo=50.0, hi=90.0, p_max=2.0)]
+    clearing, form = cleared_form(case, agents, [0.0, 3.0])
+    # both charge at full power: the bus's net demand is 3 + 3 + 2
+    assert clearing.dispatch[1:] == pytest.approx([-3.0, -2.0], abs=1e-9)
+    assert form.demand == pytest.approx([0.0, 8.0], abs=1e-9)
+    res = aumann_shapley_prices(form)
+    ledger = settle(clearing, res, case)
+    assert ledger.residual_rel <= 1e-12
+    for name, p in (("es1", -3.0), ("es2", -2.0)):
+        assert ledger.storage_emission_charge[name] == pytest.approx(
+            -res.psi[1] * p * 1000.0, rel=1e-9)
 
 
 def test_form_reproduces_clearing_emission_on_replica():
@@ -391,7 +410,7 @@ def test_storage_and_load_share_one_bus_price():
     res = aumann_shapley_prices(form)
     ledger = settle(clearing, res, case)
     psi_bus = res.psi[0]
-    p_es = clearing.power("es")
+    p_es = clearing.dispatch[1]
     assert ledger.storage_emission_charge["es"] == pytest.approx(
         -psi_bus * p_es * 1000.0, rel=1e-12)
     assert ledger.load_emission[0] == pytest.approx(psi_bus * 3.0 * 1000.0, rel=1e-12)

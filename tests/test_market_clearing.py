@@ -582,6 +582,43 @@ def test_clearing_matches_highs_on_replica30_and_random_networks(monkeypatch):
         assert_matches_highs(small, bids, clear_market(small, bids))
 
 
+@pytest.mark.parametrize("spread", [0.0, 1e-12])
+def test_a_long_storage_curve_with_tied_slopes_clears_as_highs(spread):
+    # 240 sampled segments in 8 runs of 30 whose slopes tie: exactly (the
+    # curve merges each run) or within the ratio test's 1e-12 tie window
+    # (every segment is a column); demand walks the cleared storage power up and
+    # down the curve, each clearing carried from the previous one's basis
+    x = np.linspace(-4.0, 4.0, 241)
+    k = np.arange(240)
+    slopes = np.array([22.0, 28.0, 34.0, 40.0, 46.0, 52.0, 58.0, 64.0])[k // 30] \
+        + spread * (k % 30)
+    v = np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
+    curve = curve_from_points(zip(x, v - v[120]))
+    case = make_case(3, [Branch(1, 2, capacity=6.0, reactance=0.1),
+                         Branch(2, 3, capacity=50.0, reactance=0.2),
+                         Branch(1, 3, capacity=50.0, reactance=0.15)], kappa=0.05)
+    agents = [linear_bid("g1", 1, 20.0, 30.0, psi=0.5), linear_bid("g3", 3, 70.0, 30.0, psi=0.5),
+              AgentBid(name="es", bus=2, cost_curve=curve, p_min=-4.0, p_max=4.0,
+                       is_storage=True)]
+    warm, storage = (None, ()), []
+    for d in np.concatenate([np.linspace(2.0, 14.0, 13), np.linspace(13.5, 2.5, 12)]):
+        bids = BidSet(agents=agents, demand=np.array([1.0, d, 2.0]))
+        result = clear_market(case, bids, *warm)
+        warm = result.basis, result.at_upper
+        storage.append(result.dispatch[2])
+        form = result.form
+        assert spread == 0.0 or form.column_agent.size >= 200
+        fun, y, lmp = highs_prices(case, bids)
+        # the LP prices bid cost and epsilon x emission above every p_min
+        ours = result.total_cost - form.cost_at_min.sum() \
+            + case.epsilon * (result.total_emission - form.emission_at_min.sum())
+        assert abs(ours - fun) <= 1e-9 * max(1.0, abs(fun))
+        duals = np.concatenate([[result.lambda_bar], result.mu_minus - result.mu_plus])
+        assert np.abs(duals - y).max() <= 1e-9 * max(1.0, np.abs(y).max())
+        assert np.abs(result.lmp - lmp).max() <= 1e-9 * max(1.0, np.abs(lmp).max())
+    assert min(storage) < -3.0 and max(storage) > 3.0
+
+
 
 def test_phase_one_explains_infeasible_clearings_as_the_frozen_two_phase_solver():
     # random networks with demand scaled by 0.8-3 and lines cut to 5-60% of

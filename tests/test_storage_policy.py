@@ -83,6 +83,18 @@ def test_parameter_feasibility_window_fuzz():
         assert params.e_s <= e_max + params.v_s * lo / eta_c + 1e-9
 
 
+def test_a_large_unit_sits_on_its_window_up_to_rounding():
+    # at 3e6 MWh rounding alone puts the window edges about 1e-9 MWh off
+    # e_s; the unit is valid and must tune
+    unit = make_unit(p_max=1e4, eta_c=0.97, eta_d=0.95, e_min=0.0, e_max=3e6,
+                     e_init=1.5e6, gamma_lo=0.045, gamma_hi=0.08)
+    params = choose_parameters(unit)
+    assert unit.e_min + params.v_s * unit.gamma_hi * unit.eta_d == pytest.approx(
+        params.e_s, rel=1e-14)
+    assert unit.e_max + params.v_s * unit.gamma_lo / unit.eta_c == pytest.approx(
+        params.e_s, rel=1e-14)
+
+
 def test_parameters_reject_unprofitable_price_range():
     with pytest.raises(PolicyAssumptionError):
         choose_parameters(make_unit(gamma_lo=0.10, gamma_hi=0.11))
@@ -225,7 +237,7 @@ def test_market_clearing_reproduces_the_policy():
         assert res.lambda_bar == pytest.approx(slope, rel=1e-9)
         expected = optimal_power(q, gamma_star, params, unit, tau)
         width = max(hi - lo, 1e-12)
-        assert res.power("es") == pytest.approx(
+        assert res.dispatch[1] == pytest.approx(
             expected, abs=width / (unit.n_segments - 1) + 1e-9)
 
 
