@@ -495,41 +495,42 @@ def _cell(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return repr(float(value))
+    # adding 0.0 turns a negative zero into 0.0 and leaves every other value
+    return repr(float(value) + 0.0)
 
 
 def period_rows(report: SimulationReport, case: NetworkCase):
-    """periods.csv payload: one row per period per agent, plus a system row."""
-    tau = report.tau
-    bus_index = case.bus_index
-    gen_by_name = {g.name: g for g in case.generators}
-    sto_bus = {s.name: s.bus for s in case.storages}
+    """periods.csv payload: one row per period per agent, plus a system row.
+
+    Every money cell is the period's settlement ledger entry, signed from the
+    row's point of view; the emission cells divide those dollars by kappa.
+    """
+    tau, kappa = report.tau, case.kappa
+    n_plants = len(case.generators)
     for rec in report.records:
+        book = rec.ledger
         yield [rec.t, "system", "system", "", rec.renewable_dispatched,
-               "", rec.lambda_bar, "", rec.congestion_rent, rec.emission_pot,
+               "", rec.lambda_bar, "", book.congestion_rent, book.emission_pot,
                rec.emission * tau, rec.fuel_cost * tau,
                rec.renewable_available, rec.settlement_residual]
-        for name, gen in gen_by_name.items():
-            p = rec.dispatch.get(name, 0.0)
-            pos = bus_index[gen.bus]
-            yield [rec.t, name, "generator", gen.bus, p, "",
-                   rec.lmp[pos], rec.psi[pos], rec.lmp[pos] * p * tau, "",
-                   rec.sigma.get(name, 0.0) * tau, gen.fuel_curve.value(p) * tau,
-                   case.renewable_bound(gen, rec.t), ""]
-        for name, row in rec.storage.items():
-            pos = bus_index[sto_bus[name]]
-            emission_usd = 1000.0 * rec.psi[pos] * row.p * tau
-            yield [rec.t, name, "storage", sto_bus[name], row.p, row.e,
-                   rec.lmp[pos], rec.psi[pos], rec.lmp[pos] * row.p * tau,
-                   emission_usd, row.emission_kg, "", "", ""]
+        for k, (name, p) in enumerate(rec.dispatch.items()):
+            pos = rec.agent_bus[k]
+            if k < n_plants:
+                yield [rec.t, name, "generator", case.buses[pos].id, p, "",
+                       rec.lmp[pos], rec.psi[pos], book.energy[k], "",
+                       rec.agent_emission[k] * tau, rec.agent_fuel[k] * tau,
+                       case.renewable_bound(case.generators[k], rec.t), ""]
+            else:
+                kg = -book.emission[k] / kappa if kappa > 0 else 0.0
+                yield [rec.t, name, "storage", case.buses[pos].id, p, rec.storage[name].e,
+                       rec.lmp[pos], rec.psi[pos], book.energy[k], book.emission[k],
+                       kg, "", "", ""]
         demand = case.demand(rec.t)
         for b, bus in enumerate(case.buses):
-            d = float(demand[b])
-            emission_usd = -1000.0 * rec.psi[b] * d * tau
-            kg = -emission_usd / case.kappa if case.kappa > 0 else ""
-            yield [rec.t, f"load_{bus.id}", "load", bus.id, d, "",
-                   rec.lmp[b], rec.psi[b], -rec.lmp[b] * d * tau,
-                   emission_usd, kg, "", "", ""]
+            kg = book.load_emission[b] / kappa if kappa > 0 else ""
+            yield [rec.t, f"load_{bus.id}", "load", bus.id, float(demand[b]), "",
+                   rec.lmp[b], rec.psi[b], -book.load_energy[b],
+                   -book.load_emission[b], kg, "", "", ""]
 
 
 def summary_rows(report: SimulationReport):
@@ -636,13 +637,13 @@ def _cmd_allocate(args) -> int:
     if allocation is None:
         print(f"period={record.t} kappa={case.kappa} allocation=disabled")
         return EXIT_OK
-    demand = clearing.bids.demand
+    book = record.ledger
     for b, bus in enumerate(case.buses):
-        load_cost = allocation.psi[b] * demand[b] * case.tau * 1000.0
         print(f"psi bus={bus.id} usd_per_kwh={allocation.psi[b]:.10f} "
-              f"load_cost_usd={load_cost:.6f}")
-    for name, row in sorted(record.storage.items()):
-        print(f"storage_cost agent={name} usd={row.emission_charge:.6f}")
+              f"load_cost_usd={book.load_emission[b]:.6f}")
+    names = clearing.agent_names
+    for k in sorted(np.flatnonzero(clearing.form.storage), key=lambda k: names[k]):
+        print(f"storage_cost agent={names[k]} usd={-book.emission[k]:.6f}")
     for k, (y, basis) in enumerate(allocation.breakpoints):
         print(f"trace index={k} y={y:.10f} basis_size={len(basis)}")
     print(f"iterations={allocation.iterations} "

@@ -76,11 +76,25 @@ class StorageRow:
     e: float  # MWh at period start
     q: float
     p: float  # cleared net MW
-    bound_lo: float
-    bound_hi: float
-    revenue: float  # $ combined energy plus emission
-    emission_charge: float  # $ allocated
-    emission_kg: float
+
+
+@dataclass
+class SettlementLedger:
+    """One period's books, as ``settle`` computed and balanced them.
+
+    Agent arrays follow the bid order (the plants, then the storages, in case
+    order); bus arrays follow the case's buses. Every agent is paid
+    ``energy``; only storages also settle ``emission``, since a plant's
+    emission half already rides inside its bid.
+    """
+
+    energy: np.ndarray  # $ per agent, lmp[bus] p tau
+    emission: np.ndarray  # $ per agent, 1000 psi[bus] p tau
+    load_energy: np.ndarray  # $ per bus, paid by its load
+    load_emission: np.ndarray  # $ per bus, paid by its load
+    congestion_rent: float
+    emission_pot: float  # $ collected emission charges
+    residual_rel: float
 
 
 @dataclass
@@ -96,10 +110,12 @@ class PeriodRecord:
     renewable_available: float  # MW
     renewable_dispatched: float  # MW
     storage: dict[str, StorageRow]
-    congestion_rent: float  # $
-    emission_pot: float  # $ collected emission charges
-    settlement_residual: float  # relative
-    sigma: dict[str, float] = field(default_factory=dict)  # kg/h per agent
+    ledger: SettlementLedger
+    # per agent, in dispatch order: its bus position, fuel $/h (0 for a
+    # storage) and emission kg/h
+    agent_bus: np.ndarray
+    agent_fuel: np.ndarray
+    agent_emission: np.ndarray
     allocation_breakpoints: tuple[float, ...] = ()
     allocation_iterations: int = 0
     start_used: bool = False
@@ -109,19 +125,10 @@ class PeriodRecord:
     # loss signs matched its dispatch
     loss_converged: bool = True
 
-
-@dataclass
-class SettlementLedger:
-    load_energy: np.ndarray  # $ per bus
-    load_emission: np.ndarray  # $ per bus
-    generator_revenue: dict[str, float]
-    storage_revenue: dict[str, float]  # (lambda + 1000 psi) p tau, signed
-    storage_emission_charge: dict[str, float]
-    congestion_rent: float
-    loss_payment: float
-    emission_pot: float
-    residual: float
-    residual_rel: float
+    @property
+    def settlement_residual(self) -> float:
+        """Relative imbalance of the period's books."""
+        return self.ledger.residual_rel
 
 
 def plant_bids(case: NetworkCase, period: int, include_emission_cost: bool = True) -> list[AgentBid]:
@@ -163,19 +170,10 @@ def settle(
     tau = case.tau
     form, p = clearing.form, clearing.dispatch
     psi = allocation.psi if allocation is not None else np.zeros(case.n_buses)
+    energy = clearing.lmp[form.agent_bus] * p * tau
+    emission = 1000.0 * psi[form.agent_bus] * p * tau
     load_energy = clearing.lmp * demand * tau
     load_emission = 1000.0 * psi * demand * tau
-    energy = (clearing.lmp[form.agent_bus] * p * tau).tolist()
-    emission = (1000.0 * psi[form.agent_bus] * p * tau).tolist()
-    gen_rev: dict[str, float] = {}
-    sto_rev: dict[str, float] = {}
-    sto_charge: dict[str, float] = {}
-    for k, name in enumerate(clearing.agent_names):
-        if form.storage[k]:
-            sto_rev[name] = energy[k] + emission[k]
-            sto_charge[name] = -emission[k]
-        else:
-            gen_rev[name] = energy[k]
     rent = float(case.branch_capacities() @ (clearing.mu_plus + clearing.mu_minus)) * tau
     loss_payment = clearing.lambda_bar * case.loss_offset * tau
     if allocation is None:
@@ -184,17 +182,18 @@ def settle(
         pot = allocation.emission_cost_at_star - allocation.emission_cost_at_start
     else:
         pot = allocation.emission_cost_at_star
+    # Python's left-to-right sums, in agent order
+    storage_paid = sum((energy + emission)[form.storage].tolist())
+    plants_paid = sum(energy[~form.storage].tolist())
     inflow = float(load_energy.sum()) + float(load_emission.sum()) \
-        - sum(sto_rev.values()) + loss_payment
-    outflow = sum(gen_rev.values()) + rent + pot
+        - storage_paid + loss_payment
+    outflow = plants_paid + rent + pot
     residual = inflow - outflow
     scale = max(1.0, abs(inflow), abs(outflow))
     ledger = SettlementLedger(
+        energy=energy, emission=emission,
         load_energy=load_energy, load_emission=load_emission,
-        generator_revenue=gen_rev, storage_revenue=sto_rev,
-        storage_emission_charge=sto_charge,
-        congestion_rent=rent, loss_payment=loss_payment, emission_pot=pot,
-        residual=residual, residual_rel=abs(residual) / scale,
+        congestion_rent=rent, emission_pot=pot, residual_rel=abs(residual) / scale,
     )
     if ledger.residual_rel > SETTLEMENT_RTOL:
         raise SettlementImbalanceError(
@@ -232,8 +231,9 @@ class SimulationReport:
 
     @classmethod
     def from_records(
-        cls, scenario: ScenarioConfig, records: list[PeriodRecord], tau: float
+        cls, scenario: ScenarioConfig, records: list[PeriodRecord], case: NetworkCase
     ) -> "SimulationReport":
+        tau, kappa = case.tau, case.kappa
         report = cls(scenario=scenario, records=records, tau=tau)
         if not records:
             return report
@@ -243,14 +243,16 @@ class SimulationReport:
         available = sum(r.renewable_available for r in records)
         dispatched = sum(r.renewable_dispatched for r in records)
         report.curtailment = (available - dispatched) / available if available > 0 else 0.0
-        names = sorted({name for r in records for name in r.storage})
-        for name in names:
-            revenue = np.cumsum([r.storage[name].revenue for r in records if name in r.storage])
-            emission = np.cumsum([r.storage[name].emission_kg for r in records if name in r.storage])
+        # a storage's ledger position follows every plant's
+        for k, name in enumerate(records[0].storage, start=len(case.generators)):
+            revenue = np.cumsum([r.ledger.energy[k] + r.ledger.emission[k] for r in records])
+            # the emission its charges pay for, kg
+            emission = np.cumsum([-r.ledger.emission[k] / kappa if kappa > 0 else 0.0
+                                  for r in records])
             if revenue.size >= 2:
                 report.storage_revenue_rate[name] = fit_revenue_rate(revenue, tau)
                 report.storage_emission_rate[name] = fit_revenue_rate(emission, tau)
-            report.storage_revenue_total[name] = float(revenue[-1]) if revenue.size else 0.0
+            report.storage_revenue_total[name] = float(revenue[-1])
         report.max_settlement_residual = max(r.settlement_residual for r in records)
         report.max_cost_sharing_error = max(r.cost_sharing_error for r in records)
         report.periods_started_from_interior = sum(1 for r in records if r.start_used)
@@ -270,13 +272,12 @@ def run_period(
     """One market round; mutates nothing, returns the pieces. ``warm_basis``
     and ``warm_upper`` start the clearing from a previous one's basis."""
     agents = plant_bids(case, t, include_emission_cost=scenario.enable_allocation)
-    bounds: dict[str, tuple[float, float]] = {}
     if scenario.enable_storage:
         for unit in case.storages:
             state = states[unit.name]
             curve = bid_curve(state.q, state.psi_prev, params[unit.name], unit, case.tau)
             # the offer is the range the curve covers
-            lo, hi = bounds[unit.name] = curve.domain
+            lo, hi = curve.domain
             agents.append(AgentBid(
                 name=unit.name, bus=unit.bus, cost_curve=curve,
                 p_min=lo, p_max=hi, is_storage=True,
@@ -290,39 +291,31 @@ def run_period(
 
     # the bids are the plants, then the storages, in case order
     dispatch = clearing.dispatch.tolist()
-    fuel_cost = 0.0
+    fuel = np.zeros(len(dispatch))
     renewable_available = 0.0
     renewable_dispatched = 0.0
-    for gen, p in zip(case.generators, dispatch):
-        fuel_cost += gen.fuel_curve.value(p)
+    for k, (gen, p) in enumerate(zip(case.generators, dispatch)):
+        fuel[k] = gen.fuel_curve.value(p)
         if gen.is_renewable:
             renewable_available += case.renewable_bound(gen, t)
             renewable_dispatched += p
     psi = allocation.psi if allocation is not None else np.zeros(case.n_buses)
-    storage_rows = {}
-    kappa = case.kappa
-    for unit, p in zip(case.storages, dispatch[len(case.generators):]):
-        state = states[unit.name]
-        charge = ledger.storage_emission_charge[unit.name]
-        storage_rows[unit.name] = StorageRow(
-            e=state.e, q=state.q, p=p,
-            bound_lo=bounds[unit.name][0], bound_hi=bounds[unit.name][1],
-            revenue=ledger.storage_revenue[unit.name],
-            emission_charge=charge,
-            emission_kg=charge / kappa if kappa > 0 else 0.0,
-        )
+    storage_rows = {
+        unit.name: StorageRow(e=states[unit.name].e, q=states[unit.name].q, p=p)
+        for unit, p in zip(case.storages, dispatch[len(case.generators):])
+    }
     record = PeriodRecord(
         t=t, lambda_bar=clearing.lambda_bar, lmp=clearing.lmp, psi=psi,
         dispatch=dict(zip(clearing.agent_names, dispatch)),
-        fuel_cost=fuel_cost, bid_cost=clearing.total_cost,
+        fuel_cost=sum(fuel.tolist(), 0.0), bid_cost=clearing.total_cost,
         emission=clearing.total_emission,
         renewable_available=renewable_available,
         renewable_dispatched=renewable_dispatched,
         storage=storage_rows,
-        congestion_rent=ledger.congestion_rent,
-        emission_pot=ledger.emission_pot,
-        settlement_residual=ledger.residual_rel,
-        sigma=dict(zip(clearing.agent_names, clearing.emission.tolist())),
+        ledger=ledger,
+        agent_bus=clearing.form.agent_bus,
+        agent_fuel=fuel,
+        agent_emission=clearing.emission,
         allocation_breakpoints=tuple(float(y) for y, _ in allocation.breakpoints)
         if allocation else (),
         allocation_iterations=allocation.iterations if allocation else 0,
@@ -355,7 +348,7 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
             record, clearing, _ = run_period(
                 case, scenario, t, states, params, warm_basis=warm, warm_upper=warm_upper)
         except Exception as exc:
-            partial = SimulationReport.from_records(scenario, records, case.tau)
+            partial = SimulationReport.from_records(scenario, records, case)
             raise SimulationAbort(f"period {t}: {exc}", partial) from exc
         warm, warm_upper = clearing.basis, clearing.at_upper
         if scenario.enable_storage:
@@ -365,7 +358,7 @@ def run_horizon(case: NetworkCase, scenario: ScenarioConfig) -> SimulationReport
                 states[unit.name] = dataclasses.replace(
                     advanced, psi_prev=float(record.psi[case.bus_index[unit.bus]]))
         records.append(record)
-    return SimulationReport.from_records(scenario, records, case.tau)
+    return SimulationReport.from_records(scenario, records, case)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from carbomarket.cli_io import (
     main,
     resolve_case_path,
     write_case,
+    write_report_bundle,
 )
 from carbomarket.network_model import (
     Branch,
@@ -41,7 +42,7 @@ from carbomarket.network_model import (
     compute_ptdf,
     zero_curve,
 )
-from carbomarket.simulator import ScenarioConfig
+from carbomarket.simulator import ScenarioConfig, run_horizon
 from carbomarket.synthetic import replica30_case
 
 from oracles import dictreader_series
@@ -718,6 +719,62 @@ def test_trace_rows_match_allocation_sweeps(simulated_bundle):
         last_by_period[int(row["period"])] = float(row["y"])
     for y in last_by_period.values():
         assert y == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def replica30_day(tmp_path_factory):
+    """A 24-period replica30 day per scenario: its report and bundle directory."""
+    case = load_case("replica30")
+    runs = {}
+    for name in ("proposed", "a1"):
+        report = run_horizon(case, getattr(ScenarioConfig, name)(horizon=24))
+        out = tmp_path_factory.mktemp(name)
+        write_report_bundle(report, case, out)
+        runs[name] = report, out
+    return case, runs
+
+
+@pytest.mark.parametrize("name", ["proposed", "a1"])
+def test_no_bundle_cell_reads_negative_zero(replica30_day, name):
+    # idle storages, and loads at psi = 0 or zero demand, settle a signed zero
+    _, runs = replica30_day
+    cells = {}
+    for path in runs[name][1].glob("*.csv"):
+        with path.open(newline="") as fh:
+            cells[path.name] = {cell for row in csv.reader(fh) for cell in row}
+    assert "0.0" in cells["periods.csv"]
+    assert not [file for file, seen in cells.items() if "-0.0" in seen]
+
+
+def test_periods_csv_prints_the_settlement_ledger(replica30_day):
+    # repr round-trips, so every cell must equal the ledger's float exactly
+    case, runs = replica30_day
+    report, out = runs["proposed"]
+    rows = read_csv(out / "periods.csv")
+    n_agents = len(report.records[0].dispatch)
+    per_period = 1 + n_agents + case.n_buses
+    assert len(rows) == per_period * len(report.records) == 24 * 41
+    for rec, start in zip(report.records, range(0, len(rows), per_period)):
+        book = rec.ledger
+        system, agents, loads = (rows[start], rows[start + 1:start + 1 + n_agents],
+                                 rows[start + 1 + n_agents:start + per_period])
+        assert system["kind"] == "system" and int(system["period"]) == rec.t
+        assert float(system["energy_usd"]) == book.congestion_rent
+        assert float(system["emission_usd"]) == book.emission_pot
+        assert float(system["residual_rel"]) == book.residual_rel
+        assert [row["agent"] for row in agents] == list(rec.dispatch)
+        for k, row in enumerate(agents):
+            assert float(row["energy_usd"]) == book.energy[k]
+            if row["kind"] == "storage":
+                assert float(row["emission_usd"]) == book.emission[k]
+                assert row["fuel_usd"] == ""
+            else:
+                assert row["emission_usd"] == ""
+                assert float(row["fuel_usd"]) == rec.agent_fuel[k] * case.tau
+        assert [row["kind"] for row in loads] == ["load"] * case.n_buses
+        for b, row in enumerate(loads):
+            assert float(row["energy_usd"]) == -book.load_energy[b]
+            assert float(row["emission_usd"]) == -book.load_emission[b]
 
 
 # ------------------------------------------------------------ command exit

@@ -108,9 +108,8 @@ def test_storages_on_one_bus_all_move_into_its_net_demand():
     res = aumann_shapley_prices(form)
     ledger = settle(clearing, res, case)
     assert ledger.residual_rel <= 1e-12
-    for name, p in (("es1", -3.0), ("es2", -2.0)):
-        assert ledger.storage_emission_charge[name] == pytest.approx(
-            -res.psi[1] * p * 1000.0, rel=1e-9)
+    for k, p in ((1, -3.0), (2, -2.0)):
+        assert ledger.emission[k] == pytest.approx(res.psi[1] * p * 1000.0, rel=1e-9)
 
 
 def test_form_reproduces_clearing_emission_on_replica():
@@ -286,7 +285,8 @@ def test_cost_sharing_on_random_cases():
         res = allocate_period(case, clearing)
         assert res.cost_sharing_error <= 1e-9
         ledger = settle(clearing, res, case)
-        total = sum(ledger.storage_emission_charge.values()) + float(ledger.load_emission.sum())
+        charged = -ledger.emission[clearing.form.storage]
+        total = float(charged.sum()) + float(ledger.load_emission.sum())
         if res.start_point is not None:
             assert total == pytest.approx(res.emission_cost_at_star, abs=1e-7)
         done += 1
@@ -411,8 +411,7 @@ def test_storage_and_load_share_one_bus_price():
     ledger = settle(clearing, res, case)
     psi_bus = res.psi[0]
     p_es = clearing.dispatch[1]
-    assert ledger.storage_emission_charge["es"] == pytest.approx(
-        -psi_bus * p_es * 1000.0, rel=1e-12)
+    assert ledger.emission[1] == pytest.approx(psi_bus * p_es * 1000.0, rel=1e-12)
     assert ledger.load_emission[0] == pytest.approx(psi_bus * 3.0 * 1000.0, rel=1e-12)
 
 
@@ -428,7 +427,8 @@ def test_feasible_start_zeta_values():
     assert res.cost_sharing_error <= 1e-9
     # with the start share folded into psi, everything allocated adds to E*
     ledger = settle(clearing, res, case)
-    total = sum(ledger.storage_emission_charge.values()) + float(ledger.load_emission.sum())
+    charged = -ledger.emission[clearing.form.storage]
+    total = float(charged.sum()) + float(ledger.load_emission.sum())
     assert total == pytest.approx(res.emission_cost_at_star, rel=1e-9)
 
 
@@ -477,8 +477,9 @@ def test_allocated_dollars_do_not_move_when_the_case_is_restated_in_kw():
         assert base.load_emission.sum() > 0.0
         denom = np.maximum(np.abs(base.load_emission), 1.0)
         assert np.max(np.abs(scaled.load_emission - base.load_emission) / denom) <= 1e-8
-        for name, cost in base.storage_emission_charge.items():
-            assert abs(scaled.storage_emission_charge[name] - cost) <= 1e-8 * max(abs(cost), 1.0)
+        storage = clearing.form.storage
+        for cost, restated in zip(base.emission[storage], scaled.emission[storage]):
+            assert abs(restated - cost) <= 1e-8 * max(abs(cost), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -611,8 +612,8 @@ def test_a_must_run_period_prices_its_emission_at_the_cleared_point():
     np.testing.assert_allclose(res.psi, [0.0125, 0.0125], rtol=1e-12, atol=0)
     np.testing.assert_allclose(res.psi, want.psi, rtol=1e-12, atol=0)
     book = settle(clearing, res, case)
-    assert book.load_emission.sum() + sum(book.storage_emission_charge.values()) == (
-        pytest.approx(375.0, rel=1e-12))
+    charged = -book.emission[clearing.form.storage]
+    assert book.load_emission.sum() + charged.sum() == pytest.approx(375.0, rel=1e-12)
 
 
 

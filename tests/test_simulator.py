@@ -156,7 +156,7 @@ def test_single_bus_books_balance_exactly():
     case = one_bus_case([7.0], [linear_gen("g", 1, 30.0, 10.0, 0.5)], kappa=0.0)
     clearing = clear_market(case, BidSet(agents=plant_bids(case, 0), demand=case.demand(0)))
     ledger = settle(clearing, None, case)
-    assert ledger.load_energy.sum() == pytest.approx(ledger.generator_revenue["g"], abs=1e-9)
+    assert ledger.load_energy.sum() == pytest.approx(ledger.energy[0], abs=1e-9)
     assert ledger.congestion_rent == pytest.approx(0.0, abs=1e-12)
     assert ledger.emission_pot == 0.0
     assert ledger.residual_rel <= 1e-12
@@ -170,7 +170,7 @@ def test_linear_emission_charge_is_half_kappa_intensity_times_load():
     # psi = kappa * rate / 2 in $/kWh, so the charge is kappa/2 * 500 kg/h * tau
     assert allocation.psi[0] == pytest.approx(0.0125, abs=1e-12)
     assert ledger.load_emission[0] == pytest.approx(87.5, abs=1e-6)
-    assert record.emission_pot == pytest.approx(87.5, abs=1e-6)
+    assert record.ledger.emission_pot == pytest.approx(87.5, abs=1e-6)
     assert record.settlement_residual <= 1e-9
 
 
@@ -189,7 +189,7 @@ def test_congested_books_close_against_the_rent():
     ledger = settle(clearing, allocation, case)
     rent = float(case.branch_capacities() @ (clearing.mu_plus + clearing.mu_minus))
     assert rent > 1.0  # the 30 MW line binds
-    energy_gap = float(ledger.load_energy.sum()) - sum(ledger.generator_revenue.values())
+    energy_gap = float(ledger.load_energy.sum()) - float(ledger.energy.sum())
     assert energy_gap == pytest.approx(rent, rel=1e-9, abs=1e-7)
     assert record.settlement_residual <= 1e-6
 
@@ -239,7 +239,7 @@ def test_forced_minimum_output_starts_the_sweep_inside(monkeypatch):
     assert all(p.variable_count == form.problem.variable_count for p in solves)
     assert record.start_used
     # the uniform start share folds the pre-start emission into the price
-    assert record.emission_pot == pytest.approx(
+    assert record.ledger.emission_pot == pytest.approx(
         allocation.emission_cost_at_star, rel=1e-9)
     assert record.settlement_residual <= 1e-6
     report = run_horizon(case, ScenarioConfig.proposed())
@@ -280,8 +280,9 @@ def test_dead_band_period_keeps_the_storage_at_rest():
     states = {"es": state}
     record, clearing, allocation = run_period(case, scenario, 0, states, {"es": params})
     row = record.storage["es"]
+    offer = clearing.bids.agents[-1]
     assert row.p == pytest.approx(0.0, abs=1e-9)
-    assert row.bound_lo < -1e-6 < 1e-6 < row.bound_hi
+    assert offer.p_min < -1e-6 < 1e-6 < offer.p_max
     assert update_state(states["es"], row.p, case.tau, unit).e == pytest.approx(state.e)
 
 
@@ -298,7 +299,8 @@ def test_single_bus_clearing_tracks_the_policy_curve():
     row = record.storage["es"]
     exact = optimal_power(state.q, gamma_star, params, unit, case.tau)
     assert 0.5 < exact < 3.5  # interior of the discharge range, not a rail
-    width = row.bound_hi - row.bound_lo
+    offer = clearing.bids.agents[-1]
+    width = offer.p_max - offer.p_min
     assert abs(row.p - exact) <= width / (unit.n_segments - 1) + 1e-6
 
 
@@ -318,7 +320,8 @@ def test_one_period_horizon_equals_run_period():
     assert got.lambda_bar == record.lambda_bar
     assert got.fuel_cost == record.fuel_cost
     np.testing.assert_array_equal(got.psi, record.psi)
-    assert got.storage[unit.name].revenue == record.storage[unit.name].revenue
+    np.testing.assert_array_equal(got.ledger.energy, record.ledger.energy)
+    np.testing.assert_array_equal(got.ledger.emission, record.ledger.emission)
 
 
 def test_horizon_is_deterministic_bit_for_bit():
@@ -330,7 +333,8 @@ def test_horizon_is_deterministic_bit_for_bit():
         assert ra.dispatch == rb.dispatch
         np.testing.assert_array_equal(ra.lmp, rb.lmp)
         np.testing.assert_array_equal(ra.psi, rb.psi)
-        assert ra.storage["es2"].revenue == rb.storage["es2"].revenue
+        np.testing.assert_array_equal(ra.ledger.energy, rb.ledger.energy)
+        np.testing.assert_array_equal(ra.ledger.emission, rb.ledger.emission)
     assert a.storage_revenue_rate == b.storage_revenue_rate
 
 
@@ -457,11 +461,12 @@ def test_aggregates_equal_recomputation_from_rows():
     avail = sum(r.renewable_available for r in rows)
     used = sum(r.renewable_dispatched for r in rows)
     assert report.curtailment == pytest.approx((avail - used) / avail)
-    revenue = np.cumsum([r.storage["es2"].revenue for r in rows])
+    k = list(rows[0].dispatch).index("es2")
+    revenue = np.cumsum([r.ledger.energy[k] + r.ledger.emission[k] for r in rows])
     assert report.storage_revenue_total["es2"] == pytest.approx(float(revenue[-1]))
     assert report.storage_revenue_rate["es2"] == pytest.approx(
         fit_revenue_rate(revenue, case.tau))
-    kg = np.cumsum([r.storage["es2"].emission_kg for r in rows])
+    kg = np.cumsum([-r.ledger.emission[k] / case.kappa for r in rows])
     assert report.storage_emission_rate["es2"] == pytest.approx(
         fit_revenue_rate(kg, case.tau))
     assert report.max_settlement_residual <= 1e-6
@@ -479,7 +484,7 @@ def test_scenario_grid_orders_emission_cost_and_curtailment():
     assert a1.avg_generation_cost < proposed.avg_generation_cost - 1.0
     assert a1.avg_emission > proposed.avg_emission + 1.0
     # pricing off means no emission money anywhere in the books
-    assert all(r.emission_pot == 0.0 for r in a1.records)
+    assert all(r.ledger.emission_pot == 0.0 for r in a1.records)
     assert runs["a3"].curtailment >= proposed.curtailment - 1e-12
 
 
@@ -552,19 +557,25 @@ def test_recorded_prices_combine_energy_and_emission_sides():
         assert prices[t] == pytest.approx(row.lmp[pos] / 1000.0 + row.psi[pos])
 
 
-def test_proposed_replay_mirrors_the_market_run_on_one_bus():
+def test_proposed_replay_mirrors_the_market_run_on_one_bus(monkeypatch):
     unit = es_unit(e_init=30.0)
     case = one_bus_case(np.full(6, 50.0),
                         [linear_gen("g", 1, 80.0, 200.0, 0.5)],
                         storages=[unit], kappa=0.0)
+    offers = []
+
+    def recording(case, bids, **kwargs):
+        offers.append(bids.agents[-1])
+        return clear_market(case, bids, **kwargs)
+
+    monkeypatch.setattr(simulator, "clear_market", recording)
     report = run_horizon(case, ScenarioConfig.proposed())
     prices = recorded_combined_prices(report, case, bus=1)
     res = replay_storage(prices, unit, case.tau, method="proposed")
     market_p = np.array([r.storage["es"].p for r in report.records])
     # the market clears on the sampled curve, the replay on the exact policy;
     # per-period gaps stay within a few grid cells of the sampled bid
-    width = max(r.storage["es"].bound_hi - r.storage["es"].bound_lo
-                for r in report.records)
+    width = max(offer.p_max - offer.p_min for offer in offers)
     np.testing.assert_allclose(res.power, market_p,
                                atol=3.0 * width / (unit.n_segments - 1) + 1e-6)
 
