@@ -274,6 +274,9 @@ def _read_series_csv(path: Path, prefix: str, wanted, problems, label):
         if not col.startswith(prefix):
             problems.append(f"{label}: unexpected column {col!r} in {path.name}")
             continue
+        if col[len(prefix):] in columns:
+            problems.append(f"{label}: {path.name} repeats column {col!r}")
+            return None
         columns[col[len(prefix):]] = values
     if wanted is not None:
         missing = [w for w in wanted if str(w) not in columns]
@@ -647,7 +650,7 @@ def _cmd_allocate(args) -> int:
     for k, (y, basis) in enumerate(allocation.breakpoints):
         print(f"trace index={k} y={y:.10f} basis_size={len(basis)}")
     print(f"iterations={allocation.iterations} "
-          f"start_used={str(allocation.start_point is not None).lower()} "
+          f"start_used={str(allocation.zeta > 0.0).lower()} "
           f"cost_sharing_error={allocation.cost_sharing_error:.3e}")
     return EXIT_OK
 

@@ -22,7 +22,7 @@ there is split in proportion to net demand: the same price at every bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,21 +49,14 @@ class NonProgressError(RuntimeError):
 
 
 @dataclass
-class FeasibleStart:
-    zeta: float
-    emission_cost: float
-    # $/kWh at every bus: the emission cost at zeta split in proportion to net demand
-    price_addon: float
-
-
-@dataclass
 class AllocationResult:
     psi: np.ndarray
     breakpoints: list[tuple[float, tuple[int, ...]]]
-    start_point: FeasibleStart | None
+    # where the walk ended: 0 at zero demand, 1 when no plant has a segment column
+    zeta: float
+    # $ the prices charge: E(1), or E(1) - E(0) when the walk reaches zero demand
+    emission_pot: float
     cost_sharing_error: float
-    emission_cost_at_star: float
-    emission_cost_at_start: float
     iterations: int
 
 
@@ -105,7 +98,7 @@ def build_compact_form(case: NetworkCase, clearing: ClearingResult) -> Assembled
 
 
 def _problem_at(form: AssembledMarket, y: float) -> LpProblem:
-    return form.problem.with_rhs(form.g @ (y * form.demand) + form.h)
+    return replace(form.problem, rhs=form.g @ (y * form.demand) + form.h)
 
 
 def partial_derivative(form: AssembledMarket, sol: LpSolution) -> np.ndarray:
@@ -114,7 +107,8 @@ def partial_derivative(form: AssembledMarket, sol: LpSolution) -> np.ndarray:
 
 
 def aumann_shapley_prices(form: AssembledMarket) -> AllocationResult:
-    """Walk the ray down from the cleared point y = 1, one region at a time.
+    """Walk the ray down from the cleared point y = 1, whose LP is
+    ``form.problem``, one region at a time.
 
     A dual-simplex solve at lo - PROBE, from a region's basis and inverse,
     finds the region below. The edge between two regions is the lower one's
@@ -123,15 +117,13 @@ def aumann_shapley_prices(form: AssembledMarket) -> AllocationResult:
     ends at y = 0, or at zeta = lo where the probe below lo is infeasible.
     When no plant has a segment column, the balance row is all zero and
     holds only at the cleared point: zeta = 1."""
-    problem = _problem_at(form, 1.0)
-    crash = _merit_order_start(problem)
+    crash = _merit_order_start(form.problem)
     if crash is None:
-        start = feasible_start(form, 1.0, form.k_offset)
         return AllocationResult(
-            psi=np.full(form.g.shape[1], start.price_addon), breakpoints=[], start_point=start,
-            cost_sharing_error=0.0, emission_cost_at_star=form.k_offset,
-            emission_cost_at_start=form.k_offset, iterations=0)
-    sol = solve_with_basis(problem, *crash)
+            psi=np.full(form.g.shape[1], feasible_start(form, form.k_offset)),
+            breakpoints=[], zeta=1.0, emission_pot=form.k_offset, cost_sharing_error=0.0,
+            iterations=0)
+    sol = solve_with_basis(form.problem, *crash)
     if sol.status is not LpStatus.OPTIMAL:
         raise NonProgressError("dispatch infeasible at the cleared point y=1")
     e_star = float(form.k @ sol.primal) + form.k_offset
@@ -166,22 +158,21 @@ def aumann_shapley_prices(form: AssembledMarket) -> AllocationResult:
     e_start = (float(form.k @ sol.primal) + form.k_offset
                + (zeta - y_sol) * float(grads[-1] @ form.demand))
     sharing = abs(float(grad_accum @ form.demand) - (e_star - e_start)) / max(abs(e_star), 1e-12)
-    start = feasible_start(form, zeta, e_start) if zeta > 0.0 else None
+    floored = zeta > 0.0
     return AllocationResult(
-        psi=grad_accum / (form.tau * 1000.0) + (start.price_addon if start else 0.0),
+        psi=grad_accum / (form.tau * 1000.0)
+        + (feasible_start(form, e_start) if floored else 0.0),
         breakpoints=[(y, basis) for y, w, basis in zip(edges, widths, bases) if w > 0.0][::-1],
-        start_point=start,
-        cost_sharing_error=sharing,
-        emission_cost_at_star=e_star, emission_cost_at_start=e_start, iterations=len(grads),
+        zeta=zeta, emission_pot=e_star if floored else e_star - e_start,
+        cost_sharing_error=sharing, iterations=len(grads),
     )
 
 
-def feasible_start(form: AssembledMarket, zeta: float, emission_cost: float) -> FeasibleStart:
-    """The sweep's start zeta > 0, with the emission cost there split in proportion
-    to net demand: D_i E(zeta) / sum(net) at bus i, the same price at every bus."""
+def feasible_start(form: AssembledMarket, emission_cost: float) -> float:
+    """$/kWh at every bus for a walk that ends at zeta > 0: the emission cost
+    there split in proportion to net demand, D_i E(zeta) / sum(net) at bus i."""
     total_net = float(form.demand.sum())
-    addon = 0.0 if abs(total_net) < 1e-12 else emission_cost / (form.tau * 1000.0 * total_net)
-    return FeasibleStart(zeta=zeta, emission_cost=emission_cost, price_addon=addon)
+    return 0.0 if abs(total_net) < 1e-12 else emission_cost / (form.tau * 1000.0 * total_net)
 
 
 def allocate_period(case: NetworkCase, clearing: ClearingResult) -> AllocationResult:

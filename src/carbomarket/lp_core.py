@@ -86,18 +86,6 @@ class LpProblem:
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "upper", u)
 
-    def with_rhs(self, rhs) -> LpProblem:
-        """This problem with ``rhs`` in place of its own; only ``rhs`` is
-        checked, since the other arrays were checked when this one was built."""
-        b = np.ascontiguousarray(np.asarray(rhs, dtype=float).ravel())
-        if b.size != self.rhs.size:
-            raise ValueError(f"{b.size} rhs entries for {self.rhs.size} rows")
-        if not np.isfinite(b).all():
-            raise ValueError("LP data must be finite")
-        derived = object.__new__(LpProblem)
-        derived.__dict__.update(self.__dict__, rhs=b)
-        return derived
-
     @property
     def variable_count(self) -> int:
         return self.cost.size
@@ -125,6 +113,9 @@ class LpSolution:
     bound_flips: int = 0
     # the engine's final inverse of the basis matrix, which maps any rhs to x_B
     basis_inverse: np.ndarray | None = None
+    # nonbasic columns of nonzero width whose |reduced cost| is within
+    # OPTIMALITY_TOL: 0 proves the optimal primal unique
+    ties: int = 0
 
     @property
     def warm_started(self) -> bool:
@@ -363,11 +354,14 @@ def _finish(problem: LpProblem, engine: _Engine) -> LpSolution:
     ub = upper[engine.basis]
     primal = np.where(engine.at_upper, upper, 0.0)
     primal[engine.basis] = np.clip(xb, 0.0, ub)
+    duals = engine.binv.T @ c[engine.basis]
+    tied = (upper > 0.0) & (np.abs(c - problem.constraint_matrix.T @ duals) <= OPTIMALITY_TOL)
+    tied[engine.basis] = False
     return LpSolution(
         status=LpStatus.OPTIMAL,
         primal=primal,
         basis=engine.basis.copy(),
-        duals=engine.binv.T @ c[engine.basis],
+        duals=duals,
         objective=float(c @ primal),
         iterations=engine.pivots,
         bound_flips=engine.flips,
@@ -375,6 +369,7 @@ def _finish(problem: LpProblem, engine: _Engine) -> LpSolution:
                          | (np.abs(xb - ub) <= FEASIBILITY_TOL)).any()),
         at_upper=np.flatnonzero(engine.at_upper),
         basis_inverse=engine.binv,
+        ties=int(np.count_nonzero(tied)),
     )
 
 

@@ -162,9 +162,9 @@ def settle(
     Loads pay energy at their LMP plus emission at their bus price; storages
     are paid the combined price on their net power; generators are paid their
     LMP (their emission half already rides inside the bid). The books close
-    against congestion rent, the fixed-loss purchase, and the emission pot
-    implied by the allocation's endpoint values, so a residual flags either
-    inconsistent duals or a sweep that failed to share the whole cost.
+    against congestion rent, the fixed-loss purchase, and the sweep's
+    emission pot, so a residual flags either inconsistent duals or a sweep
+    that failed to share the whole cost.
     """
     demand = clearing.bids.demand
     tau = case.tau
@@ -176,12 +176,7 @@ def settle(
     load_emission = 1000.0 * psi * demand * tau
     rent = float(case.branch_capacities() @ (clearing.mu_plus + clearing.mu_minus)) * tau
     loss_payment = clearing.lambda_bar * case.loss_offset * tau
-    if allocation is None:
-        pot = 0.0
-    elif allocation.start_point is None:
-        pot = allocation.emission_cost_at_star - allocation.emission_cost_at_start
-    else:
-        pot = allocation.emission_cost_at_star
+    pot = allocation.emission_pot if allocation is not None else 0.0
     # Python's left-to-right sums, in agent order
     storage_paid = sum((energy + emission)[form.storage].tolist())
     plants_paid = sum(energy[~form.storage].tolist())
@@ -319,7 +314,7 @@ def run_period(
         allocation_breakpoints=tuple(float(y) for y, _ in allocation.breakpoints)
         if allocation else (),
         allocation_iterations=allocation.iterations if allocation else 0,
-        start_used=allocation.start_point is not None if allocation else False,
+        start_used=allocation.zeta > 0.0 if allocation else False,
         cost_sharing_error=allocation.cost_sharing_error if allocation else 0.0,
         degenerate=clearing.degenerate,
         loss_converged=clearing.loss_converged,

@@ -300,7 +300,7 @@ def cold_origin_sweep(case, clearing):
     on the compact form assembled from scratch, ``two_phase_solve`` solves
     the origin or, when the origin is infeasible, finds the closest feasible
     point zeta on the ray by an augmented LP and solves the dispatch there;
-    its ``start_point`` is that start, zeta = 0 included. The walk then goes
+    its ``zeta`` is that start, 0 included. The walk then goes
     up the ray, probing 0.002 of the ray past each breakpoint and halving the
     step whenever the probe's region does not reach back to it. Each probe
     starts ``lp_core.solve_with_basis`` from the basis below it and, as the
@@ -308,7 +308,6 @@ def cold_origin_sweep(case, clearing):
     is unusable or the dual simplex finds the probe infeasible."""
     from carbomarket.emission_allocation import (
         AllocationResult,
-        FeasibleStart,
         NonProgressError,
         _problem_at,
         partial_derivative,
@@ -334,10 +333,8 @@ def cold_origin_sweep(case, clearing):
 
     form = assembled_compact_form(case, clearing)
     sol = two_phase_solve(_problem_at(form, 0.0))
-    if sol.status is LpStatus.OPTIMAL:
-        start = FeasibleStart(zeta=0.0, price_addon=0.0,
-                              emission_cost=float(form.k @ sol.primal) + form.k_offset)
-    else:
+    y0, addon = 0.0, 0.0
+    if sol.status is not LpStatus.OPTIMAL:
         problem, n = form.problem, form.problem.variable_count
         cost = np.zeros(n + 1)
         cost[n] = 1.0
@@ -346,14 +343,13 @@ def cold_origin_sweep(case, clearing):
             constraint_matrix=np.column_stack([problem.constraint_matrix,
                                                -form.g @ form.demand])))
         assert closest.status is LpStatus.OPTIMAL, "no feasible point on the demand ray"
-        zeta = float(closest.primal[n])
-        sol = two_phase_solve(_problem_at(form, zeta))
+        y0 = float(closest.primal[n])
+        sol = two_phase_solve(_problem_at(form, y0))
         assert sol.status is LpStatus.OPTIMAL
-        e0 = float(form.k @ sol.primal) + form.k_offset
-        total_net = float(form.demand.sum())
-        addon = 0.0 if abs(total_net) < 1e-12 else e0 / (form.tau * 1000.0 * total_net)
-        start = FeasibleStart(zeta=zeta, emission_cost=e0, price_addon=addon)
-    y0, e_start = start.zeta, start.emission_cost
+    e_start = float(form.k @ sol.primal) + form.k_offset
+    total_net = float(form.demand.sum())
+    if y0 > 0.0 and abs(total_net) >= 1e-12:
+        addon = e_start / (form.tau * 1000.0 * total_net)
 
     sweep_step = 0.002
     ray = form.demand
@@ -392,11 +388,12 @@ def cold_origin_sweep(case, clearing):
 
     e_star = e_probe + (1.0 - y_probe) * slope
     allocated = float(grad_accum @ ray)
-    psi = grad_accum / (form.tau * 1000.0) + start.price_addon
+    psi = grad_accum / (form.tau * 1000.0) + addon
     return AllocationResult(
-        psi=psi, breakpoints=breakpoints, start_point=start,
+        psi=psi, breakpoints=breakpoints, zeta=y0,
+        emission_pot=e_star if y0 > 0.0 else e_star - e_start,
         cost_sharing_error=abs(allocated - (e_star - e_start)) / max(abs(e_star), 1e-12),
-        emission_cost_at_star=e_star, emission_cost_at_start=e_start, iterations=iterations)
+        iterations=iterations)
 
 
 def looped_feasibility_interval(sol, a, g, h, ray, upper):

@@ -468,6 +468,23 @@ def test_sidecar_data_errors_are_schema_errors(tmp_path, capsys, body, problem):
     assert problem in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sidecar, body, label, column", [
+    ("c_loads.csv", "bus_1,bus_2,bus_2\n15,25,99\n", "series.loads", "bus_2"),
+    ("c_renewables.csv", "plant_wind2,plant_wind2\n6.0,1.0\n", "series.renewables",
+     "plant_wind2"),
+], ids=["loads", "renewables"])
+def test_a_sidecar_column_named_twice_is_a_schema_error(tmp_path, capsys, sidecar, body,
+                                                        label, column):
+    # keyed by header name, the second bus_2 would silently win
+    write_case(two_bus_case(), tmp_path / "c.yaml")
+    (tmp_path / sidecar).write_text(body)
+    with pytest.raises(CaseSchemaError) as err:
+        load_case(tmp_path / "c.yaml")
+    assert err.value.problems == [f"{label}: {sidecar} repeats column {column!r}"]
+    assert main(["clear", "--case", str(tmp_path / "c.yaml")]) == EXIT_DATA
+    assert f"{label}: {sidecar} repeats column {column!r}" in capsys.readouterr().err
+
+
 def test_quoted_sidecar_numbers_read_as_numbers(tmp_path):
     write_case(two_bus_case(), tmp_path / "c.yaml")
     (tmp_path / "c_loads.csv").write_text(

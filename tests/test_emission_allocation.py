@@ -73,6 +73,13 @@ def cleared_form(case, agents, demand):
     return clearing, build_compact_form(case, clearing)
 
 
+def emission_at(form, y):
+    """Emission cost E = k.x + k_offset of the compact LP at ray point y."""
+    sol = two_phase_solve(_problem_at(form, y))
+    assert sol.status is LpStatus.OPTIMAL
+    return float(form.k @ sol.primal) + form.k_offset
+
+
 def test_single_generator_emission_cost_is_linear_in_demand():
     case = single_bus_case()
     psi_coeff = 0.5
@@ -80,8 +87,9 @@ def test_single_generator_emission_cost_is_linear_in_demand():
         _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 20.0, psi_coeff)], [d])
         res = aumann_shapley_prices(form)
         expected = KAPPA * psi_coeff * 1000 * d * case.tau / 2
-        assert res.emission_cost_at_star == pytest.approx(expected, abs=1e-9)
-        assert res.emission_cost_at_start == pytest.approx(0.0, abs=1e-9)
+        # E(0) = 0, so the pot is the whole emission cost
+        assert res.zeta == 0.0
+        assert res.emission_pot == pytest.approx(expected, abs=1e-9)
 
 
 def test_net_demand_folds_storage_power_in():
@@ -134,7 +142,7 @@ def test_form_reproduces_clearing_emission_on_replica():
     bids = BidSet(agents=agents, demand=case.demand(5))
     clearing = clear_market(case, bids)
     form = build_compact_form(case, clearing)
-    e_star = aumann_shapley_prices(form).emission_cost_at_star
+    e_star = emission_at(form, 1.0)
     expected = clearing.total_emission * case.kappa * case.tau / 2
     assert e_star == pytest.approx(expected, rel=1e-7)
 
@@ -154,7 +162,9 @@ def test_sweep_prices_the_loss_vector_the_clearing_converged_to():
     np.testing.assert_array_equal(clearing.form.loss, [0.05, -0.03])
     res = allocate_period(case, clearing)
     expected = KAPPA * case.tau / 2 * clearing.total_emission
-    assert res.emission_cost_at_star == pytest.approx(expected, rel=1e-9)
+    # no floor, E(0) = 0: the pot is E(1)
+    assert res.zeta == 0.0
+    assert res.emission_pot == pytest.approx(expected, rel=1e-9)
     assert res.cost_sharing_error <= 1e-9
 
 
@@ -184,7 +194,7 @@ def test_partial_derivative_matches_finite_difference():
     sol = two_phase_solve(_problem_at(form, 1.0))
     grad = partial_derivative(form, sol)
     h = 1e-5
-    base = aumann_shapley_prices(form).emission_cost_at_star
+    base = emission_at(form, 1.0)
     for i in range(1):
         bumped = form.demand.copy()
         bumped[i] += h
@@ -287,8 +297,7 @@ def test_cost_sharing_on_random_cases():
         ledger = settle(clearing, res, case)
         charged = -ledger.emission[clearing.form.storage]
         total = float(charged.sum()) + float(ledger.load_emission.sum())
-        if res.start_point is not None:
-            assert total == pytest.approx(res.emission_cost_at_star, abs=1e-7)
+        assert total == pytest.approx(res.emission_pot, rel=1e-9, abs=1e-7)
         done += 1
 
 
@@ -332,7 +341,7 @@ def test_compact_form_matches_highs_at_region_midpoints_and_the_end(monkeypatch)
     regions = 0
     for case, clearing, res in swept:
         form = build_compact_form(case, clearing)
-        y_prev = res.start_point.zeta if res.start_point is not None else 0.0
+        y_prev = res.zeta
         ys = []
         for y_next, _ in res.breakpoints:
             ys.append((y_prev + y_next) / 2.0)
@@ -344,7 +353,9 @@ def test_compact_form_matches_highs_at_region_midpoints_and_the_end(monkeypatch)
             fun, e_highs = highs_at(form, y)
             assert_close(sol.objective, fun)
             assert_close(float(form.k @ sol.primal) + form.k_offset, e_highs)
-        assert_close(res.emission_cost_at_star, e_highs)
+        # the pot is E(1), less E(0) when the walk reaches zero demand
+        assert_close(res.emission_pot,
+                     e_highs - (highs_at(form, 0.0)[1] if res.zeta == 0.0 else 0.0))
     assert regions > len(swept)  # some sweep crosses a breakpoint
 
 
@@ -418,18 +429,18 @@ def test_storage_and_load_share_one_bus_price():
 def test_feasible_start_zeta_values():
     case = single_bus_case()
     _, form = cleared_form(case, [gen_bid("g", 1, 30.0, 50.0, 0.5)], [40.0])
-    assert aumann_shapley_prices(form).start_point is None  # zeta = 0
+    assert aumann_shapley_prices(form).zeta == 0.0
 
     agents = [gen_bid("g", 1, 30.0, 50.0, 0.5, p_min=10.0)]
     clearing, form2 = cleared_form(case, agents, [40.0])
     res = aumann_shapley_prices(form2)
-    assert res.start_point.zeta == pytest.approx(0.25, abs=1e-9)
+    assert res.zeta == pytest.approx(0.25, abs=1e-9)
     assert res.cost_sharing_error <= 1e-9
     # with the start share folded into psi, everything allocated adds to E*
     ledger = settle(clearing, res, case)
     charged = -ledger.emission[clearing.form.storage]
     total = float(charged.sum()) + float(ledger.load_emission.sum())
-    assert total == pytest.approx(res.emission_cost_at_star, rel=1e-9)
+    assert total == pytest.approx(res.emission_pot, rel=1e-9)
 
 
 def _rescaled(case, clearing, factor):
@@ -516,7 +527,7 @@ def test_the_sweep_factors_no_basis(replica_spot_clearings, monkeypatch):
     breakpoints = 0
     for clearing in clearings:
         res = allocate_period(case, clearing)
-        assert res.start_point is None
+        assert res.zeta == 0.0
         breakpoints += len(res.breakpoints)
     # the cleared point adopts the crash's closed-form inverse, each region the
     # previous solve's
@@ -607,8 +618,8 @@ def test_a_must_run_period_prices_its_emission_at_the_cleared_point():
     np.testing.assert_allclose(clearing.dispatch, [30.0, 5.0], rtol=0, atol=1e-9)
     res = allocate_period(case, clearing)
     want = cold_origin_sweep(case, clearing)
-    assert res.start_point.zeta == want.start_point.zeta == 1.0
-    assert res.emission_cost_at_start == pytest.approx(375.0, rel=1e-12)
+    assert res.zeta == want.zeta == 1.0
+    assert res.emission_pot == pytest.approx(375.0, rel=1e-12)
     np.testing.assert_allclose(res.psi, [0.0125, 0.0125], rtol=1e-12, atol=0)
     np.testing.assert_allclose(res.psi, want.psi, rtol=1e-12, atol=0)
     book = settle(clearing, res, case)
@@ -634,7 +645,7 @@ def test_a_period_with_every_offer_fixed_clears_at_p_min_or_names_its_gap():
     np.testing.assert_array_equal(clearing.flows, [30.0])
     res = allocate_period(case, clearing)
     want = cold_origin_sweep(case, clearing)
-    assert res.start_point.zeta == want.start_point.zeta == 1.0
+    assert res.zeta == want.zeta == 1.0
     np.testing.assert_allclose(res.psi, [0.0125, 0.0125], rtol=1e-12, atol=0)
     np.testing.assert_allclose(res.psi, want.psi, rtol=1e-12, atol=0)
 

@@ -231,16 +231,17 @@ def test_forced_minimum_output_starts_the_sweep_inside(monkeypatch):
     # the cleared point y = 1 from the crash, then one probe below each region
     # walked, the last of them infeasible: no phase-1 solve of its own and no
     # closest-point LP, whose extra column would show
-    assert allocation.start_point is not None
+    assert allocation.zeta > 0.0
     assert not cold
     assert len(solves) == 1 + allocation.iterations
     form = emission_allocation.build_compact_form(case, clearing)
     np.testing.assert_array_equal(solves[0].rhs, emission_allocation._problem_at(form, 1.0).rhs)
     assert all(p.variable_count == form.problem.variable_count for p in solves)
     assert record.start_used
-    # the uniform start share folds the pre-start emission into the price
-    assert record.ledger.emission_pot == pytest.approx(
-        allocation.emission_cost_at_star, rel=1e-9)
+    # the uniform start share folds the pre-start emission into the price,
+    # so the pot is the whole emission cost at the cleared point
+    assert record.ledger.emission_pot == allocation.emission_pot == pytest.approx(
+        clearing.total_emission * case.kappa * case.tau / 2, rel=1e-9)
     assert record.settlement_residual <= 1e-6
     report = run_horizon(case, ScenarioConfig.proposed())
     assert report.periods_started_from_interior == 1

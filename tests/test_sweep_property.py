@@ -77,6 +77,13 @@ def floored_networks(draw):
     return case, BidSet(agents=agents, demand=load * weights / weights.sum())
 
 
+def _zeta_sliver(res, other):
+    """Whether ``res``'s lowest region runs from its zeta up to ``other``'s,
+    narrower than the 1e-9 that zeta may move."""
+    top = res.breakpoints[0][0]
+    return top - res.zeta <= 1e-9 and abs(top - other.zeta) <= 1e-9
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(floored_networks())
@@ -90,15 +97,19 @@ def test_sweep_matches_the_phase_one_start_on_random_networks(drawn):
     want = cold_origin_sweep(case, clearing)
     floored = any(a.p_min > 0.0 for a in bids.agents if not a.is_storage)
     # a floor leaves the origin infeasible, and only a floor does
-    assert (got.start_point is not None) == floored
-    zeta = got.start_point.zeta if floored else 0.0
-    assert abs(zeta - want.start_point.zeta) <= 1e-9
-    if floored:
-        assert zeta > 0.0
-        assert abs(got.start_point.price_addon - want.start_point.price_addon) <= 1e-9 * max(
-            1.0, abs(want.start_point.price_addon))
+    assert (got.zeta > 0.0) == floored
+    assert abs(got.zeta - want.zeta) <= 1e-9
+    assert abs(got.emission_pot - want.emission_pot) <= 1e-9 * max(1.0, abs(want.emission_pot))
     assert got.cost_sharing_error <= 1e-9 and want.cost_sharing_error <= 1e-9
     assert np.abs(got.psi - want.psi).max() <= 1e-9 * max(1.0, np.abs(want.psi).max())
     ys = np.array([y for y, _ in got.breakpoints])
-    assert ys.size == len(want.breakpoints)
-    assert np.abs(ys - [y for y, _ in want.breakpoints]).max() <= 1e-9
+    want_ys = np.array([y for y, _ in want.breakpoints])
+    # zeta may move by 1e-9, so one side may hold one extra region, narrower
+    # than that, between the two zetas: a walk that ends 4.5e-11 below y = 1,
+    # where the oracle's closest point is y = 1, reports that sliver
+    if ys.size == want_ys.size + 1 and _zeta_sliver(got, want):
+        ys = ys[1:]
+    elif want_ys.size == ys.size + 1 and _zeta_sliver(want, got):
+        want_ys = want_ys[1:]
+    assert ys.size == want_ys.size
+    assert np.abs(ys - want_ys).max(initial=0.0) <= 1e-9
